@@ -9,7 +9,7 @@ exact solution.
 
 import numpy as np
 
-from splitdg import physics, spectral
+from splitdg import geometry, physics, spectral
 
 
 class FlowCase:
@@ -160,15 +160,7 @@ def error_norms(solver, u, case, gas, t, extra_degree=8):
 
     u_fine = refine(u)
     x_fine = refine(solver.x)
-    cov = np.stack([
-        np.einsum("in,cKnjk->cKijk", fine.D, x_fine),
-        np.einsum("jn,cKink->cKijk", fine.D, x_fine),
-        np.einsum("kn,cKijn->cKijk", fine.D, x_fine),
-    ])
-    jac = np.einsum("cKijk,cKijk->Kijk", cov[0],
-                    np.stack([cov[1][1] * cov[2][2] - cov[1][2] * cov[2][1],
-                              cov[1][2] * cov[2][0] - cov[1][0] * cov[2][2],
-                              cov[1][0] * cov[2][1] - cov[1][1] * cov[2][0]]))
+    jac = geometry.jacobian(spectral.tensor_gradient(fine, x_fine))
     diff = u_fine - case.state(x_fine, t, gas)
     w = fine.weights
     l2 = np.sqrt(np.einsum("cKijk,cKijk,Kijk,i,j,k->c", diff, diff, jac, w, w, w))

@@ -20,14 +20,12 @@ class RunConfig:
     gas: dict = field(default_factory=dict)
     volume_flux: str = "ec"
     surface_dissipation: str = "llf"
-    gradient_variables: str = "entropy"
     cfl: float | None = 0.4
     dt: float | None = None
     final_time: float = 0.25
     monitor_interval: int = 1
     output_dir: str = "."
     case_name: str | None = None
-    seed: int = 2024
     boundary: str = "periodic"
 
     def __post_init__(self):
@@ -106,7 +104,8 @@ class RunConfig:
         if "path" in spec:
             return mesh_mod.read_mesh_file(spec["path"], degree=degree)
         builtin = spec.pop("builtin", "warped_box")
-        cells = tuple(cells_override if cells_override is not None else spec.pop("cells", [4, 4, 4]))
+        cells = spec.pop("cells", (4, 4, 4))
+        cells = tuple(cells if cells_override is None else cells_override)
         bounds = tuple(tuple(b) for b in spec.pop("bounds", ((0.0, 1.0),) * 3))
         if builtin == "cartesian":
             if spec:

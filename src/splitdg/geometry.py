@@ -216,12 +216,6 @@ def sample_map_on_grid(faces_or_fn, basis):
     return np.asarray(faces_or_fn(grid), dtype=float)
 
 
-def covariant_basis(basis, x_nodal):
-    """Covariant vectors a_i = dX/dxi^i; shape (3 covariant, 3 component, ...)."""
-    grad = spectral.tensor_gradient(basis, x_nodal)  # (3 deriv, 3 comp, n,n,n)
-    return grad
-
-
 def _cross(a, b):
     return np.stack([
         a[1] * b[2] - a[2] * b[1],
@@ -338,7 +332,7 @@ class ElementGeometry:
         n1 = basis.n + 1
         if self.x.shape != (3, n1, n1, n1):
             raise ValueError(f"expected map shape (3, {n1}, {n1}, {n1})")
-        self.covariant = covariant_basis(basis, self.x)
+        self.covariant = spectral.tensor_gradient(basis, self.x)
         if metric_form == "curl":
             self.ja = metrics_curl_form(basis, self.x)
             self.j = jacobian(self.covariant)

@@ -59,10 +59,10 @@ class GasModel:
 
 
 def _check_positive(rho, p, where):
-    rho_min = np.min(rho)
+    rho_min = np.min(rho, initial=np.inf)  # empty input (no Dirichlet faces) passes
     if not rho_min > 0.0:
         raise PositivityError(f"non-positive density, min rho = {rho_min}", where)
-    p_min = np.min(p)
+    p_min = np.min(p, initial=np.inf)
     if not p_min > 0.0:
         raise PositivityError(f"non-positive pressure, min p = {p_min}", where)
 

@@ -26,7 +26,6 @@ def build_solver(config, mesh=None):
         mesh, gas,
         volume_flux=config.volume_flux,
         surface_dissipation=config.surface_dissipation,
-        gradient_variables=config.gradient_variables,
         boundary_states=boundary_states,
         source=src,
     )
@@ -39,6 +38,19 @@ def _monitor_row(dg, state, dt, rhs):
     rate = dg.entropy_rate(state.u, rhs)
     vals = [state.t, dt, *totals.tolist(), sbar, rate]
     return ",".join(repr(float(v)) for v in vals)
+
+
+def integrate(dg, state, config):
+    """Advance ``state`` to ``config.final_time``, yielding (state, dt) per step.
+
+    dt is ``config.dt`` when set, else the CFL estimate, clipped so that the
+    last step ends on ``final_time``.
+    """
+    while state.t < config.final_time - 1e-12:
+        dt = config.dt if config.dt is not None else dg.timestep_estimate(state.u, config.cfl)
+        dt = min(dt, config.final_time - state.t)
+        state = dg.step(state, dt)
+        yield state, dt
 
 
 def run_case(config, output_dir=None):
@@ -59,13 +71,7 @@ def run_case(config, output_dir=None):
     max_rate = dg.entropy_rate(state.u, rhs)
     rhs_inf = np.abs(rhs).max()
     step = 0
-    while state.t < config.final_time - 1e-12:
-        if config.dt is not None:
-            dt = min(config.dt, config.final_time - state.t)
-        else:
-            dt = min(dg.timestep_estimate(state.u, config.cfl), config.final_time - state.t)
-        state = dg.step(state, dt)
-        step += 1
+    for step, (state, dt) in enumerate(integrate(dg, state, config), start=1):
         if step % config.monitor_interval == 0 or state.t >= config.final_time - 1e-12:
             rhs = dg.residual(state.u, state.t)
             rows.append(_monitor_row(dg, state, dt, rhs))
@@ -161,12 +167,8 @@ def convergence_study(config, levels, refine="mesh"):
             raise ValueError("refine must be 'mesh' or 'degree'")
         dg, case, gas = build_solver(config, mesh=mesh)
         state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-        while state.t < config.final_time - 1e-12:
-            if config.dt is not None:
-                dt = min(config.dt, config.final_time - state.t)
-            else:
-                dt = min(dg.timestep_estimate(state.u, config.cfl), config.final_time - state.t)
-            state = dg.step(state, dt)
+        for state, _ in integrate(dg, state, config):
+            pass
         l2, linf = cases.error_norms(dg, state.u, case, gas, state.t)
         rows.append({"resolution": resolution, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []

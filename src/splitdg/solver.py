@@ -1,10 +1,12 @@
 """Semi-discrete split-form DGSEM residual, BR1 lifting, and time integration.
 
-Solution layout: conservative states live in arrays of shape
-(5, K, n1, n1, n1) with the component axis first, the element axis second,
-and (i, j, k) <-> (xi, eta, zeta) tensor indices last (n1 = N+1).  Entropy
-monitors, conserved totals, and the explicit RK driver operate on this
-layout.
+Layouts: conservative states live in arrays of shape (5, K, n1, n1, n1) with
+the component axis first, the element axis second, and (i, j, k) <->
+(xi, eta, zeta) tensor indices last (n1 = N+1).  Face data use the same
+component-first layout, (C..., 6, K, n1, n1): the face index of
+:mod:`splitdg.geometry` in front of the element axis and the two face-grid
+indices last.  Entropy monitors, conserved totals, and the explicit RK
+driver operate on the volume layout.
 
 The residual is
 
@@ -13,9 +15,16 @@ The residual is
 
 with the two-point flux-differencing divergence D.F#, the standard nodal
 divergence D_std for the viscous contravariant fluxes, and surface liftings
-scaled by 1/w_0 at the face nodes (strong/penalty form).  Every face flux is
-evaluated once with the owner's geometry and scattered to both sides with a
-sign flip, so conservation telescopes bitwise across interior faces.
+scaled by 1/w_0 at the face nodes (strong/penalty form).
+
+All faces go through one pipeline.  The owner faces are the left sides of
+all mesh links followed by all Dirichlet faces; a Dirichlet face is a
+one-sided link whose exterior trace is the ghost state.  Each numerical
+flux is evaluated once per owner face with the owner's normal and surface
+element, then written to the owner side and, sign-flipped and permuted onto
+the neighbour grid, to the neighbour side, so conservation telescopes
+bitwise across links.  The mesh guarantees that every (element, face) is
+an owner or a neighbour exactly once, so this is plain index assignment.
 
 Evaluation is vectorized over all elements (volume kernels) and over all
 faces (interface kernels); there are no data dependencies between elements
@@ -25,7 +34,7 @@ reproducible run to run.
 
 import numpy as np
 
-from splitdg import fluxes, physics
+from splitdg import fluxes, geometry, physics, spectral
 from splitdg.mesh import orientation_indices
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
@@ -73,33 +82,22 @@ class SolutionField:
 
 
 def _face_stack(vol):
-    """Restrict a (C, K, n, n, n) array to the six faces: (6, C, K, n, n)."""
-    return np.stack([
-        vol[:, :, 0, :, :], vol[:, :, -1, :, :],
-        vol[:, :, :, 0, :], vol[:, :, :, -1, :],
-        vol[:, :, :, :, 0], vol[:, :, :, :, -1],
-    ])
+    """Restrict a (C..., K, n, n, n) volume array to its faces: (C..., 6, K, n, n)."""
+    return np.stack([vol[geometry.face_slice(f)] for f in range(6)], axis=-4)
 
 
-def _gather(face_stack, fid, fel):
-    """Pick per-face values; returns (C, nf, n, n)."""
-    return np.moveaxis(face_stack[fid, :, fel], 1, 0)
+def _fold_faces(faces):
+    """Sum a (C..., 6, K, n, n) face array into an otherwise zero volume array."""
+    n1 = faces.shape[-1]
+    out = np.zeros(faces.shape[:-4] + (faces.shape[-3], n1, n1, n1))
+    for f in range(6):
+        out[geometry.face_slice(f)] += faces[..., f, :, :, :]
+    return out
 
 
-def _scatter_add(target, fid, fel, values):
-    """Accumulate (C, nf, n, n) values into a (6, K, C, n, n) buffer."""
-    np.add.at(target, (fid, fel), np.moveaxis(values, 0, 1))
-
-
-def _fold_faces(buf, out):
-    """Add a (6, K, C, n, n) face buffer into the (C, K, n, n, n) volume."""
-    mv = lambda a: np.moveaxis(a, 0, 1)
-    out[:, :, 0, :, :] += mv(buf[0])
-    out[:, :, -1, :, :] += mv(buf[1])
-    out[:, :, :, 0, :] += mv(buf[2])
-    out[:, :, :, -1, :] += mv(buf[3])
-    out[:, :, :, :, 0] += mv(buf[4])
-    out[:, :, :, :, -1] += mv(buf[5])
+def _normal_component(normal, flux):
+    """n . f for a (3, ...) normal and a (3, C, ...) flux; shape (C, ...)."""
+    return np.einsum("d...,dc...->c...", normal, flux)
 
 
 # Axis-insertion views building the (line node, pair partner) index pair for
@@ -148,17 +146,16 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     return out
 
 
-def standard_divergence(contrav, basis):
-    """Nodal divergence of contravariant fluxes (3, C..., K, n, n, n)."""
-    d = basis.D
-    out = np.einsum("in,...njk->...ijk", d, contrav[0])
-    out += np.einsum("jn,...ink->...ijk", d, contrav[1])
-    out += np.einsum("kn,...ijn->...ijk", d, contrav[2])
-    return out
-
-
 class DGSolver:
     """Split-form DGSEM semi-discretization on a conforming curvilinear mesh.
+
+    Faces are handled by one pipeline.  The owner faces are the left sides
+    of all mesh links (``l_elem``/``l_face``) followed by all Dirichlet faces
+    (``b_elem``/``b_face``); owner-face arrays have shape (C..., nf, n, n).
+    ``_exterior`` supplies the outside trace of every owner face (the
+    neighbour's values permuted onto the owner grid, then the ghost values
+    of the Dirichlet faces), and ``_to_faces`` returns owner-face results
+    to the (C..., 6, K, n, n) face layout of the volume arrays.
 
     Args:
         mesh: MeshTopology (curl-form metrics expected for the discrete
@@ -166,9 +163,6 @@ class DGSolver:
         gas: GasModel; ``gas.reynolds is None`` disables all viscous terms.
         volume_flux: "ec" or "central".
         surface_dissipation: "none" or "llf".
-        gradient_variables: "entropy" (default) lifts gradients of the
-            entropy variables; "conservative" exists for the linear
-            diffusion regression test only.
         boundary_states: dict tag -> callable(x, t) -> exterior conservative
             state for Dirichlet faces; x has shape (3, ...).
         source: optional callable(x, t, gas) -> (5, ...) forcing added to
@@ -176,140 +170,119 @@ class DGSolver:
     """
 
     def __init__(self, mesh, gas, volume_flux="ec", surface_dissipation="llf",
-                 gradient_variables="entropy", boundary_states=None, source=None):
+                 boundary_states=None, source=None):
         self.mesh = mesh
         self.basis = mesh.basis
         self.gas = gas
-        self.volume_flux_name = volume_flux
         self.volume_flux = fluxes.get_volume_flux(volume_flux)
         if surface_dissipation not in fluxes.DISSIPATION_MODES:
             raise ValueError(
                 f"unknown surface dissipation '{surface_dissipation}'; "
                 f"valid options: {list(fluxes.DISSIPATION_MODES)}")
         self.surface_dissipation = surface_dissipation
-        if gradient_variables not in ("entropy", "conservative"):
-            raise ValueError("gradient_variables must be 'entropy' or 'conservative'")
-        self.gradient_variables = gradient_variables
-        self.boundary_states = dict(boundary_states or {})
         self.source = source
 
-        basis = mesh.basis
-        n1 = basis.n + 1
-        k = mesh.num_elements
-        self.num_elements = k
+        n1 = mesh.basis.n + 1
+        self.num_elements = mesh.num_elements
         self.n1 = n1
-        # Stacked geometry
-        self.ja = np.empty((3, 3, k, n1, n1, n1))
-        self.j = np.empty((k, n1, n1, n1))
-        self.x = np.empty((3, k, n1, n1, n1))
-        self.s_hat = np.empty((6, k, n1, n1))
-        self.normal = np.empty((6, 3, k, n1, n1))
-        for e, geom in enumerate(mesh.geoms):
-            self.ja[:, :, e] = geom.ja
-            self.j[e] = geom.j
-            self.x[:, e] = geom.x
-            self.s_hat[:, e] = geom.s_hat
-            self.normal[:, :, e] = geom.normal
-        self.w0 = basis.weights[0]  # = weights[-1]; boundary lifting scale
+        # Stacked geometry; face data in the (C..., 6, K, n, n) layout.
+        geoms = mesh.geoms
+        self.ja = np.stack([g.ja for g in geoms], axis=2)
+        self.j = np.stack([g.j for g in geoms])
+        self.x = np.stack([g.x for g in geoms], axis=1)
+        self.s_hat = np.stack([g.s_hat for g in geoms], axis=1)
+        self.normal = np.stack([g.normal.swapaxes(0, 1) for g in geoms], axis=2)
+        self.w0 = mesh.basis.weights[0]  # = weights[-1]; surface lifting scale
 
-        # Face link batches
+        # Owner faces: link left sides, then Dirichlet faces.
         links = mesh.links
         self.l_elem = np.array([ln.left for ln in links], dtype=np.intp)
         self.l_face = np.array([ln.left_face for ln in links], dtype=np.intp)
-        self.r_elem = np.array([ln.right for ln in links], dtype=np.intp)
-        self.r_face = np.array([ln.right_face for ln in links], dtype=np.intp)
-        self.perm_a = np.empty((len(links), n1, n1), dtype=np.intp)
-        self.perm_b = np.empty((len(links), n1, n1), dtype=np.intp)
-        for i, ln in enumerate(links):
-            self.perm_a[i], self.perm_b[i] = orientation_indices(ln.orient, n1)
-        self._link_rows = np.arange(len(links))[:, None, None]
-
         self.b_elem = np.array([bf.element for bf in mesh.boundary], dtype=np.intp)
         self.b_face = np.array([bf.face for bf in mesh.boundary], dtype=np.intp)
-        self.b_tags = [bf.tag for bf in mesh.boundary]
-        for tag in set(self.b_tags):
-            if tag not in self.boundary_states:
+        self._own = (Ellipsis, np.concatenate([self.l_face, self.b_face]),
+                     np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
+        self.n_own = self.normal[self._own]
+        self.s_own = self.s_hat[self._own]
+        # Neighbour side of every link, indexed on the owner's face grid.
+        perm = np.empty((2, len(links), n1, n1), dtype=np.intp)
+        for i, ln in enumerate(links):
+            perm[:, i] = orientation_indices(ln.orient, n1)
+        r_elem = np.array([ln.right for ln in links], dtype=np.intp)[:, None, None]
+        r_face = np.array([ln.right_face for ln in links], dtype=np.intp)[:, None, None]
+        self._nbr = (Ellipsis, r_face, r_elem, perm[0], perm[1])
+
+        x_b = _face_stack(self.x)[:, self.b_face, self.b_elem]
+        tags = [bf.tag for bf in mesh.boundary]
+        boundary_states = boundary_states or {}
+        self._ghosts = []
+        for tag in sorted(set(tags)):
+            if tag not in boundary_states:
                 raise ValueError(f"mesh has Dirichlet faces tagged '{tag}' but no boundary state was registered")
+            sel = np.array([bt == tag for bt in tags])
+            self._ghosts.append((boundary_states[tag], sel, x_b[:, sel]))
 
     # -- face helpers --------------------------------------------------------
 
-    def _permute_to_owner(self, vals):
-        """Map (C, nf, n, n) values from neighbour grids onto owner grids."""
-        return vals[:, self._link_rows, self.perm_a, self.perm_b]
+    def _ghost(self, t):
+        """Exterior conservative states on all Dirichlet faces (5, nb, n, n)."""
+        u_ext = np.empty((5, len(self.b_elem), self.n1, self.n1))
+        for state, sel, x in self._ghosts:
+            u_ext[:, sel] = state(x, t)
+        return u_ext
 
-    def _scatter_right(self, vals):
-        """Inverse permutation: owner-grid values placed on neighbour grids."""
-        out = np.empty_like(vals)
-        out[:, self._link_rows, self.perm_a, self.perm_b] = vals
+    def _exterior(self, faces, ghost):
+        """Outside traces (C..., nf, n, n) of the owner faces.
+
+        Links take the neighbour's values of the (C..., 6, K, n, n) array
+        ``faces`` permuted onto the owner grid; Dirichlet faces take
+        ``ghost`` (C..., nb, n, n).
+        """
+        return np.concatenate([faces[self._nbr], ghost], axis=-3)
+
+    def _to_faces(self, own, sign):
+        """Owner-face values (C..., nf, n, n) in the (C..., 6, K, n, n) layout.
+
+        The owner side gets ``own``; the neighbour side of every link gets
+        ``sign`` times the owner value, permuted onto the neighbour grid.
+        Every (element, face) is one of the two exactly once.
+        """
+        out = np.empty(own.shape[:-3] + (6, self.num_elements, self.n1, self.n1))
+        out[self._own] = own
+        out[self._nbr] = sign * own[..., :len(self.l_elem), :, :]
         return out
 
-    def _boundary_exterior(self, t):
-        """Exterior conservative states on all Dirichlet faces (5, nb, n, n)."""
-        xb = _gather(_face_stack(self.x), self.b_face, self.b_elem)
-        u_ext = np.empty((5,) + xb.shape[1:])
-        for tag in set(self.b_tags):
-            sel = np.array([bt == tag for bt in self.b_tags])
-            u_ext[:, sel] = self.boundary_states[tag](xb[:, sel], t)
-        return u_ext
+    def _surface_penalty(self, flux_star, flux_normal):
+        """lift((F* - F_n) s_hat) as a (C, K, n, n, n) volume array.
+
+        ``flux_star`` (C, nf, n, n) is the numerical normal flux on the owner
+        faces; ``flux_normal`` (C, 6, K, n, n) is each side's own n . f.
+        """
+        star = self._to_faces(flux_star * self.s_own, -1.0)
+        return _fold_faces((star - flux_normal * self.s_hat) / self.w0)
 
     # -- gradient lifting (BR1 auxiliary equation, strong form) --------------
 
     def lift_gradients(self, u, t=0.0):
-        """Lifted gradients Q of the entropy variables (or of U).
+        """Lifted gradients Q of the entropy variables.
 
         Solves the BR1 auxiliary equation in strong collocation form:
         J Q_d = sum_l Ja^l_d (D_l W) + lift((W* - W) n_d s_hat), with
-        W* the arithmetic mean at interior faces and the exterior trace at
-        Dirichlet faces.
+        W* the arithmetic mean on links and the ghost value on Dirichlet
+        faces.
 
         Returns:
             Q with shape (3, 5, K, n, n, n); Q[d] approximates dW/dx_d.
         """
-        gas = self.gas
-        if self.gradient_variables == "entropy":
-            w = physics.entropy_variables(u, gas)
-        else:
-            w = u
-        grad = np.stack([
-            np.einsum("in,cKnjk->cKijk", self.basis.D, w),
-            np.einsum("jn,cKink->cKijk", self.basis.D, w),
-            np.einsum("kn,cKijn->cKijk", self.basis.D, w),
-        ])
-        q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja, grad)
-
-        buf = np.zeros((6, self.num_elements, 15, self.n1, self.n1))
+        w = physics.entropy_variables(u, self.gas)
+        q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja, spectral.tensor_gradient(self.basis, w))
         wf = _face_stack(w)
-        if len(self.l_elem):
-            wl = _gather(wf, self.l_face, self.l_elem)
-            wr_own = _gather(wf, self.r_face, self.r_elem)
-            wr = self._permute_to_owner(wr_own)
-            wstar = 0.5 * (wl + wr)
-            nl = _gather(self.normal, self.l_face, self.l_elem)
-            sl = self.s_hat[self.l_face, self.l_elem]
-            jump_l = (wstar - wl) / self.w0
-            lift_l = np.einsum("dfab,cfab->dcfab", nl, jump_l) * sl
-            _scatter_add(buf, self.l_face, self.l_elem, lift_l.reshape((15,) + lift_l.shape[2:]))
-            nr = _gather(self.normal, self.r_face, self.r_elem)
-            sr = self.s_hat[self.r_face, self.r_elem]
-            jump_r = (self._scatter_right(wstar) - wr_own) / self.w0
-            lift_r = np.einsum("dfab,cfab->dcfab", nr, jump_r) * sr
-            _scatter_add(buf, self.r_face, self.r_elem, lift_r.reshape((15,) + lift_r.shape[2:]))
-        if len(self.b_elem):
-            wb = _gather(wf, self.b_face, self.b_elem)
-            u_ext = self._boundary_exterior(t)
-            if self.gradient_variables == "entropy":
-                w_ext = physics.entropy_variables(u_ext, gas)
-            else:
-                w_ext = u_ext
-            nb = _gather(self.normal, self.b_face, self.b_elem)
-            sb = self.s_hat[self.b_face, self.b_elem]
-            jump_b = (w_ext - wb) / self.w0
-            lift_b = np.einsum("dfab,cfab->dcfab", nb, jump_b) * sb
-            _scatter_add(buf, self.b_face, self.b_elem, lift_b.reshape((15,) + lift_b.shape[2:]))
-
-        lift = np.zeros((15, self.num_elements, self.n1, self.n1, self.n1))
-        _fold_faces(buf, lift)
-        q += lift.reshape(q.shape)
+        w_ext = self._exterior(wf, physics.entropy_variables(self._ghost(t), self.gas))
+        w_star = 0.5 * (wf[self._own] + w_ext)
+        nl = len(self.l_elem)
+        w_star[..., nl:, :, :] = w_ext[..., nl:, :, :]
+        jump = (self._to_faces(w_star, 1.0) - wf) / self.w0
+        q += _fold_faces(np.einsum("dfKab,cfKab->dcfKab", self.normal, jump) * self.s_hat)
         q /= self.j
         return q
 
@@ -318,84 +291,26 @@ class DGSolver:
     def residual(self, u, t=0.0):
         """Semi-discrete right-hand side du/dt, shape (5, K, n, n, n)."""
         gas = self.gas
-        basis = self.basis
-        adv = split_divergence(u, self.ja, basis, self.volume_flux, gas)
-
-        viscous = gas.viscous
-        if viscous:
-            q = self.lift_gradients(u, t)
-            fv = physics.viscous_flux_from_entropy_gradients(u, q, gas)
-            fv_contra = np.einsum("ldKijk,dcKijk->lcKijk", self.ja, fv)
-            visc = standard_divergence(fv_contra, basis)
-        else:
-            fv = None
-            visc = None
-
-        adv_buf = np.zeros((6, self.num_elements, 5, self.n1, self.n1))
-        visc_buf = np.zeros_like(adv_buf) if viscous else None
-
         uf = _face_stack(u)
-        nf_stack = self.normal
-        fvf = _face_stack(fv.reshape((15,) + fv.shape[2:])) if viscous else None
+        fstar = fluxes.surface_flux_advective(
+            uf[self._own], self._exterior(uf, self._ghost(t)), self.n_own, gas,
+            self.surface_dissipation)
+        fn = _normal_component(self.normal, physics.advective_flux(uf, gas))
+        rhs = -(split_divergence(u, self.ja, self.basis, self.volume_flux, gas)
+                + self._surface_penalty(fstar, fn))
 
-        def face_terms(ul, ur, n_l, s_l, fv_l, fv_r):
-            fstar = fluxes.surface_flux_advective(ul, ur, n_l, gas, self.surface_dissipation)
-            fstar_s = fstar * s_l
-            fn_l = np.einsum("dfab,dcfab->cfab", n_l, physics.advective_flux(ul, gas))
-            pen_l = fstar_s - fn_l * s_l
-            out = [fstar_s, pen_l]
-            if viscous:
-                fvn_l = np.einsum("dfab,dcfab->cfab", n_l, fv_l)
-                fvn_r_owner = np.einsum("dfab,dcfab->cfab", n_l, fv_r)
-                fv_star_s = 0.5 * (fvn_l + fvn_r_owner) * s_l
-                out += [fv_star_s, fv_star_s - fvn_l * s_l]
-            return out
-
-        if len(self.l_elem):
-            ul = _gather(uf, self.l_face, self.l_elem)
-            ur_own = _gather(uf, self.r_face, self.r_elem)
-            ur = self._permute_to_owner(ur_own)
-            n_l = _gather(nf_stack, self.l_face, self.l_elem)
-            s_l = self.s_hat[self.l_face, self.l_elem]
-            if viscous:
-                fv_l = _gather(fvf, self.l_face, self.l_elem).reshape((3, 5) + ul.shape[1:])
-                fv_r_own = _gather(fvf, self.r_face, self.r_elem)
-                fv_r = self._permute_to_owner(fv_r_own).reshape((3, 5) + ul.shape[1:])
-            else:
-                fv_l = fv_r = None
-            terms = face_terms(ul, ur, n_l, s_l, fv_l, fv_r)
-            fstar_s, pen_l = terms[0], terms[1]
-            _scatter_add(adv_buf, self.l_face, self.l_elem, pen_l / self.w0)
-            # Right side: same F* s_hat with flipped sign, own interior flux.
-            n_r = _gather(nf_stack, self.r_face, self.r_elem)
-            s_r = self.s_hat[self.r_face, self.r_elem]
-            fn_r = np.einsum("dfab,dcfab->cfab", n_r, physics.advective_flux(ur_own, gas))
-            pen_r = -self._scatter_right(fstar_s) - fn_r * s_r
-            _scatter_add(adv_buf, self.r_face, self.r_elem, pen_r / self.w0)
-            if viscous:
-                fv_star_s, vpen_l = terms[2], terms[3]
-                _scatter_add(visc_buf, self.l_face, self.l_elem, vpen_l / self.w0)
-                fvn_r = np.einsum("dfab,dcfab->cfab", n_r, fv_r_own.reshape((3, 5) + ur_own.shape[1:]))
-                vpen_r = -self._scatter_right(fv_star_s) - fvn_r * s_r
-                _scatter_add(visc_buf, self.r_face, self.r_elem, vpen_r / self.w0)
-
-        if len(self.b_elem):
-            ul = _gather(uf, self.b_face, self.b_elem)
-            u_ext = self._boundary_exterior(t)
-            n_l = _gather(nf_stack, self.b_face, self.b_elem)
-            s_l = self.s_hat[self.b_face, self.b_elem]
-            fstar = fluxes.surface_flux_advective(ul, u_ext, n_l, gas, self.surface_dissipation)
-            fn_l = np.einsum("dfab,dcfab->cfab", n_l, physics.advective_flux(ul, gas))
-            _scatter_add(adv_buf, self.b_face, self.b_elem, (fstar - fn_l) * s_l / self.w0)
-            # Viscous Dirichlet faces use the interior normal flux: zero penalty.
-
-        surf_adv = np.zeros_like(u)
-        _fold_faces(adv_buf, surf_adv)
-        rhs = -(adv + surf_adv)
-        if viscous:
-            surf_visc = np.zeros_like(u)
-            _fold_faces(visc_buf, surf_visc)
-            rhs += (visc + surf_visc) / gas.reynolds
+        if gas.viscous:
+            fv = physics.viscous_flux_from_entropy_gradients(u, self.lift_gradients(u, t), gas)
+            fvf = _face_stack(fv)
+            fv_own = fvf[self._own]
+            # Dirichlet faces take the interior trace as exterior: zero penalty.
+            fv_ext = self._exterior(fvf, fv_own[..., len(self.l_elem):, :, :])
+            fv_star = 0.5 * (_normal_component(self.n_own, fv_own)
+                             + _normal_component(self.n_own, fv_ext))
+            visc = spectral.tensor_divergence(
+                self.basis, np.einsum("ldKijk,dcKijk->lcKijk", self.ja, fv))
+            fvn = _normal_component(self.normal, fvf)
+            rhs += (visc + self._surface_penalty(fv_star, fvn)) / gas.reynolds
         rhs /= self.j
         if self.source is not None:
             rhs = rhs + self.source(self.x, t, gas)
@@ -421,14 +336,10 @@ class DGSolver:
 
     def entropy_surface_scale(self, u):
         """Total surface quadrature of |f^S . n| s_hat: the entropy-flux scale."""
-        fs = physics.entropy_flux(u, self.gas)
-        fsf = _face_stack(fs)
+        fs = _face_stack(physics.entropy_flux(u, self.gas))
+        fn = np.einsum("dfKab,dfKab->fKab", self.normal, fs)
         w = self.basis.weights
-        total = 0.0
-        for fid in range(6):
-            fn = np.einsum("dKab,dKab->Kab", self.normal[fid], fsf[fid])
-            total += np.einsum("Kab,Kab,a,b->", np.abs(fn), self.s_hat[fid], w, w)
-        return float(total)
+        return float(np.einsum("fKab,fKab,a,b->", np.abs(fn), self.s_hat, w, w))
 
     def timestep_estimate(self, u, cfl):
         """dt = CFL * min over nodes/directions of J / (lam_i |Ja^i|) / (N+1)^2.
