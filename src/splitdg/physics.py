@@ -59,7 +59,7 @@ class GasModel:
 
 
 def _check_positive(rho, p, where):
-    rho_min = np.min(rho, initial=np.inf)  # empty input (no Dirichlet faces) passes
+    rho_min = np.min(rho, initial=np.inf)  # an empty state array passes
     if not rho_min > 0.0:
         raise PositivityError(f"non-positive density, min rho = {rho_min}", where)
     p_min = np.min(p, initial=np.inf)

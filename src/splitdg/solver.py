@@ -202,8 +202,8 @@ class DGSolver:
         self.b_face = np.array([bf.face for bf in mesh.boundary], dtype=np.intp)
         self._own = (Ellipsis, np.concatenate([self.l_face, self.b_face]),
                      np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
-        self.n_own = self.normal[self._own]
-        self.s_own = self.s_hat[self._own]
+        self._n_own = self.normal[self._own]
+        self._s_own = self.s_hat[self._own]
         # Neighbour side of every link, indexed on the owner's face grid.
         perm = np.empty((2, len(links), n1, n1), dtype=np.intp)
         for i, ln in enumerate(links):
@@ -258,7 +258,7 @@ class DGSolver:
         ``flux_star`` (C, nf, n, n) is the numerical normal flux on the owner
         faces; ``flux_normal`` (C, 6, K, n, n) is each side's own n . f.
         """
-        star = self._to_faces(flux_star * self.s_own, -1.0)
+        star = self._to_faces(flux_star * self._s_own, -1.0)
         return _fold_faces((star - flux_normal * self.s_hat) / self.w0)
 
     # -- gradient lifting (BR1 auxiliary equation, strong form) --------------
@@ -293,7 +293,7 @@ class DGSolver:
         gas = self.gas
         uf = _face_stack(u)
         fstar = fluxes.surface_flux_advective(
-            uf[self._own], self._exterior(uf, self._ghost(t)), self.n_own, gas,
+            uf[self._own], self._exterior(uf, self._ghost(t)), self._n_own, gas,
             self.surface_dissipation)
         fn = _normal_component(self.normal, physics.advective_flux(uf, gas))
         rhs = -(split_divergence(u, self.ja, self.basis, self.volume_flux, gas)
@@ -305,8 +305,8 @@ class DGSolver:
             fv_own = fvf[self._own]
             # Dirichlet faces take the interior trace as exterior: zero penalty.
             fv_ext = self._exterior(fvf, fv_own[..., len(self.l_elem):, :, :])
-            fv_star = 0.5 * (_normal_component(self.n_own, fv_own)
-                             + _normal_component(self.n_own, fv_ext))
+            fv_star = 0.5 * (_normal_component(self._n_own, fv_own)
+                             + _normal_component(self._n_own, fv_ext))
             visc = spectral.tensor_divergence(
                 self.basis, np.einsum("ldKijk,dcKijk->lcKijk", self.ja, fv))
             fvn = _normal_component(self.normal, fvf)

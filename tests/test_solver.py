@@ -2,10 +2,12 @@
 
 Every built-in box mesh links faces with orientation code 0, so the
 permutation path of the face pipeline is exercised here with a two-element
-periodic chain whose second element is the first one rotated a quarter turn
-about xi:  x1[..., i, j, k] = x0[..., i, k, r - j].  Both elements occupy the
-same physical cell; the xi-links then carry orientation codes 7 and 3, and
-matched data must reproduce the self-periodic single-element residual.
+periodic chain whose second element is the first one turned about xi; one
+quarter turn is x1[..., i, j, k] = x0[..., i, k, r - j].  Both elements
+occupy the same physical cell, so matched data must reproduce the
+self-periodic single-element residual.  The two xi-links carry orientation
+codes (7, 3) for a quarter turn, (4, 4) for a half turn and (3, 7) for three
+quarters.
 """
 
 import numpy as np
@@ -15,11 +17,14 @@ from splitdg import cases, geometry, mesh as mesh_mod, physics, solver
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
+XI_LINK_CODES = {1: (7, 3), 2: (4, 4), 3: (3, 7)}
 
 
-def rotate(a):
-    """Quarter turn about xi of the trailing (i, j, k) axes."""
-    return np.flip(np.swapaxes(a, -1, -2), axis=-2)
+def rotate(a, turns):
+    """``turns`` quarter turns about xi of the trailing (i, j, k) axes."""
+    for _ in range(turns):
+        a = np.flip(np.swapaxes(a, -1, -2), axis=-2)
+    return a
 
 
 def perturbed_wave(x, gas, seed=7):
@@ -38,43 +43,47 @@ def single():
     return mesh_mod.self_periodic_cube(DEGREE, warp=mesh_mod.sine_warp(0.04))
 
 
-@pytest.fixture(scope="module")
-def chain(single):
+@pytest.fixture(scope="module", params=sorted(XI_LINK_CODES))
+def chain(single, request):
+    turns = request.param
+    code_01, code_10 = XI_LINK_CODES[turns]
     g0 = single.geoms[0]
-    g1 = geometry.ElementGeometry(single.basis, rotate(g0.x))
+    g1 = geometry.ElementGeometry(single.basis, rotate(g0.x, turns))
     links = [
-        mesh_mod.FaceLink(0, 1, 1, 0, 7, False), mesh_mod.FaceLink(1, 1, 0, 0, 3, True),
+        mesh_mod.FaceLink(0, 1, 1, 0, code_01, False), mesh_mod.FaceLink(1, 1, 0, 0, code_10, True),
         mesh_mod.FaceLink(0, 3, 0, 2, 0, True), mesh_mod.FaceLink(1, 3, 1, 2, 0, True),
         mesh_mod.FaceLink(0, 5, 0, 4, 0, True), mesh_mod.FaceLink(1, 5, 1, 4, 0, True),
     ]
-    return mesh_mod.MeshTopology(single.basis, [g0, g1], links)
+    return turns, mesh_mod.MeshTopology(single.basis, [g0, g1], links)
 
 
 def test_chain_geometry_matches_across_rotated_links(chain):
-    s_gap, n_gap = chain.face_mismatch()
+    s_gap, n_gap = chain[1].face_mismatch()
     assert s_gap < 1e-12 and n_gap < 1e-12
 
 
 @pytest.mark.parametrize("reynolds", VISCOSITY)
 def test_rotated_chain_reproduces_single_element(single, chain, reynolds):
+    turns, mesh = chain
     gas = physics.GasModel(reynolds=reynolds)
     dg1 = solver.DGSolver(single, gas, "ec", "llf")
-    dg2 = solver.DGSolver(chain, gas, "ec", "llf")
+    dg2 = solver.DGSolver(mesh, gas, "ec", "llf")
     u0 = perturbed_wave(dg1.x, gas)
-    u2 = np.concatenate([u0, rotate(u0)], axis=1)
+    u2 = np.concatenate([u0, rotate(u0, turns)], axis=1)
     r1 = dg1.residual(u0, 0.0)
     r2 = dg2.residual(u2, 0.0)
     scale = np.abs(r1).max()
     assert np.abs(r2[:, :1] - r1).max() <= 1e-11 * scale
-    assert np.abs(r2[:, 1:] - rotate(r1)).max() <= 1e-11 * scale
+    assert np.abs(r2[:, 1:] - rotate(r1, turns)).max() <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("reynolds", VISCOSITY)
 def test_rotated_chain_conservation_and_entropy(chain, reynolds):
+    turns, mesh = chain
     gas = physics.GasModel(reynolds=reynolds)
-    dg = solver.DGSolver(chain, gas, "ec", "llf")
-    u0 = perturbed_wave(chain.geoms[0].x[:, None], gas)
-    u = np.concatenate([u0, rotate(u0)], axis=1)
+    dg = solver.DGSolver(mesh, gas, "ec", "llf")
+    u0 = perturbed_wave(mesh.geoms[0].x[:, None], gas)
+    u = np.concatenate([u0, rotate(u0, turns)], axis=1)
     rhs = dg.residual(u, 0.0)
     assert np.abs(dg.totals(rhs)).max() <= 1e-12
     assert dg.entropy_rate(u, rhs) <= 1e-12
@@ -83,7 +92,7 @@ def test_rotated_chain_conservation_and_entropy(chain, reynolds):
 @pytest.mark.parametrize("reynolds", VISCOSITY)
 def test_rotated_chain_free_stream(chain, reynolds):
     gas = physics.GasModel(reynolds=reynolds)
-    dg = solver.DGSolver(chain, gas, "ec", "llf")
+    dg = solver.DGSolver(chain[1], gas, "ec", "llf")
     u = cases.initial_condition(cases.FreeStream(), dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
 
