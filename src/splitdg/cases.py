@@ -146,7 +146,8 @@ def error_norms(solver, u, case, gas, t, extra_degree=8):
     The numerical solution, the geometry, and the Jacobian are interpolated
     to an LGL grid of degree 2N + ``extra_degree`` (exact for the geometry,
     which is a degree-N polynomial), and the L2 norm uses that over-resolved
-    quadrature.
+    quadrature.  Elements are refined one at a time, one axis at a time, so
+    only one element's fine-grid arrays are held at once.
 
     Returns:
         (l2, linf): arrays of 5 per-variable error norms.
@@ -154,15 +155,18 @@ def error_norms(solver, u, case, gas, t, extra_degree=8):
     basis = solver.basis
     fine = spectral.build_basis(2 * basis.n + extra_degree)
     p = spectral.interpolation_matrix(basis, fine.nodes)
+    w = fine.weights
 
     def refine(a):
-        return np.einsum("ai,bj,ck,...ijk->...abc", p, p, p, a)
+        a = p @ (a @ p.T)  # k, then j
+        return np.moveaxis(np.tensordot(p, a, axes=(1, -3)), 0, -3)  # i
 
-    u_fine = refine(u)
-    x_fine = refine(solver.x)
-    jac = geometry.jacobian(spectral.tensor_gradient(fine, x_fine))
-    diff = u_fine - case.state(x_fine, t, gas)
-    w = fine.weights
-    l2 = np.sqrt(np.einsum("cKijk,cKijk,Kijk,i,j,k->c", diff, diff, jac, w, w, w))
-    linf = np.abs(diff).reshape(5, -1).max(axis=1)
-    return l2, linf
+    l2_sq = np.zeros(physics.NVAR)
+    linf = np.zeros(physics.NVAR)
+    for k in range(u.shape[1]):
+        x_fine = refine(solver.x[:, k])
+        jac = geometry.jacobian(spectral.tensor_gradient(fine, x_fine))
+        diff = refine(u[:, k]) - case.state(x_fine, t, gas)
+        l2_sq += np.einsum("cijk,cijk,ijk,i,j,k->c", diff, diff, jac, w, w, w)
+        linf = np.maximum(linf, np.abs(diff).reshape(physics.NVAR, -1).max(axis=1))
+    return np.sqrt(l2_sq), linf

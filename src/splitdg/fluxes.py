@@ -1,15 +1,18 @@
 """Two-point volume fluxes and interface numerical fluxes.
 
-The volume fluxes are symmetric, consistent two-point functions
-F#(u_L, u_R) returning the Cartesian flux triple with shape (3, 5, ...).
-They are fully vectorized: the two state arguments may be any mutually
-broadcastable arrays with the component axis first, which is what both the
-flux-differencing volume kernel (all node pairs along a line) and the
-face kernels (all face nodes at once) rely on.
+The volume fluxes are symmetric, consistent two-point functions F#(u_L, u_R)
+evaluated in a direction: ``evaluate(left, right, direction, gas)`` returns
+F#(u_L, u_R) . n with shape (5, ...), the five components first.  States and
+directions may be any mutually broadcastable arrays with the component axis
+first, which is what both the flux-differencing volume kernel (the unique
+node pairs of every line, each with its averaged contravariant vector) and
+the face kernels (all face nodes at once, with the unit normal) rely on.
 
 Flux objects split evaluation into ``prepare`` (per-node quantities,
-computed once) and ``evaluate`` (pairwise means on broadcast views), so the
-O(N^4) pair loops of the volume kernel never recompute primitives.
+computed once) and ``evaluate`` (pairwise means on gathered or broadcast
+views), so the pair loops of the volume kernel never recompute primitives.
+Calling a flux object gives the Cartesian triple with shape (3, 5, ...),
+one ``evaluate`` per unit vector.
 """
 
 import numpy as np
@@ -22,10 +25,14 @@ LOG_MEAN_SERIES_CUT = 1.0e-4
 def log_mean(a_left, a_right):
     """Logarithmic mean (a_L - a_R) / (ln a_L - ln a_R), stable for a_L ~ a_R.
 
-    With zeta = a_L/a_R and u = (zeta-1)^2/(zeta+1)^2, the near-equal branch
-    (u < 1e-4) evaluates (a_L + a_R) / (2 (1 + u/3 + u^2/5 + u^3/7)); the
-    remainder of that series is below 1e-16 at the cut, so the switch is
-    seamless at double precision.
+    With zeta = max/min of the two arguments and u = (zeta-1)^2/(zeta+1)^2,
+    the near-equal branch (u < 1e-4) evaluates (a_L + a_R) / (2 (1 + u/3
+    + u^2/5 + u^3/7)); the remainder of that series is below 1e-16 at the
+    cut, so the switch is seamless at double precision.  The other branch
+    takes ln zeta = log1p(zeta - 1) with zeta - 1 = (max - min)/min, which
+    keeps full precision just above the cut, where ln(max/min) would lose
+    digits to the rounding of the quotient.  Both branches are symmetric
+    in the two arguments, bit for bit.
     """
     a_left = np.asarray(a_left, dtype=float)
     a_right = np.asarray(a_right, dtype=float)
@@ -38,14 +45,14 @@ def log_mean(a_left, a_right):
 
 
 def _log_mean_raw(a_left, a_right):
-    zeta = a_left / a_right
-    f = (zeta - 1.0) / (zeta + 1.0)
+    low = np.minimum(a_left, a_right)
+    gap = np.maximum(a_left, a_right) - low
+    q = gap / low  # zeta - 1 >= 0
+    f = q / (q + 2.0)
     u = f * f
     series = 2.0 * (1.0 + u * (1.0 / 3.0 + u * (1.0 / 5.0 + u / 7.0)))
     near = u < LOG_MEAN_SERIES_CUT
-    log_zeta = np.log(np.where(near, 1.0, zeta))
-    safe = np.where(near, 1.0, log_zeta)
-    return np.where(near, (a_left + a_right) / series, (a_left - a_right) / safe)
+    return np.where(near, (a_left + a_right) / series, gap / np.log1p(np.where(near, 1.0, q)))
 
 
 def _mean(a, b):
@@ -56,9 +63,10 @@ class TwoPointFlux:
     """Symmetric, consistent two-point volume flux F#(u_L, u_R).
 
     Subclasses implement ``prepare`` (nodal pre-processing, run once per
-    field) and ``evaluate`` (pairwise combination of two prepared states,
-    possibly broadcast views).  Calling the object with two conservative
-    states gives the plain two-argument form.
+    field) and ``evaluate`` (pairwise combination of two prepared states
+    contracted with ``direction``, shape (3, ...); returns (5, ...)).
+    Calling the object with two conservative states gives the Cartesian
+    triple (3, 5, ...), row d being ``evaluate`` with the unit vector e_d.
     """
 
     name = "abstract"
@@ -66,11 +74,12 @@ class TwoPointFlux:
     def prepare(self, u, gas):
         return (u,)
 
-    def evaluate(self, left, right, gas):
+    def evaluate(self, left, right, direction, gas):
         raise NotImplementedError
 
     def __call__(self, u_left, u_right, gas):
-        return self.evaluate(self.prepare(u_left, gas), self.prepare(u_right, gas), gas)
+        left, right = self.prepare(u_left, gas), self.prepare(u_right, gas)
+        return np.stack([self.evaluate(left, right, e, gas) for e in np.eye(3)])
 
 
 class CentralFlux(TwoPointFlux):
@@ -81,51 +90,49 @@ class CentralFlux(TwoPointFlux):
     def prepare(self, u, gas):
         return (physics.advective_flux(u, gas),)
 
-    def evaluate(self, left, right, gas):
-        return _mean(left[0], right[0])
+    def evaluate(self, left, right, direction, gas):
+        f = _mean(left[0], right[0])
+        return direction[0] * f[0] + direction[1] * f[1] + direction[2] * f[2]
 
 
 class EntropyConservativeFlux(TwoPointFlux):
-    """Entropy-conservative two-point flux (Chandrashekar) in all directions.
+    """Entropy-conservative two-point flux (Chandrashekar) in direction n.
 
-    The x-direction is the printed five-vector built from rho^ln, <v>,
-    p_hat = <rho>/(2<beta>) and H_hat with beta = rho/(2p); the y/z
-    directions apply the same formula with the transported-velocity role
-    rotated.  Satisfies the per-direction entropy conservation (Tadmor)
-    condition jump(w)^T F#_d = jump(w^T f_d - f^S_d).
+    With rho^ln, <v>, p_hat = <rho>/(2<beta>), H_hat and beta = rho/(2p),
+    the directional flux is mass = rho^ln (<v>.n), f_m = mass <v>_m
+    + p_hat n_m, f_E = mass H_hat; n = e_1 gives the printed x-direction
+    five-vector.  Satisfies the directional entropy conservation (Tadmor)
+    condition jump(w)^T F#.n = n . jump(w^T f - f^S) for every n.
     """
 
     name = "ec"
 
     def prepare(self, u, gas):
         rho, v, p = physics.primitive_from_conservative(u, gas)
-        beta = 0.5 * rho / p
-        vsq = np.einsum("d...,d...->...", v, v)
-        return rho, v, beta, vsq
+        return rho, v, 0.5 * rho / p
 
-    def evaluate(self, left, right, gas):
-        rho_l, v_l, beta_l, vsq_l = left
-        rho_r, v_r, beta_r, vsq_r = right
+    def evaluate(self, left, right, direction, gas):
+        rho_l, v_l, beta_l = left
+        rho_r, v_r, beta_r = right
 
         rho_ln = _log_mean_raw(rho_l, rho_r)
         beta_ln = _log_mean_raw(beta_l, beta_r)
         v_avg = _mean(v_l, v_r)
         p_hat = _mean(rho_l, rho_r) / (2.0 * _mean(beta_l, beta_r))
+        # <v>.<v> - <|v|^2>/2 = v_L.v_R / 2, without the cancellation.
         h_hat = (
             1.0 / (2.0 * beta_ln * (gas.gamma - 1.0))
             + p_hat / rho_ln
-            + np.einsum("d...,d...->...", v_avg, v_avg)
-            - 0.5 * _mean(vsq_l, vsq_r)
+            + 0.5 * (v_l[0] * v_r[0] + v_l[1] * v_r[1] + v_l[2] * v_r[2])
         )
+        mass = rho_ln * (v_avg[0] * direction[0] + v_avg[1] * direction[1]
+                         + v_avg[2] * direction[2])
 
-        f = np.empty((3, physics.NVAR) + rho_ln.shape)
-        for d in range(3):
-            mass = rho_ln * v_avg[d]
-            f[d, 0] = mass
-            for m in range(3):
-                f[d, 1 + m] = mass * v_avg[m]
-            f[d, 1 + d] += p_hat
-            f[d, 4] = mass * h_hat
+        f = np.empty((physics.NVAR,) + mass.shape)
+        f[0] = mass
+        for m in range(3):
+            f[1 + m] = mass * v_avg[m] + p_hat * direction[m]
+        f[4] = mass * h_hat
         return f
 
 
@@ -168,17 +175,18 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf"):
     """Interface flux F* = F#(u_L,u_R).n - (lambda_max/2) jump(w).
 
     ``normal`` is the unit outward normal of the left element, shape (3, ...).
-    With dissipation "none" this is the entropy-conservative flux contracted
-    with the normal; "llf" adds local Lax-Friedrichs dissipation formulated
-    in entropy-variable jumps, with lambda_max estimated per face node, so
-    its entropy contribution is provably non-positive.
+    With dissipation "none" this is the entropy-conservative flux's
+    ``evaluate`` with the normal as direction, the same directional flux
+    the volume kernel uses; "llf" adds local Lax-Friedrichs dissipation
+    formulated in entropy-variable jumps, with lambda_max estimated per face
+    node, so its entropy contribution is provably non-positive.
     """
     if dissipation not in DISSIPATION_MODES:
         raise ValueError(
             f"unknown dissipation '{dissipation}'; valid options: {list(DISSIPATION_MODES)}"
         )
-    f = ec_flux(u_left, u_right, gas)
-    fstar = np.einsum("d...,dc...->c...", normal, f)
+    ec = VOLUME_FLUXES["ec"]
+    fstar = ec.evaluate(ec.prepare(u_left, gas), ec.prepare(u_right, gas), normal, gas)
     if dissipation == "llf":
         lam = physics.max_wave_speed(u_left, u_right, normal, gas)
         jump_w = physics.entropy_variables(u_right, gas) - physics.entropy_variables(u_left, gas)

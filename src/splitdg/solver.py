@@ -100,27 +100,18 @@ def _normal_component(normal, flux):
     return np.einsum("d...,dc...->c...", normal, flux)
 
 
-# Axis-insertion views building the (line node, pair partner) index pair for
-# each reference direction; applied to every prepared per-node array, whose
-# last three axes are always (i, j, k).
-_PAIR_LEFT = (
-    lambda a: a[..., :, None, :, :],
-    lambda a: a[..., :, :, None, :],
-    lambda a: a[..., :, :, :, None],
-)
-_PAIR_RIGHT = (
-    lambda a: a[..., None, :, :, :],
-    lambda a: a[..., :, None, :, :],
-    lambda a: a[..., :, :, None, :],
-)
-
-
 def split_divergence(u, ja, basis, volume_flux, gas):
     """Two-point flux-differencing divergence (not yet divided by J).
 
     Implements, per node and per reference direction, the sums
     2 sum_m D_im F#(U_i.., U_m..) . <Ja^dir>_(i,m) with arithmetic averaging
-    of the volume-weighted contravariant vectors.
+    of the volume-weighted contravariant vectors.  F# is symmetric, so the
+    directional flux is evaluated once per unique pair of each line: the
+    pairs m > i and the diagonal pairs with D_ii != 0.  By the SBP property
+    Q + Q^T = B, D_ii = B_ii / (2 w_i), so these are read from B: the two
+    end nodes (the computed interior D_ii are roundoff).  One (n, pairs)
+    matrix scatters every pair flux to both of its ends with weights
+    2 D_im and 2 D_mi.
 
     Args:
         u: states (5, K, n, n, n).
@@ -132,17 +123,23 @@ def split_divergence(u, ja, basis, volume_flux, gas):
         (5, K, n, n, n) array.
     """
     d = basis.D
-    contract = ("im,cKimjk->cKijk", "jm,cKijmk->cKijk", "km,cKijkm->cKijk")
-    dot = ("dcKimjk,dKimjk->cKimjk", "dcKijmk,dKijmk->cKijmk", "dcKijkm,dKijkm->cKijkm")
+    left, right = np.triu_indices(len(d), 1)
+    ends = np.flatnonzero(np.diag(basis.B))
+    left, right = np.concatenate([left, ends]), np.concatenate([right, ends])
+    scatter = np.zeros((len(d), len(left)))
+    pairs = np.arange(len(left))
+    scatter[left, pairs] = 2.0 * d[left, right]
+    scatter[right, pairs] = 2.0 * d[right, left]
+
     state = volume_flux.prepare(u, gas)
     out = np.zeros_like(u)
     for axis in range(3):
-        lview, rview = _PAIR_LEFT[axis], _PAIR_RIGHT[axis]
+        line = axis - 3
         f = volume_flux.evaluate(
-            tuple(lview(a) for a in state), tuple(rview(a) for a in state), gas)
-        jav = 0.5 * (lview(ja[axis]) + rview(ja[axis]))
-        fdot = np.einsum(dot[axis], f, jav)
-        out += 2.0 * np.einsum(contract[axis], d, fdot)
+            tuple(a.take(left, axis=line) for a in state),
+            tuple(a.take(right, axis=line) for a in state),
+            0.5 * (ja[axis].take(left, axis=line) + ja[axis].take(right, axis=line)), gas)
+        out += np.moveaxis(np.tensordot(scatter, f, axes=(1, line)), 0, line)
     return out
 
 

@@ -249,9 +249,13 @@ def fluxes_suite(seed=2024, pairs=10_000):
     f_llf = fluxes.surface_flux_advective(ua, ub, normal, gas, "llf")
     diss = np.einsum("c...,c...->...", jump_w, f_llf - f_none)
     checks.append(Check.below("LLF entropy contribution jump(w)^T diss <= 0", diss.max(), 1e-12))
-    fec_n = np.einsum("d...,dc...->c...", normal, fec)
+    ec = fluxes.VOLUME_FLUXES["ec"]
+    fec_n = ec.evaluate(ec.prepare(ua, gas), ec.prepare(ub, gas), normal, gas)
     checks.append(Check.below("dissipation 'none' equals ec flux . n",
                               np.abs(f_none - fec_n).max(), 0.0))
+    triple_n = np.einsum("d...,dc...->c...", normal, fec)
+    checks.append(Check.below("directional ec flux = ec flux triple . n (rel)",
+                              np.abs(fec_n - triple_n).max() / scale, 1e-13))
 
     fv_l = rng.normal(size=(5, 2000))
     fv_r = rng.normal(size=(5, 2000))

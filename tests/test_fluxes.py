@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitdg import fluxes as fl
 from splitdg import physics as ph
@@ -37,6 +39,20 @@ class TestLogMean:
         ref = log_mean_oracle(1.0, 1.0 + 1e-12)
         assert got == pytest.approx(ref, rel=1e-12)
         assert got == pytest.approx(1.0 + 5e-13, rel=1e-12)
+
+    def test_log_branch_just_above_the_cut(self):
+        # Ratios 1.021..1.3 take the logarithm (the series cut is near
+        # 1.0202); both argument orders stay within 2 ulp of the oracle.
+        r = np.linspace(1.021, 1.3, 200)
+        ref = np.array([log_mean_oracle(x, 1.0) for x in r])
+        for a, b in ((r, np.ones_like(r)), (np.ones_like(r), r)):
+            assert (np.abs(fl.log_mean(a, b) - ref) / ref).max() <= 5e-16
+
+    def test_symmetric_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        a = rng.uniform(0.01, 100.0, 5000)
+        b = a * np.exp(rng.uniform(-0.1, 0.1, 5000))
+        assert np.array_equal(fl.log_mean(a, b), fl.log_mean(b, a))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -169,6 +185,60 @@ class TestKGMomentumTerm:
         assert np.abs(two_point - 0.25 * seven).max() < 1e-11
 
 
+def state_from_mach(rho, mach, p):
+    c = np.sqrt(GAS.gamma * p / rho)
+    return ph.conservative_from_primitive(np.asarray(rho), c * np.array(mach), np.asarray(p), GAS)
+
+
+# Density and pressure over a factor 400, Mach number up to 2 sqrt(3): at
+# hypersonic speeds p = (gamma-1)(rho E - rho |v|^2/2) itself loses digits.
+positive = st.floats(0.05, 20.0)
+mach = st.floats(-2.0, 2.0)
+states = st.builds(state_from_mach, positive, st.tuples(mach, mach, mach), positive)
+directions = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+              .filter(lambda n: np.linalg.norm(n) > 0.1)
+              .map(lambda n: np.asarray(n) / np.linalg.norm(n)))
+
+
+def directional(name, u_left, u_right, n):
+    flux = fl.VOLUME_FLUXES[name]
+    return flux.evaluate(flux.prepare(u_left, GAS), flux.prepare(u_right, GAS), n, GAS)
+
+
+@pytest.mark.parametrize("name", sorted(fl.VOLUME_FLUXES))
+class TestDirectionalContract:
+    """F#(u_L, u_R) . n from ``evaluate`` on random positive states and unit directions."""
+
+    @settings(deadline=None)
+    @given(ua=states, ub=states, n=directions)
+    def test_symmetry(self, name, ua, ub, n):
+        assert np.array_equal(directional(name, ua, ub, n), directional(name, ub, ua, n))
+
+    @settings(deadline=None)
+    @given(u=states, n=directions)
+    def test_consistency(self, name, u, n):
+        f = ph.advective_flux(u, GAS)
+        assert np.abs(directional(name, u, u, n) - n @ f).max() <= 1e-13 * np.abs(f).max()
+
+    @settings(deadline=None)
+    @given(ua=states, ub=states, n=directions)
+    def test_linear_in_direction(self, name, ua, ub, n):
+        triple = fl.VOLUME_FLUXES[name](ua, ub, GAS)
+        assert np.abs(directional(name, ua, ub, n) - n @ triple).max() <= 1e-13 * np.abs(triple).max()
+
+
+@settings(deadline=None)
+@given(ua=states, ub=states, n=directions)
+def test_directional_tadmor_condition(ua, ub, n):
+    # jump(w)^T F#.n = n . jump(psi) for the entropy-conservative flux
+    wa, wb = ph.entropy_variables(ua, GAS), ph.entropy_variables(ub, GAS)
+    psi_a, psi_b = n @ ph.entropy_potential(ua, GAS), n @ ph.entropy_potential(ub, GAS)
+    f = directional("ec", ua, ub, n)
+    res = (wb - wa) @ f - (psi_b - psi_a)
+    scale = (np.abs(wa) + np.abs(wb)) @ np.abs(f) + abs(psi_a) + abs(psi_b)
+    assert abs(res) <= 1e-12 * scale
+
+
 class TestSurfaceFlux:
     def test_no_jump_recovers_normal_flux(self):
         rng = np.random.default_rng(9)
@@ -197,7 +267,8 @@ class TestSurfaceFlux:
         n = rng.normal(size=(3, 100))
         n /= np.sqrt(np.sum(n * n, axis=0))
         fstar = fl.surface_flux_advective(ua, ub, n, GAS, "none")
-        ref = np.einsum("d...,dc...->c...", n, fl.ec_flux(ua, ub, GAS))
+        ec = fl.VOLUME_FLUXES["ec"]
+        ref = ec.evaluate(ec.prepare(ua, GAS), ec.prepare(ub, GAS), n, GAS)
         assert np.abs(fstar - ref).max() == 0.0
 
     def test_unknown_mode_rejected(self):

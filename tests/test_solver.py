@@ -106,3 +106,39 @@ def test_dirichlet_box_free_stream(reynolds):
                          boundary_states={"dirichlet": lambda x, t: case.state(x, t, gas)})
     u = cases.initial_condition(case, dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
+
+
+def dense_split_divergence(u, ja, basis, volume_flux, gas):
+    """Reference kernel: every (i, m) pair of every line from the Cartesian triple."""
+    views = ((lambda a: a[..., :, None, :, :], lambda a: a[..., None, :, :, :]),
+             (lambda a: a[..., :, :, None, :], lambda a: a[..., :, None, :, :]),
+             (lambda a: a[..., :, :, :, None], lambda a: a[..., :, :, None, :]))
+    contract = ("im,cKimjk->cKijk", "jm,cKijmk->cKijk", "km,cKijkm->cKijk")
+    dot = ("dcKimjk,dKimjk->cKimjk", "dcKijmk,dKijmk->cKijmk", "dcKijkm,dKijkm->cKijkm")
+    out = np.zeros_like(u)
+    for axis, (lview, rview) in enumerate(views):
+        f = volume_flux(lview(u), rview(u), gas)
+        jav = 0.5 * (lview(ja[axis]) + rview(ja[axis]))
+        out += 2.0 * np.einsum(contract[axis], basis.D, np.einsum(dot[axis], f, jav))
+    return out
+
+
+def assert_matches_dense(mesh, flux, perturbed):
+    gas = physics.GasModel()
+    dg = solver.DGSolver(mesh, gas, flux, "llf")
+    u = perturbed_wave(dg.x, gas) if perturbed else cases.initial_condition(cases.DensityWave(), dg, gas)
+    div = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas)
+    ref = dense_split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas)
+    assert np.abs(div - ref).max() <= 5e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("flux", ("ec", "central"))
+@pytest.mark.parametrize("perturbed", (False, True))
+def test_split_divergence_matches_dense_reference_warped(flux, perturbed):
+    assert_matches_dense(mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05), flux, perturbed)
+
+
+@pytest.mark.parametrize("flux", ("ec", "central"))
+@pytest.mark.parametrize("perturbed", (False, True))
+def test_split_divergence_matches_dense_reference_rotated_chain(chain, flux, perturbed):
+    assert_matches_dense(chain[1], flux, perturbed)
