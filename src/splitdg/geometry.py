@@ -14,6 +14,13 @@ Face point grids are arrays of shape (3, N+1, N+1), the two trailing axes
 ordered as in the parameterizations above (always the two reference
 coordinates in cyclic-ascending order).  Nodal 3D fields follow the
 (i, j, k) <-> (xi, eta, zeta) layout of :mod:`splitdg.spectral`.
+
+The metric terms are computed for a whole mesh at once from the stacked
+nodal coordinates x, shape (3, K, n, n, n) with K elements and n = N+1:
+covariant vectors and Ja^i have shape (3, 3, K, n, n, n), J has shape
+(K, n, n, n).  Face data use the component-first layout (C..., 6, K, n, n)
+produced by :func:`face_stack`: surface elements (6, K, n, n) and unit
+normals (3, 6, K, n, n).
 """
 
 import numpy as np
@@ -36,6 +43,11 @@ def face_slice(face):
     idx = [slice(None)] * 3
     idx[axis] = side
     return (Ellipsis,) + tuple(idx)
+
+
+def face_stack(vol):
+    """Restrict a (C..., K, n, n, n) volume array to its faces: (C..., 6, K, n, n)."""
+    return np.stack([vol[face_slice(f)] for f in range(6)], axis=-4)
 
 
 class FaceDefinition:
@@ -230,19 +242,25 @@ def jacobian(covariant):
 
 
 def check_jacobian(j, rel_tol=1.0e-12):
-    jmax = np.abs(j).max()
-    bad = j <= rel_tol * jmax
-    if np.any(bad):
-        where = np.argwhere(bad)[0]
+    """Raise GeometryError unless J > rel_tol * max|J| at every node of every element.
+
+    ``j`` has shape (K, n, n, n); the error names the first bad element and node.
+    """
+    jmax = np.abs(j).max(axis=(-3, -2, -1), keepdims=True)
+    bad = np.argwhere(j <= rel_tol * jmax)
+    if len(bad):
+        where = tuple(int(i) for i in bad[0])
         raise GeometryError(
-            f"non-positive mapping Jacobian at node {tuple(where)}: J = {j[tuple(where)]:.3e}"
+            f"non-positive mapping Jacobian in element {where[0]} at node {where[1:]}: "
+            f"J = {j[where]:.3e}"
         )
 
 
 def metrics_cross_product(covariant):
     """Volume-weighted contravariant vectors Ja^i = a_j x a_k (cyclic) and J.
 
-    Raises GeometryError if the Jacobian is not strictly positive.
+    ``covariant`` has shape (3, 3, K, n, n, n).  Raises GeometryError if the
+    Jacobian is not strictly positive.
     """
     ja = np.stack([
         _cross(covariant[1], covariant[2]),
@@ -254,105 +272,45 @@ def metrics_cross_product(covariant):
     return ja, j
 
 
-def metrics_curl_form(basis, x_nodal):
+def metrics_curl_form(basis, x):
     """Contravariant vectors in curl form; discretely divergence-free.
 
     Implements, with discrete derivatives and nodal products,
         Ja^i_d = d_c( X_e,b * X_g ) - d_b( X_e,c * X_g )
     for (i, b, c) cyclic in the reference directions and (d, e, g) cyclic in
-    the physical components.
+    the physical components.  ``x`` has shape (3, K, n, n, n); the result
+    has shape (3, 3, K, n, n, n).
     """
-    dx = spectral.tensor_gradient(basis, x_nodal)  # dx[b, e] = d X_e / d xi^b
-    n1 = basis.n + 1
-    ja = np.empty((3, 3, n1, n1, n1))
-
-    def deriv(field, axis):
-        if axis == 0:
-            return np.einsum("in,njk->ijk", basis.D, field)
-        if axis == 1:
-            return np.einsum("jn,ink->ijk", basis.D, field)
-        return np.einsum("kn,ijn->ijk", basis.D, field)
-
+    dx = spectral.tensor_gradient(basis, x)  # dx[b, e] = d X_e / d xi^b
+    ja = np.empty((3,) + x.shape)
     for i in range(3):
         b, c = (i + 1) % 3, (i + 2) % 3
         for d in range(3):
             e, g = (d + 1) % 3, (d + 2) % 3
-            ja[i, d] = deriv(dx[b, e] * x_nodal[g], c) - deriv(dx[c, e] * x_nodal[g], b)
+            ja[i, d] = (spectral.derivative(basis, dx[b, e] * x[g], c)
+                        - spectral.derivative(basis, dx[c, e] * x[g], b))
     return ja
 
 
 def metric_identity_residual(basis, ja):
-    """max_{nodes, d} | sum_i d(Ja^i_d)/dxi^i | for contravariant fields ja."""
-    res = 0.0
-    for d in range(3):
-        div = spectral.tensor_divergence(basis, ja[:, d])
-        res = max(res, np.abs(div).max())
-    return res
+    """Per-element max_{nodes, d} | sum_i d(Ja^i_d)/dxi^i |, shape (K,)."""
+    return np.abs(spectral.tensor_divergence(basis, ja)).max(axis=(0, -3, -2, -1))
 
 
-def face_geometry(ja, face):
-    """Surface element and outward unit normal of one face.
+def face_geometry(ja):
+    """Surface elements and outward unit normals of every face of every element.
 
     Args:
-        ja: contravariant vectors, shape (3, 3, n, n, n).
-        face: face index 0..5.
+        ja: contravariant vectors, shape (3, 3, K, n, n, n).
 
     Returns:
-        (s_hat, normal): shapes (n, n) and (3, n, n).
+        (s_hat, normal): shapes (6, K, n, n) and (3, 6, K, n, n).
     """
-    axis = FACE_NORMAL_AXIS[face]
-    vec = ja[axis][face_slice(face)]
+    vec = np.stack([ja[FACE_NORMAL_AXIS[f]][face_slice(f)] for f in range(6)], axis=1)
     s_hat = np.sqrt(np.sum(vec * vec, axis=0))
-    if np.any(s_hat <= 0.0):
-        raise GeometryError(f"degenerate face {face}: vanishing surface element")
-    normal = FACE_SIGN[face] * vec / s_hat
-    return s_hat, normal
-
-
-class ElementGeometry:
-    """Per-element mapping data: X, covariant/contravariant bases, J, faces.
-
-    Immutable after construction; elements can be built concurrently.
-
-    Attributes:
-        x: mapped LGL nodes, (3, n+1, n+1, n+1).
-        covariant: a_i fields, (3, 3, n+1, n+1, n+1).
-        ja: volume-weighted contravariant vectors Ja^i, same shape.
-        j: Jacobian, (n+1,)*3.
-        s_hat: per-face surface elements, (6, n+1, n+1).
-        normal: per-face outward unit normals, (6, 3, n+1, n+1).
-    """
-
-    def __init__(self, basis, x_nodal, metric_form="curl"):
-        if metric_form not in ("curl", "cross"):
-            raise ValueError("metric_form must be 'curl' or 'cross'")
-        self.basis = basis
-        self.metric_form = metric_form
-        self.x = np.asarray(x_nodal, dtype=float)
-        n1 = basis.n + 1
-        if self.x.shape != (3, n1, n1, n1):
-            raise ValueError(f"expected map shape (3, {n1}, {n1}, {n1})")
-        self.covariant = spectral.tensor_gradient(basis, self.x)
-        if metric_form == "curl":
-            self.ja = metrics_curl_form(basis, self.x)
-            self.j = jacobian(self.covariant)
-            check_jacobian(self.j)
-        else:
-            self.ja, self.j = metrics_cross_product(self.covariant)
-        self.s_hat = np.empty((6, n1, n1))
-        self.normal = np.empty((6, 3, n1, n1))
-        for face in range(6):
-            self.s_hat[face], self.normal[face] = face_geometry(self.ja, face)
-
-    @classmethod
-    def from_faces(cls, basis, faces, metric_form="curl"):
-        faces.validate_watertight()
-        return cls(basis, sample_map_on_grid(faces, basis), metric_form)
-
-    @classmethod
-    def from_mapping(cls, basis, mapping, metric_form="curl"):
-        """Isoparametric sampling of an analytic map at the LGL nodes."""
-        return cls(basis, sample_map_on_grid(mapping, basis), metric_form)
-
-    def metric_residual(self):
-        return metric_identity_residual(self.basis, self.ja)
+    bad = np.argwhere(s_hat <= 0.0)
+    if len(bad):
+        raise GeometryError(
+            f"degenerate face {bad[0][0]} of element {bad[0][1]}: vanishing surface element")
+    sign = np.array(FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
+    return s_hat, sign * vec / s_hat

@@ -1,11 +1,17 @@
 """Conforming hexahedral mesh topology, built-in box meshes, and mesh file I/O.
 
-A mesh is a list of immutable ElementGeometry objects plus face-connectivity
-records.  Every interior (or periodic) face is stored exactly once as a
-``FaceLink``; the ``left`` element owns the face and its outward normal.
-Orientation codes 0..7 (the symmetries of the square) map the owner's face
-grid (a, b) onto the neighbour's grid so that mapped indices are physically
-coincident points.
+A mesh holds the stacked nodal coordinates x, shape (3, K, n, n, n), the
+geometry computed from them once for all elements (curl-form Ja^i, J, and
+the face arrays s_hat (6, K, n, n) and normal (3, 6, K, n, n), see
+:mod:`splitdg.geometry`) and face-connectivity records.  Every interior (or
+periodic) face is stored exactly once as a ``FaceLink``; the ``left``
+element owns the face and its outward normal.  Orientation codes 0..7 (the
+symmetries of the square) map the owner's face grid (a, b) onto the
+neighbour's grid so that mapped indices are physically coincident points.
+The owner faces are the link left sides followed by the Dirichlet faces;
+``own`` and ``nbr`` index a (C..., 6, K, n, n) face array at the owner
+faces and, permuted onto the owner grid, at the neighbour side of every
+link.
 
 The mesh file format is line-based text (see ``write_mesh_file``): per
 element the 8 corner points, optional curved-face point grids, then the
@@ -67,15 +73,51 @@ class BoundaryFace:
 
 
 class MeshTopology:
-    """Conforming curvilinear hex mesh: geometries + face connectivity."""
+    """Conforming curvilinear hex mesh: stacked geometry + face connectivity.
 
-    def __init__(self, basis, geoms, links, boundary=()):
+    Args:
+        basis: the NodalBasis of the isoparametric geometry.
+        x: mapped LGL nodes of all elements, shape (3, K, n, n, n).
+        links: FaceLink records.
+        boundary: BoundaryFace records (Dirichlet faces).
+
+    Raises GeometryError for a non-positive Jacobian or a degenerate face,
+    naming the element.  The geometry arrays are read-only.
+    """
+
+    def __init__(self, basis, x, links, boundary=()):
+        n1 = basis.n + 1
+        x = np.array(x, dtype=float)
+        if x.ndim != 5 or x.shape[0] != 3 or x.shape[2:] != (n1, n1, n1):
+            raise ValueError(f"expected nodes of shape (3, K, {n1}, {n1}, {n1}), got {x.shape}")
         self.basis = basis
-        self.geoms = list(geoms)
         self.links = list(links)
         self.boundary = list(boundary)
-        self.num_elements = len(self.geoms)
+        self.num_elements = x.shape[1]
         self._validate()
+
+        self.x = x
+        self.j = geometry.jacobian(spectral.tensor_gradient(basis, x))
+        geometry.check_jacobian(self.j)  # before the costlier curl-form metrics
+        self.ja = geometry.metrics_curl_form(basis, x)
+        self.s_hat, self.normal = geometry.face_geometry(self.ja)
+        for a in (self.x, self.ja, self.j, self.s_hat, self.normal):
+            a.setflags(write=False)
+
+        # Owner faces: link left sides, then Dirichlet faces.
+        intp = lambda v: np.array(v, dtype=np.intp)
+        l_face = intp([ln.left_face for ln in self.links])
+        self.l_elem = intp([ln.left for ln in self.links])
+        self.b_elem = intp([bf.element for bf in self.boundary])
+        self.b_face = intp([bf.face for bf in self.boundary])
+        self.own = (Ellipsis, np.concatenate([l_face, self.b_face]),
+                    np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
+        # Neighbour side of every link, indexed on the owner's face grid.
+        table = np.array([orientation_indices(code, n1) for code in range(8)], dtype=np.intp)
+        perm = table[intp([ln.orient for ln in self.links])]
+        r_elem = intp([ln.right for ln in self.links])[:, None, None]
+        r_face = intp([ln.right_face for ln in self.links])[:, None, None]
+        self.nbr = (Ellipsis, r_face, r_elem, perm[:, 0], perm[:, 1])
 
     def _validate(self):
         seen = set()
@@ -104,38 +146,13 @@ class MeshTopology:
         Periodic partners must carry matching face geometry; for a watertight
         conforming mesh this is at roundoff level.
         """
-        n1 = self.basis.n + 1
-        worst_s, worst_n = 0.0, 0.0
-        for link in self.links:
-            ia, ib = orientation_indices(link.orient, n1)
-            gl, gr = self.geoms[link.left], self.geoms[link.right]
-            s_l = gl.s_hat[link.left_face]
-            s_r = gr.s_hat[link.right_face][ia, ib]
-            worst_s = max(worst_s, np.abs(s_l - s_r).max())
-            n_l = gl.normal[link.left_face]
-            n_r = gr.normal[link.right_face][:, ia, ib]
-            worst_n = max(worst_n, np.abs(n_l + n_r).max())
-        return worst_s, worst_n
+        nl = len(self.links)
+        s_gap = np.abs(self.s_hat[self.own][:nl] - self.s_hat[self.nbr])
+        n_gap = np.abs(self.normal[self.own][:, :nl] + self.normal[self.nbr])
+        return float(np.max(s_gap, initial=0.0)), float(np.max(n_gap, initial=0.0))
 
 
-def _box_cell_map(lo, widths, cells, index, warp=None):
-    """Element map: reference cube -> cell ``index`` of a (warped) box."""
-    lo = np.asarray(lo, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    h = widths / np.asarray(cells, dtype=float)
-    offset = lo + h * np.asarray(index, dtype=float)
-
-    def mapping(xi):
-        trail = (1,) * (np.ndim(xi) - 1)
-        box = offset.reshape((3,) + trail) + 0.5 * h.reshape((3,) + trail) * (xi + 1.0)
-        if warp is None:
-            return box
-        return warp(box)
-
-    return mapping
-
-
-def _box_links(cells, periodic_dirs, bc_tag):
+def _box_links(cells, periodic_dirs):
     """Face connectivity of a structured box; identity orientation throughout."""
     mx, my, mz = cells
     eid = lambda ix, iy, iz: (ix * my + iy) * mz + iz
@@ -152,20 +169,21 @@ def _box_links(cells, periodic_dirs, bc_tag):
                     nxt[d] += 1
                     wraps = nxt[d] == m
                     if wraps and d not in periodic_dirs:
-                        boundary.append(BoundaryFace(e, plus_face[d], bc_tag))
+                        boundary.append(BoundaryFace(e, plus_face[d], "dirichlet"))
                         if idx[d] == 0:
-                            boundary.append(BoundaryFace(e, minus_face[d], bc_tag))
+                            boundary.append(BoundaryFace(e, minus_face[d], "dirichlet"))
                         continue
                     if idx[d] == 0 and d not in periodic_dirs:
-                        boundary.append(BoundaryFace(e, minus_face[d], bc_tag))
+                        boundary.append(BoundaryFace(e, minus_face[d], "dirichlet"))
                     nxt[d] %= m
                     links.append(FaceLink(e, plus_face[d], eid(*nxt), minus_face[d], 0, wraps))
     return links, boundary
 
 
-def box_mesh(n, cells=(2, 2, 2), bounds=((0.0, 1.0),) * 3, warp=None,
-             metric_form="curl", periodic=True, bc_tag="dirichlet"):
+def box_mesh(n, cells=(2, 2, 2), bounds=((0.0, 1.0),) * 3, warp=None, periodic=True):
     """Structured hex mesh of a box, optionally warped by a global map.
+
+    Element e = (ix * cells[1] + iy) * cells[2] + iz is cell (ix, iy, iz).
 
     Args:
         n: polynomial degree of the isoparametric geometry.
@@ -173,21 +191,22 @@ def box_mesh(n, cells=(2, 2, 2), bounds=((0.0, 1.0),) * 3, warp=None,
         bounds: ((x0,x1), (y0,y1), (z0,z1)).
         warp: optional vectorized map applied to box coordinates; sampled at
             the LGL nodes of every element (isoparametric).
-        periodic: True for fully periodic, or a tuple of periodic directions.
-        bc_tag: tag given to non-periodic boundary faces.
+        periodic: True for fully periodic, or a tuple of periodic directions;
+            the other boundary faces are tagged "dirichlet".
     """
     basis = spectral.build_basis(n)
-    lo = np.array([b[0] for b in bounds])
-    widths = np.array([b[1] - b[0] for b in bounds])
-    geoms = []
-    for ix in range(cells[0]):
-        for iy in range(cells[1]):
-            for iz in range(cells[2]):
-                mapping = _box_cell_map(lo, widths, cells, (ix, iy, iz), warp)
-                geoms.append(geometry.ElementGeometry.from_mapping(basis, mapping, metric_form))
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    widths = np.array([b[1] - b[0] for b in bounds], dtype=float)
+    h = widths / np.asarray(cells, dtype=float)
+    offset = lo[:, None] + h[:, None] * np.indices(cells).reshape(3, -1)
+    nodes = basis.nodes
+    xi = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"))[:, None]
+    x = offset[..., None, None, None] + 0.5 * h[:, None, None, None, None] * (xi + 1.0)
+    if warp is not None:
+        x = warp(x)
     periodic_dirs = (0, 1, 2) if periodic is True else tuple(periodic) if periodic else ()
-    links, boundary = _box_links(cells, periodic_dirs, bc_tag)
-    return MeshTopology(basis, geoms, links, boundary)
+    links, boundary = _box_links(cells, periodic_dirs)
+    return MeshTopology(basis, x, links, boundary)
 
 
 def sine_warp(amplitude=0.05, periods=(1, 1, 1), bounds=((0.0, 1.0),) * 3):
@@ -213,16 +232,15 @@ def sine_warp(amplitude=0.05, periods=(1, 1, 1), bounds=((0.0, 1.0),) * 3):
 
 
 def warped_box_mesh(n, cells=(4, 4, 4), amplitude=0.05, periods=(1, 1, 1),
-                    bounds=((0.0, 1.0),) * 3, metric_form="curl", periodic=True,
-                    bc_tag="dirichlet"):
+                    bounds=((0.0, 1.0),) * 3, periodic=True):
     """Sinusoidally warped, fully periodic box: the standard curved test mesh."""
     warp = sine_warp(amplitude, periods, bounds)
-    return box_mesh(n, cells, bounds, warp, metric_form, periodic, bc_tag)
+    return box_mesh(n, cells, bounds, warp, periodic)
 
 
-def self_periodic_cube(n, warp=None, bounds=((0.0, 1.0),) * 3, metric_form="curl"):
+def self_periodic_cube(n, warp=None, bounds=((0.0, 1.0),) * 3):
     """Single element periodically glued to itself in all three directions."""
-    return box_mesh(n, (1, 1, 1), bounds, warp, metric_form, periodic=True)
+    return box_mesh(n, (1, 1, 1), bounds, warp, periodic=True)
 
 
 # ----------------------------------------------------------------------------
@@ -248,15 +266,14 @@ def write_mesh_file(path, mesh, corners_list=None, curved_faces=None):
     corner_index = [(0, 0, 0), (-1, 0, 0), (-1, -1, 0), (0, -1, 0),
                     (0, 0, -1), (-1, 0, -1), (-1, -1, -1), (0, -1, -1)]
     fmt = lambda p: " ".join(repr(float(v)) for v in p)
-    for e, geom in enumerate(mesh.geoms):
+    for e in range(mesh.num_elements):
         for ci, (i, j, k) in enumerate(corner_index):
-            x = geom.x[:, i, j, k] if corners_list is None else corners_list[e][ci]
+            x = mesh.x[:, e, i, j, k] if corners_list is None else corners_list[e][ci]
             lines.append(f"corner {e} {ci} {fmt(x)}")
     if curved_faces is None:
-        curved_faces = {}
-        for e, geom in enumerate(mesh.geoms):
-            for f in range(N_FACES):
-                curved_faces[(e, f)] = geom.x[geometry.face_slice(f)]
+        xf = geometry.face_stack(mesh.x)
+        curved_faces = {(e, f): xf[:, f, e]
+                        for e in range(mesh.num_elements) for f in range(N_FACES)}
     for (e, f), grid in sorted(curved_faces.items()):
         lines.append(f"curved {e} {f}")
         for a in range(n1):
@@ -275,7 +292,7 @@ class MeshFileError(ValueError):
     pass
 
 
-def read_mesh_file(path, degree=None, metric_form="curl"):
+def read_mesh_file(path, degree=None):
     """Read a mesh file; optionally re-interpolate the geometry to ``degree``.
 
     Re-interpolation of the face grids is exact when the requested degree is
@@ -333,15 +350,16 @@ def read_mesh_file(path, degree=None, metric_form="curl"):
     if run_n != file_n:
         resample = spectral.interpolation_matrix(file_basis, basis.nodes)
 
-    geoms = []
+    x = np.empty((3, num_elements) + (basis.n + 1,) * 3)
     for e in range(num_elements):
         fd = geometry.faces_from_corners(corners[e], file_n)
         grids = [curved.get((e, f), fd.faces[f]) for f in range(N_FACES)]
         if resample is not None:
             grids = [np.einsum("am,bn,cmn->cab", resample, resample, g) for g in grids]
         face_def = geometry.FaceDefinition(grids)
-        geoms.append(geometry.ElementGeometry.from_faces(basis, face_def, metric_form))
-    return MeshTopology(basis, geoms, links, boundary)
+        face_def.validate_watertight()
+        x[:, e] = geometry.sample_map_on_grid(face_def, basis)
+    return MeshTopology(basis, x, links, boundary)
 
 
 def audit(mesh):
@@ -350,16 +368,13 @@ def audit(mesh):
     Returns a list of dict rows plus a summary dict; used by the CLI
     ``mesh audit`` subcommand.
     """
-    rows = []
-    for e, geom in enumerate(mesh.geoms):
-        cross_ja, _ = geometry.metrics_cross_product(geom.covariant)
-        rows.append({
-            "element": e,
-            "j_min": float(geom.j.min()),
-            "j_max": float(geom.j.max()),
-            "metric_residual": float(geom.metric_residual()),
-            "cross_residual": float(geometry.metric_identity_residual(mesh.basis, cross_ja)),
-        })
+    cross_ja, _ = geometry.metrics_cross_product(spectral.tensor_gradient(mesh.basis, mesh.x))
+    columns = zip(mesh.j.min(axis=(1, 2, 3)), mesh.j.max(axis=(1, 2, 3)),
+                  geometry.metric_identity_residual(mesh.basis, mesh.ja),
+                  geometry.metric_identity_residual(mesh.basis, cross_ja))
+    rows = [{"element": e, "j_min": float(j_min), "j_max": float(j_max),
+             "metric_residual": float(curl), "cross_residual": float(cross)}
+            for e, (j_min, j_max, curl, cross) in enumerate(columns)]
     s_gap, n_gap = mesh.face_mismatch()
     summary = {
         "elements": mesh.num_elements,

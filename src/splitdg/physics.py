@@ -16,13 +16,7 @@ NVAR = 5
 
 
 class PositivityError(ValueError):
-    """Density or pressure lost positivity; carries location context."""
-
-    def __init__(self, message, where=None):
-        if where:
-            message = f"{message} ({where})"
-        super().__init__(message)
-        self.where = where
+    """Density or pressure lost positivity; the message gives the array index."""
 
 
 @dataclass(frozen=True)
@@ -58,16 +52,16 @@ class GasModel:
         return self.mu / ((self.gamma - 1.0) * self.prandtl * self.mach**2)
 
 
-def _check_positive(rho, p, where):
-    rho_min = np.min(rho, initial=np.inf)  # an empty state array passes
-    if not rho_min > 0.0:
-        raise PositivityError(f"non-positive density, min rho = {rho_min}", where)
-    p_min = np.min(p, initial=np.inf)
-    if not p_min > 0.0:
-        raise PositivityError(f"non-positive pressure, min p = {p_min}", where)
+def _check_positive(rho, p):
+    """Raise PositivityError at the minimum of rho or p unless it is > 0."""
+    for quantity, symbol, a in (("density", "rho", rho), ("pressure", "p", p)):
+        a_min = np.min(a, initial=np.inf)  # an empty state array passes
+        if not a_min > 0.0:
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(a), np.shape(a)))
+            raise PositivityError(f"non-positive {quantity}, min {symbol} = {a_min} at index {at}")
 
 
-def primitive_from_conservative(u, gas, where=None):
+def primitive_from_conservative(u, gas):
     """Convert conservative state(s) to (rho, v, p).
 
     Returns:
@@ -80,16 +74,16 @@ def primitive_from_conservative(u, gas, where=None):
     v = u[1:4] / rho
     kinetic = 0.5 * rho * np.sum(v * v, axis=0)
     p = (gas.gamma - 1.0) * (u[4] - kinetic)
-    _check_positive(rho, p, where)
+    _check_positive(rho, p)
     return rho, v, p
 
 
-def conservative_from_primitive(rho, v, p, gas, where=None):
+def conservative_from_primitive(rho, v, p, gas):
     """Assemble a conservative state from (rho, v, p); v has leading axis 3."""
     rho = np.asarray(rho, dtype=float)
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
-    _check_positive(rho, p, where)
+    _check_positive(rho, p)
     shape = np.broadcast_shapes(rho.shape, v.shape[1:], p.shape)
     u = np.empty((NVAR,) + shape)
     u[0] = rho
@@ -98,19 +92,14 @@ def conservative_from_primitive(rho, v, p, gas, where=None):
     return u
 
 
-def pressure(u, gas, where=None):
-    _, _, p = primitive_from_conservative(u, gas, where)
+def pressure(u, gas):
+    _, _, p = primitive_from_conservative(u, gas)
     return p
 
 
-def sound_speed(u, gas, where=None):
-    rho, _, p = primitive_from_conservative(u, gas, where)
-    return np.sqrt(gas.gamma * p / rho)
-
-
-def advective_flux(u, gas, where=None):
+def advective_flux(u, gas):
     """Cartesian advective flux triple f_d(u), returned with shape (3, 5, ...)."""
-    rho, v, p = primitive_from_conservative(u, gas, where)
+    rho, v, p = primitive_from_conservative(u, gas)
     enthalpy_flow = u[4] + p  # rho*H = rho*E + p
     f = np.empty((3,) + u.shape)
     for d in range(3):
@@ -122,28 +111,28 @@ def advective_flux(u, gas, where=None):
     return f
 
 
-def entropy(u, gas, where=None):
+def entropy(u, gas):
     """Mathematical entropy s = -rho (ln p - gamma ln rho) / (gamma - 1)."""
-    rho, _, p = primitive_from_conservative(u, gas, where)
+    rho, _, p = primitive_from_conservative(u, gas)
     sigma = np.log(p) - gas.gamma * np.log(rho)
     return -rho * sigma / (gas.gamma - 1.0)
 
 
-def entropy_flux(u, gas, where=None):
+def entropy_flux(u, gas):
     """Entropy flux f^S = s * v, shape (3, ...)."""
-    rho, v, p = primitive_from_conservative(u, gas, where)
+    rho, v, p = primitive_from_conservative(u, gas)
     sigma = np.log(p) - gas.gamma * np.log(rho)
     s = -rho * sigma / (gas.gamma - 1.0)
     return s * v
 
 
-def entropy_variables(u, gas, where=None):
+def entropy_variables(u, gas):
     """w = ds/du, the entropy variables, shape (5, ...).
 
     w = [(gamma - sigma)/(gamma-1) - rho|v|^2/(2p), rho v/p, -rho/p] with
     sigma = ln p - gamma ln rho.  w[4] < 0 whenever rho, p > 0.
     """
-    rho, v, p = primitive_from_conservative(u, gas, where)
+    rho, v, p = primitive_from_conservative(u, gas)
     sigma = np.log(p) - gas.gamma * np.log(rho)
     w = np.empty_like(u)
     rho_over_p = rho / p
@@ -170,16 +159,16 @@ def conservative_from_entropy(w, gas):
     return conservative_from_primitive(rho, v, p, gas)
 
 
-def entropy_potential(u, gas, where=None):
+def entropy_potential(u, gas):
     """psi_d = w^T f_d - f^S_d; equals rho*v_d for the ideal gas."""
-    w = entropy_variables(u, gas, where)
-    f = advective_flux(u, gas, where)
-    fs = entropy_flux(u, gas, where)
+    w = entropy_variables(u, gas)
+    f = advective_flux(u, gas)
+    fs = entropy_flux(u, gas)
     return np.einsum("c...,dc...->d...", w, f) - fs
 
 
-def temperature(u, gas, where=None):
-    rho, _, p = primitive_from_conservative(u, gas, where)
+def temperature(u, gas):
+    rho, _, p = primitive_from_conservative(u, gas)
     return gas.gamma * gas.mach**2 * p / rho
 
 
@@ -234,11 +223,11 @@ def viscous_flux_from_entropy_gradients(u, q, gas):
     return viscous_flux(u, grad_v, grad_t, gas)
 
 
-def max_wave_speed(u_left, u_right, normal, gas, where=None):
+def max_wave_speed(u_left, u_right, normal, gas):
     """Largest |v.n| + c over the two states (symmetric in its arguments)."""
     speeds = []
     for u in (u_left, u_right):
-        rho, v, p = primitive_from_conservative(u, gas, where)
+        rho, v, p = primitive_from_conservative(u, gas)
         c = np.sqrt(gas.gamma * p / rho)
         speeds.append(np.abs(np.einsum("d...,d...->...", normal, v)) + c)
     return np.maximum(*speeds)

@@ -35,7 +35,6 @@ reproducible run to run.
 import numpy as np
 
 from splitdg import fluxes, geometry, physics, spectral
-from splitdg.mesh import orientation_indices
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
 RK_A = (
@@ -79,11 +78,6 @@ class SolutionField:
     def __init__(self, u, t=0.0):
         self.u = np.asarray(u, dtype=float)
         self.t = float(t)
-
-
-def _face_stack(vol):
-    """Restrict a (C..., K, n, n, n) volume array to its faces: (C..., 6, K, n, n)."""
-    return np.stack([vol[geometry.face_slice(f)] for f in range(6)], axis=-4)
 
 
 def _fold_faces(faces):
@@ -146,17 +140,20 @@ def split_divergence(u, ja, basis, volume_flux, gas):
 class DGSolver:
     """Split-form DGSEM semi-discretization on a conforming curvilinear mesh.
 
-    Faces are handled by one pipeline.  The owner faces are the left sides
-    of all mesh links (``l_elem``/``l_face``) followed by all Dirichlet faces
-    (``b_elem``/``b_face``); owner-face arrays have shape (C..., nf, n, n).
+    The geometry arrays (``x``, ``ja``, ``j``, ``s_hat``, ``normal``) and
+    the owner/neighbour face indices are the mesh's own, computed once per
+    mesh.  Faces are handled by one pipeline.  The owner faces are the left
+    sides of all mesh links (elements ``l_elem``) followed by all Dirichlet
+    faces (elements ``b_elem``); owner-face arrays have shape
+    (C..., nf, n, n).
     ``_exterior`` supplies the outside trace of every owner face (the
     neighbour's values permuted onto the owner grid, then the ghost values
     of the Dirichlet faces), and ``_to_faces`` returns owner-face results
     to the (C..., 6, K, n, n) face layout of the volume arrays.
 
     Args:
-        mesh: MeshTopology (curl-form metrics expected for the discrete
-            invariants to hold; cross-form is allowed for demonstrations).
+        mesh: MeshTopology (its curl-form metrics give the discrete
+            free-stream and entropy invariants).
         gas: GasModel; ``gas.reynolds is None`` disables all viscous terms.
         volume_flux: "ec" or "central".
         surface_dissipation: "none" or "llf".
@@ -179,37 +176,18 @@ class DGSolver:
         self.surface_dissipation = surface_dissipation
         self.source = source
 
-        n1 = mesh.basis.n + 1
         self.num_elements = mesh.num_elements
-        self.n1 = n1
-        # Stacked geometry; face data in the (C..., 6, K, n, n) layout.
-        geoms = mesh.geoms
-        self.ja = np.stack([g.ja for g in geoms], axis=2)
-        self.j = np.stack([g.j for g in geoms])
-        self.x = np.stack([g.x for g in geoms], axis=1)
-        self.s_hat = np.stack([g.s_hat for g in geoms], axis=1)
-        self.normal = np.stack([g.normal.swapaxes(0, 1) for g in geoms], axis=2)
+        self.n1 = mesh.basis.n + 1
+        # The mesh geometry, shared; face data in the (C..., 6, K, n, n) layout.
+        self.x, self.ja, self.j = mesh.x, mesh.ja, mesh.j
+        self.s_hat, self.normal = mesh.s_hat, mesh.normal
         self.w0 = mesh.basis.weights[0]  # = weights[-1]; surface lifting scale
-
-        # Owner faces: link left sides, then Dirichlet faces.
-        links = mesh.links
-        self.l_elem = np.array([ln.left for ln in links], dtype=np.intp)
-        self.l_face = np.array([ln.left_face for ln in links], dtype=np.intp)
-        self.b_elem = np.array([bf.element for bf in mesh.boundary], dtype=np.intp)
-        self.b_face = np.array([bf.face for bf in mesh.boundary], dtype=np.intp)
-        self._own = (Ellipsis, np.concatenate([self.l_face, self.b_face]),
-                     np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
+        self.l_elem, self.b_elem = mesh.l_elem, mesh.b_elem
+        self._own, self._nbr = mesh.own, mesh.nbr
         self._n_own = self.normal[self._own]
         self._s_own = self.s_hat[self._own]
-        # Neighbour side of every link, indexed on the owner's face grid.
-        perm = np.empty((2, len(links), n1, n1), dtype=np.intp)
-        for i, ln in enumerate(links):
-            perm[:, i] = orientation_indices(ln.orient, n1)
-        r_elem = np.array([ln.right for ln in links], dtype=np.intp)[:, None, None]
-        r_face = np.array([ln.right_face for ln in links], dtype=np.intp)[:, None, None]
-        self._nbr = (Ellipsis, r_face, r_elem, perm[0], perm[1])
 
-        x_b = _face_stack(self.x)[:, self.b_face, self.b_elem]
+        x_b = geometry.face_stack(self.x)[:, mesh.b_face, self.b_elem]
         tags = [bf.tag for bf in mesh.boundary]
         boundary_states = boundary_states or {}
         self._ghosts = []
@@ -273,7 +251,7 @@ class DGSolver:
         """
         w = physics.entropy_variables(u, self.gas)
         q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja, spectral.tensor_gradient(self.basis, w))
-        wf = _face_stack(w)
+        wf = geometry.face_stack(w)
         w_ext = self._exterior(wf, physics.entropy_variables(self._ghost(t), self.gas))
         w_star = 0.5 * (wf[self._own] + w_ext)
         nl = len(self.l_elem)
@@ -288,7 +266,7 @@ class DGSolver:
     def residual(self, u, t=0.0):
         """Semi-discrete right-hand side du/dt, shape (5, K, n, n, n)."""
         gas = self.gas
-        uf = _face_stack(u)
+        uf = geometry.face_stack(u)
         fstar = fluxes.surface_flux_advective(
             uf[self._own], self._exterior(uf, self._ghost(t)), self._n_own, gas,
             self.surface_dissipation)
@@ -298,7 +276,7 @@ class DGSolver:
 
         if gas.viscous:
             fv = physics.viscous_flux_from_entropy_gradients(u, self.lift_gradients(u, t), gas)
-            fvf = _face_stack(fv)
+            fvf = geometry.face_stack(fv)
             fv_own = fvf[self._own]
             # Dirichlet faces take the interior trace as exterior: zero penalty.
             fv_ext = self._exterior(fvf, fv_own[..., len(self.l_elem):, :, :])
@@ -333,7 +311,7 @@ class DGSolver:
 
     def entropy_surface_scale(self, u):
         """Total surface quadrature of |f^S . n| s_hat: the entropy-flux scale."""
-        fs = _face_stack(physics.entropy_flux(u, self.gas))
+        fs = geometry.face_stack(physics.entropy_flux(u, self.gas))
         fn = np.einsum("dfKab,dfKab->fKab", self.normal, fs)
         w = self.basis.weights
         return float(np.einsum("fKab,fKab,a,b->", np.abs(fn), self.s_hat, w, w))

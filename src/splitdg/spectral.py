@@ -199,11 +199,6 @@ def quadrature(basis, f):
     return np.asarray(f) @ basis.weights
 
 
-def quadrature_3d(basis, f):
-    w = basis.weights
-    return np.einsum("...ijk,i,j,k->...", f, w, w, w)
-
-
 def aliasing_coefficients(basis, u):
     """Modal (Legendre) coefficients of the interpolant of nodal values u.
 
@@ -221,9 +216,16 @@ def aliasing_coefficients(basis, u):
     return coeffs
 
 
-def derivative_1d(basis, u):
-    """Nodal derivative along the last axis: (D u)."""
-    return np.einsum("im,...m->...i", basis.D, u)
+_DERIVATIVE_SUBSCRIPTS = ("in,...njk->...ijk", "jn,...ink->...ijk", "kn,...ijn->...ijk")
+
+
+def derivative(basis, field, axis):
+    """Derivative of a 3D nodal field along one reference axis.
+
+    ``axis`` 0, 1, 2 is xi, eta, zeta; the last three axes of ``field`` are
+    (i, j, k) and any leading axes (components, elements) are carried along.
+    """
+    return np.einsum(_DERIVATIVE_SUBSCRIPTS[axis], basis.D, field)
 
 
 def tensor_gradient(basis, field):
@@ -232,11 +234,9 @@ def tensor_gradient(basis, field):
     The last three axes of ``field`` are (i, j, k).  Returns an array with a
     new leading axis of length 3 holding (d/dxi, d/deta, d/dzeta).
     """
-    d = basis.D
     out = np.empty((3,) + field.shape)
-    out[0] = np.einsum("in,...njk->...ijk", d, field)
-    out[1] = np.einsum("jn,...ink->...ijk", d, field)
-    out[2] = np.einsum("kn,...ijn->...ijk", d, field)
+    for axis in range(3):
+        out[axis] = derivative(basis, field, axis)
     return out
 
 
@@ -246,8 +246,7 @@ def tensor_divergence(basis, flux):
     ``flux`` has a leading axis of length 3 (the xi/eta/zeta components);
     the last three axes are (i, j, k).
     """
-    d = basis.D
-    out = np.einsum("in,...njk->...ijk", d, flux[0])
-    out += np.einsum("jn,...ink->...ijk", d, flux[1])
-    out += np.einsum("kn,...ijn->...ijk", d, flux[2])
+    out = derivative(basis, flux[0], 0)
+    out += derivative(basis, flux[1], 1)
+    out += derivative(basis, flux[2], 2)
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitdg import geometry as ge
+from splitdg import mesh as me
 from splitdg import spectral as sp
 
 UNIT_CORNERS = np.array([
@@ -18,6 +19,18 @@ def trig_warp(amplitude=0.12):
             xi[2] + amplitude * np.sin(np.pi * xi[0]) * np.sin(np.pi * xi[1]),
         ])
     return mapping
+
+
+def element_mesh(basis, *mappings):
+    """Mesh of elements sampled from analytic maps, every face a Dirichlet face."""
+    x = np.stack([ge.sample_map_on_grid(m, basis) for m in mappings], axis=1)
+    boundary = [me.BoundaryFace(e, f, "wall") for e in range(len(mappings)) for f in range(6)]
+    return me.MeshTopology(basis, x, [], boundary)
+
+
+def covariant(basis, mapping):
+    """Covariant vectors of one element, stacked: (3, 3, 1, n, n, n)."""
+    return sp.tensor_gradient(basis, ge.sample_map_on_grid(mapping, basis)[:, None])
 
 
 class TestTransfiniteMap:
@@ -68,19 +81,19 @@ class TestTransfiniteMap:
 class TestCovariantBasis:
     def test_identity_map(self):
         b = sp.build_basis(3)
-        g = ge.ElementGeometry.from_mapping(b, lambda xi: xi)
+        cov = covariant(b, lambda xi: xi)
         for i in range(3):
             expect = np.zeros(3)
             expect[i] = 1.0
-            assert np.abs(g.covariant[i] - expect[:, None, None, None]).max() < 1e-13
+            assert np.abs(cov[i] - expect[:, None, None, None, None]).max() < 1e-13
 
     def test_affine_map_gives_matrix_columns(self):
         b = sp.build_basis(3)
         a = np.array([[0.5, 0.1, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 0.9]])
         mapping = lambda xi: np.einsum("cd,d...->c...", a, xi) + 0.3
-        g = ge.ElementGeometry.from_mapping(b, mapping)
+        cov = covariant(b, mapping)
         for i in range(3):
-            assert np.abs(g.covariant[i] - a[:, i][:, None, None, None]).max() < 1e-13
+            assert np.abs(cov[i] - a[:, i][:, None, None, None, None]).max() < 1e-13
 
     def test_polynomial_map_matches_symbolic_derivative(self):
         n = 4
@@ -102,34 +115,34 @@ class TestCovariantBasis:
 class TestMetrics:
     def test_identity_map_metrics(self):
         b = sp.build_basis(4)
-        g = ge.ElementGeometry.from_mapping(b, lambda xi: xi, metric_form="cross")
-        assert np.abs(g.j - 1.0).max() < 1e-13
+        ja, j = ge.metrics_cross_product(covariant(b, lambda xi: xi))
+        assert np.abs(j - 1.0).max() < 1e-13
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
-            assert np.abs(g.ja[i] - e[:, None, None, None]).max() < 1e-13
+            assert np.abs(ja[i] - e[:, None, None, None, None]).max() < 1e-13
 
     def test_scaled_box_cross_products_by_hand(self):
         b = sp.build_basis(3)
         mapping = lambda xi: np.stack([xi[0], 1.5 * xi[1], 2.0 * xi[2]])
-        g = ge.ElementGeometry.from_mapping(b, mapping, metric_form="cross")
-        assert np.abs(g.j - 3.0).max() < 1e-13
-        assert np.abs(g.ja[0] - np.array([3.0, 0, 0])[:, None, None, None]).max() < 1e-13
-        assert np.abs(g.ja[1] - np.array([0, 2.0, 0])[:, None, None, None]).max() < 1e-13
-        assert np.abs(g.ja[2] - np.array([0, 0, 1.5])[:, None, None, None]).max() < 1e-13
+        ja, j = ge.metrics_cross_product(covariant(b, mapping))
+        col = lambda v: np.array(v)[:, None, None, None, None]
+        assert np.abs(j - 3.0).max() < 1e-13
+        assert np.abs(ja[0] - col([3.0, 0, 0])).max() < 1e-13
+        assert np.abs(ja[1] - col([0, 2.0, 0])).max() < 1e-13
+        assert np.abs(ja[2] - col([0, 0, 1.5])).max() < 1e-13
 
     def test_cross_form_on_curved_map_violates_identities(self):
         b = sp.build_basis(4)
-        g = ge.ElementGeometry.from_mapping(b, trig_warp(), metric_form="cross")
-        assert g.metric_residual() > 1e-6
+        ja, _ = ge.metrics_cross_product(covariant(b, trig_warp()))
+        assert ge.metric_identity_residual(b, ja).max() > 1e-6
 
     def test_curl_equals_cross_for_identity_and_affine(self):
         b = sp.build_basis(4)
         for mapping in (lambda xi: xi,
                         lambda xi: np.stack([0.5 * xi[0] + 0.2 * xi[1], 0.8 * xi[1], 0.6 * xi[2]])):
-            gc = ge.ElementGeometry.from_mapping(b, mapping, metric_form="curl")
-            ja_cross, _ = ge.metrics_cross_product(gc.covariant)
-            assert np.abs(gc.ja - ja_cross).max() < 1e-12
+            ja_cross, _ = ge.metrics_cross_product(covariant(b, mapping))
+            assert np.abs(element_mesh(b, mapping).ja - ja_cross).max() < 1e-12
 
     def test_curl_equals_cross_for_half_degree_map(self):
         # products of a P^{N/2} map stay in P^N: interpolation is exact
@@ -141,46 +154,43 @@ class TestMetrics:
                              xi[1] + 0.1 * xi[0] * xi[2],
                              xi[2] + 0.1 * xi[0] * xi[1]])
 
-        g = ge.ElementGeometry.from_mapping(b, quad_map, metric_form="curl")
-        ja_cross, _ = ge.metrics_cross_product(g.covariant)
-        assert np.abs(g.ja - ja_cross).max() < 1e-12
+        ja_cross, _ = ge.metrics_cross_product(covariant(b, quad_map))
+        assert np.abs(element_mesh(b, quad_map).ja - ja_cross).max() < 1e-12
 
     def test_curl_form_kills_metric_residual_on_curved_map(self):
         b = sp.build_basis(4)
-        gc = ge.ElementGeometry.from_mapping(b, trig_warp(), metric_form="curl")
-        gx = ge.ElementGeometry.from_mapping(b, trig_warp(), metric_form="cross")
-        assert gc.metric_residual() < 1e-12
-        assert gx.metric_residual() > 1e-6
+        ja_cross, _ = ge.metrics_cross_product(covariant(b, trig_warp()))
+        assert ge.metric_identity_residual(b, element_mesh(b, trig_warp()).ja).max() < 1e-12
+        assert ge.metric_identity_residual(b, ja_cross).max() > 1e-6
 
     def test_identity_residual_zero(self):
         b = sp.build_basis(3)
-        g = ge.ElementGeometry.from_mapping(b, lambda xi: xi)
-        assert g.metric_residual() < 1e-13
+        assert ge.metric_identity_residual(b, element_mesh(b, lambda xi: xi).ja).max() < 1e-13
 
     def test_inverted_element_rejected(self):
         b = sp.build_basis(2)
         flipped = lambda xi: np.stack([-xi[0], xi[1], xi[2]])
-        with pytest.raises(ge.GeometryError, match="Jacobian"):
-            ge.ElementGeometry.from_mapping(b, flipped)
+        with pytest.raises(ge.GeometryError, match=r"Jacobian in element 1 "):
+            element_mesh(b, lambda xi: xi, flipped)
 
 
 class TestFaceGeometry:
     def test_identity_map_faces(self):
         b = sp.build_basis(3)
-        g = ge.ElementGeometry.from_mapping(b, lambda xi: xi)
+        g = element_mesh(b, lambda xi: xi)
         signs = {0: [-1, 0, 0], 1: [1, 0, 0], 2: [0, -1, 0], 3: [0, 1, 0],
                  4: [0, 0, -1], 5: [0, 0, 1]}
         for face in range(6):
             assert np.abs(g.s_hat[face] - 1.0).max() < 1e-12
             expect = np.array(signs[face], dtype=float)
-            assert np.abs(g.normal[face] - expect[:, None, None]).max() < 1e-12
+            assert np.abs(g.normal[:, face] - expect[:, None, None, None]).max() < 1e-12
 
     def test_scaled_box_plus_xi_face(self):
         b = sp.build_basis(3)
         mapping = lambda xi: np.stack([xi[0], 1.5 * xi[1], 2.0 * xi[2]])
-        g = ge.ElementGeometry.from_mapping(b, mapping)
+        g = element_mesh(b, mapping)
         assert np.abs(g.s_hat[1] - 3.0).max() < 1e-12
-        assert np.abs(g.normal[1] - np.array([1.0, 0, 0])[:, None, None]).max() < 1e-12
+        assert np.abs(g.normal[:, 1] - np.array([1.0, 0, 0])[:, None, None, None]).max() < 1e-12
 
     def test_shared_face_agrees_with_sign_flip(self):
         # two elements sharing the plane x = 0.5 of a curved global map
@@ -195,20 +205,16 @@ class TestFaceGeometry:
             shifted = np.stack([0.5 * (xi[0] + 1.0), xi[1], xi[2]])  # x in [0, 1]
             return warp(shifted)
 
-        b = sp.build_basis(n)
-        gl = ge.ElementGeometry.from_mapping(b, left)
-        gr = ge.ElementGeometry.from_mapping(b, right)
-        assert np.abs(gl.x[:, -1] - gr.x[:, 0]).max() < 1e-14  # watertight
-        assert np.abs(gl.s_hat[1] - gr.s_hat[0]).max() < 1e-12
-        assert np.abs(gl.normal[1] + gr.normal[0]).max() < 1e-12
+        g = element_mesh(sp.build_basis(n), left, right)
+        assert np.abs(g.x[:, 0, -1] - g.x[:, 1, 0]).max() < 1e-14  # watertight
+        assert np.abs(g.s_hat[1, 0] - g.s_hat[0, 1]).max() < 1e-12
+        assert np.abs(g.normal[:, 1, 0] + g.normal[:, 0, 1]).max() < 1e-12
 
     def test_closed_surface_identity(self):
         b = sp.build_basis(4)
-        g = ge.ElementGeometry.from_mapping(b, trig_warp(0.1))
-        total = np.zeros(3)
+        g = element_mesh(b, trig_warp(0.1))
         w = b.weights
-        for face in range(6):
-            total += np.einsum("dab,ab,a,b->d", g.normal[face], g.s_hat[face], w, w)
+        total = np.einsum("dfKab,fKab,a,b->d", g.normal, g.s_hat, w, w)
         assert np.abs(total).max() < 1e-12
 
     def test_two_elements_from_shared_face_definition(self):
@@ -220,13 +226,6 @@ class TestFaceGeometry:
         shared = fd_a.faces[1]
         # B: translate A by (1,0,0) but keep the shared face exactly
         corners_b = corners_a + np.array([1.0, 0.0, 0.0])
-        fd_b_faces = [f.copy() for f in ge.faces_from_corners(corners_b, n).faces]
-        fd_b_faces[0] = shared.copy()
-        # repair B's edges adjacent to the replaced face so it stays watertight
-        fd_b = ge.faces_from_corners(corners_b, n)
-        for idx, grid in enumerate(fd_b.faces):
-            fd_b_faces[idx] = grid.copy()
-        fd_b_faces[0] = shared.copy()
         corners_b[[0, 3, 4, 7]] = [shared[:, 0, 0], shared[:, -1, 0], shared[:, 0, -1], shared[:, -1, -1]]
         fd_b = ge.faces_from_corners(corners_b, n)
         grids = [g.copy() for g in fd_b.faces]
@@ -234,15 +233,14 @@ class TestFaceGeometry:
         fd_b = ge.FaceDefinition(grids)
         fd_b.validate_watertight()
         basis = sp.build_basis(n)
-        ga = ge.ElementGeometry.from_faces(basis, fd_a)
-        gb = ge.ElementGeometry.from_faces(basis, fd_b)
-        assert np.abs(ga.x[:, -1] - gb.x[:, 0]).max() < 1e-13
+        g = element_mesh(basis, fd_a, fd_b)
+        assert np.abs(g.x[:, 0, -1] - g.x[:, 1, 0]).max() < 1e-13
 
     def test_degenerate_face_detected(self):
         b = sp.build_basis(2)
-        ja = np.zeros((3, 3, 3, 3, 3))
+        ja = np.zeros((3, 3, 2, 3, 3, 3))
         ja[0, 0] = 1.0
         ja[1, 1] = 1.0
-        ja[2, 2] = 0.0  # zeta faces degenerate
-        with pytest.raises(ge.GeometryError, match="degenerate"):
-            ge.face_geometry(ja, 5)
+        ja[2, 2, 0] = 1.0  # zeta faces of element 1 degenerate
+        with pytest.raises(ge.GeometryError, match="degenerate face 4 of element 1"):
+            ge.face_geometry(ja)

@@ -13,7 +13,7 @@ quarters.
 import numpy as np
 import pytest
 
-from splitdg import cases, geometry, mesh as mesh_mod, physics, solver
+from splitdg import cases, mesh as mesh_mod, physics, solver
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
@@ -47,14 +47,13 @@ def single():
 def chain(single, request):
     turns = request.param
     code_01, code_10 = XI_LINK_CODES[turns]
-    g0 = single.geoms[0]
-    g1 = geometry.ElementGeometry(single.basis, rotate(g0.x, turns))
+    x = np.concatenate([single.x, rotate(single.x, turns)], axis=1)
     links = [
         mesh_mod.FaceLink(0, 1, 1, 0, code_01, False), mesh_mod.FaceLink(1, 1, 0, 0, code_10, True),
         mesh_mod.FaceLink(0, 3, 0, 2, 0, True), mesh_mod.FaceLink(1, 3, 1, 2, 0, True),
         mesh_mod.FaceLink(0, 5, 0, 4, 0, True), mesh_mod.FaceLink(1, 5, 1, 4, 0, True),
     ]
-    return turns, mesh_mod.MeshTopology(single.basis, [g0, g1], links)
+    return turns, mesh_mod.MeshTopology(single.basis, x, links)
 
 
 def test_chain_geometry_matches_across_rotated_links(chain):
@@ -82,7 +81,7 @@ def test_rotated_chain_conservation_and_entropy(chain, reynolds):
     turns, mesh = chain
     gas = physics.GasModel(reynolds=reynolds)
     dg = solver.DGSolver(mesh, gas, "ec", "llf")
-    u0 = perturbed_wave(mesh.geoms[0].x[:, None], gas)
+    u0 = perturbed_wave(mesh.x[:, :1], gas)
     u = np.concatenate([u0, rotate(u0, turns)], axis=1)
     rhs = dg.residual(u, 0.0)
     assert np.abs(dg.totals(rhs)).max() <= 1e-12
