@@ -305,12 +305,18 @@ def read_mesh_file(path, degree=None):
         raise MeshFileError(f"{path}: not a splitdg mesh file")
     pos = 1
 
-    def expect(keyword):
+    def next_line(missing):
         nonlocal pos
-        parts = lines[pos].split()
-        if parts[0] != keyword:
-            raise MeshFileError(f"{path}: expected '{keyword}', got '{lines[pos]}'")
+        if pos == len(lines):
+            raise MeshFileError(f"{path}: file ends before {missing}")
         pos += 1
+        return lines[pos - 1]
+
+    def expect(keyword):
+        line = next_line(f"the '{keyword}' line")
+        parts = line.split()
+        if parts[0] != keyword:
+            raise MeshFileError(f"{path}: expected '{keyword}', got '{line}'")
         return parts[1:]
 
     file_n = int(expect("degree")[0])
@@ -320,9 +326,8 @@ def read_mesh_file(path, degree=None):
     curved = {}
     links, boundary = [], []
     while pos < len(lines):
-        parts = lines[pos].split()
+        parts = next_line("the next record").split()
         key = parts[0]
-        pos += 1
         if key == "corner":
             e, ci = int(parts[1]), int(parts[2])
             corners[e, ci] = [float(v) for v in parts[3:6]]
@@ -331,8 +336,7 @@ def read_mesh_file(path, degree=None):
             grid = np.empty((3, n1, n1))
             for a in range(n1):
                 for b in range(n1):
-                    vals = lines[pos].split()
-                    pos += 1
+                    vals = next_line(f"node ({a}, {b}) of 'curved {e} {f}'").split()
                     grid[:, a, b] = [float(v) for v in vals[:3]]
             curved[(e, f)] = grid
         elif key in ("link", "periodic"):

@@ -103,8 +103,12 @@ def run_case(config, output_dir=None):
 
 
 def write_state_file(path, dg, state):
-    """Self-describing text dump of the final nodal solution."""
-    lines = [
+    """Self-describing text dump of the final nodal solution.
+
+    Streams one element at a time, so the text of the whole file is never
+    held in memory.
+    """
+    header = [
         STATE_MAGIC,
         f"degree {dg.basis.n}",
         f"elements {dg.num_elements}",
@@ -112,21 +116,25 @@ def write_state_file(path, dg, state):
         "ordering element-major; nodes (i,j,k) row-major; "
         "components rho rhov1 rhov2 rhov3 rhoE",
     ]
-    u = state.u
-    for e in range(dg.num_elements):
-        block = u[:, e].reshape(5, -1).T  # (n1^3, 5)
-        for row in block:
-            lines.append(" ".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for e in range(dg.num_elements):
+            rows = state.u[:, e].reshape(5, -1).T.tolist()  # (n1^3, 5)
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows))
 
 
 def read_state_file(path):
-    """Inverse of write_state_file: returns (degree, u, t)."""
+    """Inverse of write_state_file: returns (degree, u, t).
+
+    Raises:
+        ValueError: if the file is not a complete splitdg state file.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != STATE_MAGIC:
+    if not lines or lines[0] != STATE_MAGIC:
         raise ValueError(f"{path}: not a splitdg state file")
+    if len(lines) < 5:
+        raise ValueError(f"{path}: truncated header, {len(lines)} of 5 lines")
     degree = int(lines[1].split()[1])
     num_elements = int(lines[2].split()[1])
     t = float(lines[3].split()[1])

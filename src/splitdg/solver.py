@@ -26,15 +26,28 @@ the neighbour grid, to the neighbour side, so conservation telescopes
 bitwise across links.  The mesh guarantees that every (element, face) is
 an owner or a neighbour exactly once, so this is plain index assignment.
 
-Evaluation is vectorized over all elements (volume kernels) and over all
-faces (interface kernels); there are no data dependencies between elements
-within a stage, and the fixed numpy reduction order makes results
-reproducible run to run.
+The flux-differencing volume kernel loops over blocks of consecutive
+elements: its pair arrays are (pairs, n, n) per element and direction, so
+they are built one block at a time, the block sized by the byte budget
+``PAIR_BLOCK_BYTES`` of one pair array.  A byte budget, not an element
+count, because the pair arrays grow like N^4: it keeps the temporaries
+cache-sized at every degree and the kernel's memory flat in K, while blocks
+of many low-degree elements keep the Python loop overhead small.  The other
+volume terms are vectorized over all elements and the interface kernels over
+all faces.  There are no data dependencies between elements within a stage,
+every kernel operation acts element by element, and the fixed numpy
+reduction order makes results reproducible run to run and independent of
+the block size.
 """
 
 import numpy as np
 
 from splitdg import fluxes, geometry, physics, spectral
+
+# Byte budget of one pair array, (pairs, n, n) float64 per element, of an
+# element block in split_divergence: 4 elements at N=7, 27 at N=4, 64 at N=3.
+# The best or near-best of 32-128 KiB at N = 3, 4, 7 with a 2 MiB L2 cache.
+PAIR_BLOCK_BYTES = 64 * 1024
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
 RK_A = (
@@ -107,6 +120,17 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     matrix scatters every pair flux to both of its ends with weights
     2 D_im and 2 D_mi.
 
+    The flux is prepared once for all elements, so a positivity failure
+    names the global element.  The pair arrays are then built block by
+    block: each block of consecutive elements gathers its pairs from views
+    of the prepared arrays and of ``ja``, evaluates them, and adds into its
+    own slice of the output.  A block holds as many elements as fit one
+    (pairs, n, n) float array per element into ``PAIR_BLOCK_BYTES`` (at
+    least one).  The budget is in bytes because the pair arrays grow like
+    N^4: the temporaries stay cache-sized at every degree and do not grow
+    with K.  Every operation acts element by element, so the result is
+    bitwise independent of the block size.
+
     Args:
         u: states (5, K, n, n, n).
         ja: contravariant vectors (3, 3, K, n, n, n) (curl form for the
@@ -117,23 +141,31 @@ def split_divergence(u, ja, basis, volume_flux, gas):
         (5, K, n, n, n) array.
     """
     d = basis.D
-    left, right = np.triu_indices(len(d), 1)
+    n = len(d)
+    left, right = np.triu_indices(n, 1)
     ends = np.flatnonzero(np.diag(basis.B))
     left, right = np.concatenate([left, ends]), np.concatenate([right, ends])
-    scatter = np.zeros((len(d), len(left)))
+    scatter = np.zeros((n, len(left)))
     pairs = np.arange(len(left))
     scatter[left, pairs] = 2.0 * d[left, right]
     scatter[right, pairs] = 2.0 * d[right, left]
 
     state = volume_flux.prepare(u, gas)
     out = np.zeros_like(u)
-    for axis in range(3):
-        line = axis - 3
-        f = volume_flux.evaluate(
-            tuple(a.take(left, axis=line) for a in state),
-            tuple(a.take(right, axis=line) for a in state),
-            0.5 * (ja[axis].take(left, axis=line) + ja[axis].take(right, axis=line)), gas)
-        out += np.moveaxis(np.tensordot(scatter, f, axes=(1, line)), 0, line)
+    num_elements = u.shape[1]
+    step = max(1, PAIR_BLOCK_BYTES // (len(left) * n * n * 8))
+    for start in range(0, num_elements, step):
+        block = slice(start, start + step)
+        # The element axis is fourth from the end of every prepared array.
+        part = tuple(a[..., block, :, :, :] for a in state)
+        for axis in range(3):
+            line = axis - 3
+            ja_axis = ja[axis][:, block]
+            f = volume_flux.evaluate(
+                tuple(a.take(left, axis=line) for a in part),
+                tuple(a.take(right, axis=line) for a in part),
+                0.5 * (ja_axis.take(left, axis=line) + ja_axis.take(right, axis=line)), gas)
+            out[:, block] += np.moveaxis(np.tensordot(scatter, f, axes=(1, line)), 0, line)
     return out
 
 

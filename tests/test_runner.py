@@ -40,3 +40,18 @@ def test_converge_mesh_refinement_with_cells_in_config(tmp_path, capsys):
     assert code == cli.EXIT_OK
     orders = [ln for ln in out.splitlines() if ln.startswith("# observed L2 order")]
     assert len(orders) == 1 and orders[0].startswith("# observed L2 order 2->3")
+
+
+def test_run_with_negative_density_aborts_with_exit_3(tmp_path, capsys):
+    config = {
+        "case": "density_wave",
+        "case_params": {"amplitude": 1.5},
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 2,
+        "final_time": 0.01,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME
+    assert "runtime abort: non-positive density" in capsys.readouterr().err

@@ -8,12 +8,18 @@ occupy the same physical cell, so matched data must reproduce the
 self-periodic single-element residual.  The two xi-links carry orientation
 codes (7, 3) for a quarter turn, (4, 4) for a half turn and (3, 7) for three
 quarters.
+
+The volume kernel runs over element blocks; its output must not depend on
+the block size, its memory must not grow with the element count, and its
+positivity errors must name global elements.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from splitdg import cases, mesh as mesh_mod, physics, solver
+from splitdg import cases, fluxes, mesh as mesh_mod, physics, solver
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
@@ -141,3 +147,72 @@ def test_split_divergence_matches_dense_reference_warped(flux, perturbed):
 @pytest.mark.parametrize("perturbed", (False, True))
 def test_split_divergence_matches_dense_reference_rotated_chain(chain, flux, perturbed):
     assert_matches_dense(chain[1], flux, perturbed)
+
+
+# -- element blocks of the volume kernel ---------------------------------------
+
+BLOCK_MESHES = {
+    # N=3: 125 elements, two blocks at the default budget.
+    3: lambda: mesh_mod.warped_box_mesh(3, (5, 5, 5), amplitude=0.05),
+    # N=7: 18 elements, five blocks at the default budget, the last one short.
+    7: lambda: mesh_mod.warped_box_mesh(7, (3, 3, 2), amplitude=0.05),
+}
+
+
+@pytest.mark.parametrize("flux", ("ec", "central"))
+@pytest.mark.parametrize("degree", sorted(BLOCK_MESHES))
+def test_split_divergence_is_bitwise_independent_of_block_size(monkeypatch, degree, flux):
+    gas = physics.GasModel()
+    dg = solver.DGSolver(BLOCK_MESHES[degree](), gas, flux, "llf")
+    u = perturbed_wave(dg.x, gas)
+    results = []
+    # Default blocks, one block of all elements, one element per block.
+    for budget in (solver.PAIR_BLOCK_BYTES, 1 << 40, 1):
+        monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
+        results.append((solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas),
+                        dg.residual(u, 0.0)))
+    for div, res in results[1:]:
+        assert np.array_equal(div, results[0][0]) and np.array_equal(res, results[0][1])
+
+
+@pytest.mark.parametrize("flux", ("ec", "central"))
+def test_split_divergence_blocks_on_rotated_chain(monkeypatch, chain, flux):
+    gas = physics.GasModel()
+    dg = solver.DGSolver(chain[1], gas, flux, "llf")
+    u = perturbed_wave(dg.x, gas)
+    whole = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas)
+    monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", 1)
+    assert np.array_equal(solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas), whole)
+
+
+@pytest.fixture(scope="module")
+def warped_n7_4():
+    return mesh_mod.warped_box_mesh(7, (4, 4, 4), amplitude=0.05)
+
+
+def test_split_divergence_memory_is_flat_in_elements(warped_n7_4):
+    """Peak traced memory beyond the output and the prepared state, 2^3 vs 4^3."""
+    gas = physics.GasModel()
+    flux = fluxes.get_volume_flux("ec")
+    extra = []
+    for mesh in (mesh_mod.warped_box_mesh(7, (2, 2, 2), amplitude=0.05), warped_n7_4):
+        u = physics.conservative_from_primitive(
+            1.0 + 0.2 * mesh.x[0], 0.1 * mesh.x, 1.0 + 0.1 * mesh.x[2], gas)
+        tracemalloc.start()
+        try:
+            solver.split_divergence(u, mesh.ja, mesh.basis, flux, gas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - 2 * u.nbytes)
+    assert max(extra) < 4 * 2**20
+    assert max(extra) <= 1.25 * min(extra)
+
+
+def test_split_divergence_positivity_error_names_global_element(warped_n7_4):
+    gas = physics.GasModel()
+    mesh = warped_n7_4
+    u = physics.conservative_from_primitive(np.ones_like(mesh.x[0]), 0.1 * mesh.x, 1.0, gas)
+    u[0, 63, 3, 4, 2] = -0.1
+    with pytest.raises(physics.PositivityError, match=r"density.* at index \(63, 3, 4, 2\)"):
+        solver.split_divergence(u, mesh.ja, mesh.basis, fluxes.get_volume_flux("ec"), gas)
