@@ -19,20 +19,16 @@ import numpy as np
 
 from splitdg import physics
 
-LOG_MEAN_SERIES_CUT = 1.0e-4
-
 
 def log_mean(a_left, a_right):
     """Logarithmic mean (a_L - a_R) / (ln a_L - ln a_R), stable for a_L ~ a_R.
 
-    With zeta = max/min of the two arguments and u = (zeta-1)^2/(zeta+1)^2,
-    the near-equal branch (u < 1e-4) evaluates (a_L + a_R) / (2 (1 + u/3
-    + u^2/5 + u^3/7)); the remainder of that series is below 1e-16 at the
-    cut, so the switch is seamless at double precision.  The other branch
-    takes ln zeta = log1p(zeta - 1) with zeta - 1 = (max - min)/min, which
-    keeps full precision just above the cut, where ln(max/min) would lose
-    digits to the rounding of the quotient.  Both branches are symmetric
-    in the two arguments, bit for bit.
+    With low = min and gap = max - min of the two arguments, this is
+    gap / ln(zeta) with ln zeta = log1p(gap / low): log1p keeps full
+    precision for near-equal arguments, where ln(max/min) would lose digits
+    to the rounding of the quotient, so no separate near-equal branch is
+    needed.  Equal arguments return themselves exactly, without evaluating
+    0/0.  The result is symmetric in the two arguments, bit for bit.
     """
     a_left = np.asarray(a_left, dtype=float)
     a_right = np.asarray(a_right, dtype=float)
@@ -45,14 +41,9 @@ def log_mean(a_left, a_right):
 
 
 def _log_mean_raw(a_left, a_right):
-    low = np.minimum(a_left, a_right)
+    low = np.asarray(np.minimum(a_left, a_right))
     gap = np.maximum(a_left, a_right) - low
-    q = gap / low  # zeta - 1 >= 0
-    f = q / (q + 2.0)
-    u = f * f
-    series = 2.0 * (1.0 + u * (1.0 / 3.0 + u * (1.0 / 5.0 + u / 7.0)))
-    near = u < LOG_MEAN_SERIES_CUT
-    return np.where(near, (a_left + a_right) / series, gap / np.log1p(np.where(near, 1.0, q)))
+    return np.divide(gap, np.log1p(gap / low), out=low, where=gap > 0.0)
 
 
 def _mean(a, b):

@@ -50,6 +50,15 @@ def face_stack(vol):
     return np.stack([vol[face_slice(f)] for f in range(6)], axis=-4)
 
 
+def fold_faces(faces):
+    """Sum a (C..., 6, K, n, n) face array into an otherwise zero volume array."""
+    n1 = faces.shape[-1]
+    out = np.zeros(faces.shape[:-4] + (faces.shape[-3], n1, n1, n1))
+    for f in range(6):
+        out[face_slice(f)] += faces[..., f, :, :, :]
+    return out
+
+
 class FaceDefinition:
     """Six degree-N tensor-Lagrange face surfaces bounding one hexahedron."""
 

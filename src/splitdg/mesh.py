@@ -292,6 +292,10 @@ class MeshFileError(ValueError):
     pass
 
 
+# Fields of each record of the mesh file format, the keyword included.
+RECORD_FIELDS = {"corner": 6, "curved": 3, "link": 6, "periodic": 6, "dirichlet": 4}
+
+
 def read_mesh_file(path, degree=None):
     """Read a mesh file; optionally re-interpolate the geometry to ``degree``.
 
@@ -315,37 +319,51 @@ def read_mesh_file(path, degree=None):
     def expect(keyword):
         line = next_line(f"the '{keyword}' line")
         parts = line.split()
-        if parts[0] != keyword:
-            raise MeshFileError(f"{path}: expected '{keyword}', got '{line}'")
-        return parts[1:]
+        if len(parts) != 2 or parts[0] != keyword:
+            raise MeshFileError(f"{path}: expected '{keyword} <value>', got '{line}'")
+        return parts[1]
 
-    file_n = int(expect("degree")[0])
-    num_elements = int(expect("elements")[0])
+    def index(value, limit, what, line):
+        i = int(value)
+        if not 0 <= i < limit:
+            raise MeshFileError(f"{path}: {what} {i} out of range [0, {limit}) in '{line}'")
+        return i
+
+    file_n = int(expect("degree"))
+    num_elements = int(expect("elements"))
     n1 = file_n + 1
     corners = np.zeros((num_elements, 8, 3))
     curved = {}
     links, boundary = [], []
     while pos < len(lines):
-        parts = next_line("the next record").split()
+        line = next_line("the next record")
+        parts = line.split()
         key = parts[0]
+        if key not in RECORD_FIELDS:
+            raise MeshFileError(f"{path}: unknown record '{key}'")
+        if len(parts) != RECORD_FIELDS[key]:
+            raise MeshFileError(
+                f"{path}: a '{key}' record has {RECORD_FIELDS[key]} fields, got '{line}'")
         if key == "corner":
-            e, ci = int(parts[1]), int(parts[2])
-            corners[e, ci] = [float(v) for v in parts[3:6]]
+            e = index(parts[1], num_elements, "element", line)
+            corners[e, index(parts[2], 8, "corner", line)] = [float(v) for v in parts[3:]]
         elif key == "curved":
-            e, f = int(parts[1]), int(parts[2])
+            e = index(parts[1], num_elements, "element", line)
+            f = index(parts[2], N_FACES, "face", line)
             grid = np.empty((3, n1, n1))
             for a in range(n1):
                 for b in range(n1):
-                    vals = next_line(f"node ({a}, {b}) of 'curved {e} {f}'").split()
-                    grid[:, a, b] = [float(v) for v in vals[:3]]
+                    node = f"node ({a}, {b}) of '{line}'"
+                    vals = next_line(node).split()
+                    if len(vals) != 3:
+                        raise MeshFileError(f"{path}: {node} has 3 coordinates, got '{' '.join(vals)}'")
+                    grid[:, a, b] = [float(v) for v in vals]
             curved[(e, f)] = grid
         elif key in ("link", "periodic"):
-            e, f, e2, f2, orient = (int(v) for v in parts[1:6])
+            e, f, e2, f2, orient = (int(v) for v in parts[1:])
             links.append(FaceLink(e, f, e2, f2, orient, key == "periodic"))
-        elif key == "dirichlet":
-            boundary.append(BoundaryFace(int(parts[1]), int(parts[2]), parts[3]))
         else:
-            raise MeshFileError(f"{path}: unknown record '{key}'")
+            boundary.append(BoundaryFace(int(parts[1]), int(parts[2]), parts[3]))
 
     run_n = file_n if degree is None else degree
     basis = spectral.build_basis(run_n)

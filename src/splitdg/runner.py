@@ -66,18 +66,24 @@ def run_case(config, output_dir=None):
     state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
     u_init = state.u.copy()
 
+    rows, rates = [MONITOR_HEADER], []
+
+    def monitor(field, dt, rhs):
+        row, rate = _monitor_row(dg, field, dt, rhs)
+        rows.append(row)
+        rates.append(rate)
+
+    # The row of a state is written once the next step has evaluated its
+    # residual as the first RK stage (``state.rhs``); only the final row
+    # pays a residual of its own.
+    pending, dt, step = state, 0.0, 0
+    for step, (new, new_dt) in enumerate(integrate(dg, state, config), start=1):
+        if pending is not None:
+            monitor(pending, dt, pending.rhs)
+        state, dt = new, new_dt
+        pending = state if step % config.monitor_interval == 0 else None
     rhs = dg.residual(state.u, state.t)
-    row, max_rate = _monitor_row(dg, state, 0.0, rhs)
-    rows = [MONITOR_HEADER, row]
-    rhs_inf = np.abs(rhs).max()
-    step = 0
-    for step, (state, dt) in enumerate(integrate(dg, state, config), start=1):
-        if step % config.monitor_interval == 0 or state.t >= config.final_time - 1e-12:
-            rhs = dg.residual(state.u, state.t)
-            row, rate = _monitor_row(dg, state, dt, rhs)
-            rows.append(row)
-            rhs_inf = np.abs(rhs).max()
-            max_rate = max(max_rate, rate)
+    monitor(state, dt, rhs)
 
     monitor_path = os.path.join(out_dir, f"{config.case_name}_monitor.csv")
     with open(monitor_path, "w") as fh:
@@ -89,9 +95,9 @@ def run_case(config, output_dir=None):
         "case": config.case_name,
         "steps": step,
         "final_time": state.t,
-        "final_max_residual": float(rhs_inf),
+        "final_max_residual": float(np.abs(rhs).max()),
         "max_deviation_from_initial": float(np.abs(state.u - u_init).max()),
-        "max_entropy_rate": float(max_rate),
+        "max_entropy_rate": float(max(rates)),
         "monitor_csv": monitor_path,
         "final_state": state_path,
     }
@@ -135,9 +141,16 @@ def read_state_file(path):
         raise ValueError(f"{path}: not a splitdg state file")
     if len(lines) < 5:
         raise ValueError(f"{path}: truncated header, {len(lines)} of 5 lines")
-    degree = int(lines[1].split()[1])
-    num_elements = int(lines[2].split()[1])
-    t = float(lines[3].split()[1])
+
+    def header(i, key):
+        parts = lines[i].split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ValueError(f"{path}: expected '{key} <value>', got '{lines[i]}'")
+        return parts[1]
+
+    degree = int(header(1, "degree"))
+    num_elements = int(header(2, "elements"))
+    t = float(header(3, "time"))
     n1 = degree + 1
     data = np.array([[float(v) for v in ln.split()] for ln in lines[5:]])
     expected = num_elements * n1**3

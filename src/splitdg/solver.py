@@ -10,12 +10,16 @@ driver operate on the volume layout.
 
 The residual is
 
-    du/dt = -(1/J) [ D.F# + lift((F*_n - F_n) s_hat) ]
+    du/dt = -(1/J) [ S.F# + lift(F*_n s_hat) ]
             + (1/(Re J)) [ D_std.F~v + lift((F^{v,*}_n - F^v_n) s_hat) ]
 
-with the two-point flux-differencing divergence D.F#, the standard nodal
-divergence D_std for the viscous contravariant fluxes, and surface liftings
-scaled by 1/w_0 at the face nodes (strong/penalty form).
+with the two-point flux-differencing divergence S.F# of the split operator
+S = 2D - B W^{-1}, the standard nodal divergence D_std for the viscous
+contravariant fluxes, and surface liftings scaled by 1/w_0 at the face nodes.
+S has a zero diagonal: it is the strong form 2D.F# + lift(-F_n s_hat) with
+the end-node terms, which cancel exactly, left out, so the advective surface
+term needs no physical flux on the face traces.  The viscous term keeps the
+strong/penalty form.
 
 All faces go through one pipeline.  The owner faces are the left sides of
 all mesh links followed by all Dirichlet faces; a Dirichlet face is a
@@ -45,7 +49,7 @@ import numpy as np
 from splitdg import fluxes, geometry, physics, spectral
 
 # Byte budget of one pair array, (pairs, n, n) float64 per element, of an
-# element block in split_divergence: 4 elements at N=7, 27 at N=4, 64 at N=3.
+# element block in split_divergence: 4 elements at N=7, 32 at N=4, 85 at N=3.
 # The best or near-best of 32-128 KiB at N = 3, 4, 7 with a 2 MiB L2 cache.
 PAIR_BLOCK_BYTES = 64 * 1024
 
@@ -86,20 +90,16 @@ def rk_step(u, t, dt, rhs):
 
 
 class SolutionField:
-    """Per-element nodal conservative states and the simulation time."""
+    """Per-element nodal conservative states and the simulation time.
+
+    ``rhs`` is du/dt at (u, t) once a step from this field has evaluated it
+    as its first RK stage, else None.
+    """
 
     def __init__(self, u, t=0.0):
         self.u = np.asarray(u, dtype=float)
         self.t = float(t)
-
-
-def _fold_faces(faces):
-    """Sum a (C..., 6, K, n, n) face array into an otherwise zero volume array."""
-    n1 = faces.shape[-1]
-    out = np.zeros(faces.shape[:-4] + (faces.shape[-3], n1, n1, n1))
-    for f in range(6):
-        out[geometry.face_slice(f)] += faces[..., f, :, :, :]
-    return out
+        self.rhs = None
 
 
 def _normal_component(normal, flux):
@@ -111,14 +111,17 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     """Two-point flux-differencing divergence (not yet divided by J).
 
     Implements, per node and per reference direction, the sums
-    2 sum_m D_im F#(U_i.., U_m..) . <Ja^dir>_(i,m) with arithmetic averaging
-    of the volume-weighted contravariant vectors.  F# is symmetric, so the
-    directional flux is evaluated once per unique pair of each line: the
-    pairs m > i and the diagonal pairs with D_ii != 0.  By the SBP property
-    Q + Q^T = B, D_ii = B_ii / (2 w_i), so these are read from B: the two
-    end nodes (the computed interior D_ii are roundoff).  One (n, pairs)
-    matrix scatters every pair flux to both of its ends with weights
-    2 D_im and 2 D_mi.
+    sum_m S_im F#(U_i.., U_m..) . <Ja^dir>_(i,m) of the split operator
+    S = 2D - B W^{-1}, with arithmetic averaging of the volume-weighted
+    contravariant vectors.  By the SBP property Q + Q^T = B, D_ii =
+    B_ii / (2 w_i), so S has a zero diagonal.  The diagonal of 2D would
+    add the end-node terms +-f(U_i) . Ja_i / w_i, which the -F_n part of
+    the strong-form surface penalty cancels exactly (n s_hat = +-Ja at the
+    end nodes); the residual forms neither, and its advective surface term
+    is lift(F* s_hat) alone.  F# is symmetric, so the directional flux is
+    evaluated once per unique pair m > i of each line, N(N+1)/2 per line.
+    One (n, pairs) matrix scatters every pair flux to both of its ends
+    with weights 2 D_im and 2 D_mi.
 
     The flux is prepared once for all elements, so a positivity failure
     names the global element.  The pair arrays are then built block by
@@ -143,8 +146,6 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     d = basis.D
     n = len(d)
     left, right = np.triu_indices(n, 1)
-    ends = np.flatnonzero(np.diag(basis.B))
-    left, right = np.concatenate([left, ends]), np.concatenate([right, ends])
     scatter = np.zeros((n, len(left)))
     pairs = np.arange(len(left))
     scatter[left, pairs] = 2.0 * d[left, right]
@@ -259,14 +260,18 @@ class DGSolver:
         out[self._nbr] = sign * own[..., :len(self.l_elem), :, :]
         return out
 
-    def _surface_penalty(self, flux_star, flux_normal):
+    def _surface_penalty(self, flux_star, flux_normal=None):
         """lift((F* - F_n) s_hat) as a (C, K, n, n, n) volume array.
 
         ``flux_star`` (C, nf, n, n) is the numerical normal flux on the owner
         faces; ``flux_normal`` (C, 6, K, n, n) is each side's own n . f.
+        Without ``flux_normal`` this is lift(F* s_hat), the advective term
+        next to the zero-diagonal split operator.
         """
         star = self._to_faces(flux_star * self._s_own, -1.0)
-        return _fold_faces((star - flux_normal * self.s_hat) / self.w0)
+        if flux_normal is not None:
+            star -= flux_normal * self.s_hat
+        return geometry.fold_faces(star / self.w0)
 
     # -- gradient lifting (BR1 auxiliary equation, strong form) --------------
 
@@ -289,7 +294,7 @@ class DGSolver:
         nl = len(self.l_elem)
         w_star[..., nl:, :, :] = w_ext[..., nl:, :, :]
         jump = (self._to_faces(w_star, 1.0) - wf) / self.w0
-        q += _fold_faces(np.einsum("dfKab,cfKab->dcfKab", self.normal, jump) * self.s_hat)
+        q += geometry.fold_faces(np.einsum("dfKab,cfKab->dcfKab", self.normal, jump) * self.s_hat)
         q /= self.j
         return q
 
@@ -302,9 +307,8 @@ class DGSolver:
         fstar = fluxes.surface_flux_advective(
             uf[self._own], self._exterior(uf, self._ghost(t)), self._n_own, gas,
             self.surface_dissipation)
-        fn = _normal_component(self.normal, physics.advective_flux(uf, gas))
         rhs = -(split_divergence(u, self.ja, self.basis, self.volume_flux, gas)
-                + self._surface_penalty(fstar, fn))
+                + self._surface_penalty(fstar))
 
         if gas.viscous:
             fv = physics.viscous_flux_from_entropy_gradients(u, self.lift_gradients(u, t), gas)
@@ -368,14 +372,26 @@ class DGSolver:
         return cfl * worst / (self.basis.n + 1) ** 2
 
     def step(self, state, dt):
-        """Advance a SolutionField by one RK step (positivity-checked)."""
+        """Advance a SolutionField by one RK step (positivity-checked).
+
+        The first RK stage is the residual of ``state`` itself; it is kept
+        in ``state.rhs`` for the caller's monitors.  A positivity failure
+        names the stage and its time.
+        """
+        stage = 0
 
         def rhs(u, t):
+            nonlocal stage
+            stage += 1
             try:
-                return self.residual(u, t)
+                r = self.residual(u, t)
             except physics.PositivityError as err:
                 raise physics.PositivityError(
-                    f"positivity failure inside RK stage at t = {t:.6g}: {err}") from err
+                    f"positivity failure in RK stage {stage} of {len(RK_A)} "
+                    f"at t = {t:.6g}: {err}") from err
+            if stage == 1:
+                state.rhs = r
+            return r
 
         u_new = rk_step(state.u, state.t, dt, rhs)
         return SolutionField(u_new, state.t + dt)

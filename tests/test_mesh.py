@@ -157,3 +157,48 @@ def test_empty_or_header_truncated_state_file_rejected(tmp_path, keep):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
     with pytest.raises(ValueError, match="not a splitdg state file" if keep == 0 else "truncated header"):
         runner.read_state_file(path)
+
+
+# Edits (line index, new text) of a written one-element N=1 mesh file, each
+# leaving a short or out-of-range record: lines 1 and 2 are the degree and
+# elements lines, 3 the first corner, 11 'curved 0 0' and 12 its first node,
+# the last line a periodic link.
+MALFORMED = {
+    "bare degree": (1, "degree"),
+    "bare elements": (2, "elements"),
+    "corner without coordinates": (3, "corner 0"),
+    "corner with one coordinate": (3, "corner 0 0 0.5"),
+    "corner of a missing element": (3, "corner 1 0 0.0 0.0 0.0"),
+    "negative corner index": (3, "corner 0 -1 0.0 0.0 0.0"),
+    "curved without face": (11, "curved 0"),
+    "curved node with one coordinate": (12, "0.5"),
+    "short link": (-1, "periodic 0 5 0 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_mesh_audit_rejects_malformed_record(tmp_path, capsys, case):
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh_mod.box_mesh(1, (1, 1, 1)))
+    lines = path.read_text().splitlines()
+    assert lines[11] == "curved 0 0" and lines[-1].startswith("periodic")
+    index, text = MALFORMED[case]
+    lines[index] = text
+    bad = tmp_path / "bad.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(mesh_mod.MeshFileError):
+        mesh_mod.read_mesh_file(bad)
+    assert cli.main(["mesh", "audit", str(bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad.mesh: " in err and f"'{text}'" in err
+
+
+def test_state_file_with_bare_header_line_rejected(tmp_path):
+    dg, state = _state()
+    path = tmp_path / "final.state"
+    runner.write_state_file(path, dg, state)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "degree\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="expected 'degree <value>', got 'degree'"):
+        runner.read_state_file(path)
