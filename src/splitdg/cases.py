@@ -1,10 +1,11 @@
 """Built-in flow cases: initial states, exact solutions, and error norms.
 
-A case supplies ``state(x, t)`` returning the conservative state at physical
-points x (shape (3, ...)), which doubles as the initial condition, the
-Dirichlet exterior state, and the reference for error norms.  Error norms
-are evaluated with over-resolved LGL quadrature (degree 2N+8) against the
-exact solution.
+Every registered case supplies ``state(x, t, gas)``, the conservative state
+at physical points x (shape (3, ...)): an exact solution of the Euler
+equations, or of the forced equations for a case that also supplies
+``source(x, t, gas)``.  It doubles as the initial condition, the Dirichlet
+exterior state, and the reference for error norms.  Error norms are
+evaluated with over-resolved LGL quadrature (degree 2N+8) against it.
 """
 
 import numpy as np
@@ -12,21 +13,8 @@ import numpy as np
 from splitdg import geometry, physics, spectral
 
 
-class FlowCase:
-    """An analytic flow with (optionally) an exact time-dependent solution."""
-
-    name = "abstract"
-    exact = False
-
-    def state(self, x, t, gas):
-        raise NotImplementedError
-
-
-class FreeStream(FlowCase):
+class FreeStream:
     """Spatially constant state; the free-stream preservation case."""
-
-    name = "freestream"
-    exact = True
 
     def __init__(self, rho=1.0, velocity=(0.1, 0.2, 0.3), p=1.0):
         self.rho = rho
@@ -41,15 +29,12 @@ class FreeStream(FlowCase):
         return physics.conservative_from_primitive(rho, v, p, gas)
 
 
-class DensityWave(FlowCase):
+class DensityWave:
     """rho = mean + amp sin(2 pi (x+y+z - 3t)), v = (1,1,1), p = 1.
 
     An exact advection solution of the Euler equations: the wave moves with
     the uniform velocity while pressure and velocity stay constant.
     """
-
-    name = "density_wave"
-    exact = True
 
     def __init__(self, amplitude=0.3, mean=1.0, velocity=(1.0, 1.0, 1.0), p=1.0):
         self.amplitude = amplitude
@@ -66,7 +51,7 @@ class DensityWave(FlowCase):
         return physics.conservative_from_primitive(rho, v, p, gas)
 
 
-class ManufacturedWave(FlowCase):
+class ManufacturedWave:
     """Smooth wave in all primitive variables with an analytic source term.
 
     rho = 1 + a sin(2 pi (x+y+z - t)), v_d = v0 (constant), p = 1 + a sin(...).
@@ -75,9 +60,6 @@ class ManufacturedWave(FlowCase):
     constant-velocity choice keeps all viscous terms identically zero, so
     the same source is exact for Navier-Stokes too).
     """
-
-    name = "manufactured"
-    exact = True
 
     def __init__(self, amplitude=0.1, velocity=(0.7, 0.4, 0.2)):
         self.amplitude = amplitude

@@ -1,18 +1,16 @@
 """Two-point volume fluxes and interface numerical fluxes.
 
 The volume fluxes are symmetric, consistent two-point functions F#(u_L, u_R)
-evaluated in a direction: ``evaluate(left, right, direction, gas)`` returns
-F#(u_L, u_R) . n with shape (5, ...), the five components first.  States and
-directions may be any mutually broadcastable arrays with the component axis
-first, which is what both the flux-differencing volume kernel (the unique
-node pairs of every line, each with its averaged contravariant vector) and
-the face kernels (all face nodes at once, with the unit normal) rely on.
-
-Flux objects split evaluation into ``prepare`` (per-node quantities,
-computed once) and ``evaluate`` (pairwise means on gathered or broadcast
-views), so the pair loops of the volume kernel never recompute primitives.
-Calling a flux object gives the Cartesian triple with shape (3, 5, ...),
-one ``evaluate`` per unit vector.
+evaluated in a direction.  Every flux object has one contract: ``prepare``
+(per-node quantities, computed once) and ``evaluate(left, right, direction,
+gas)``, which returns F#(u_L, u_R) . n with shape (5, ...), the five
+components first, from two prepared states.  States and directions may be
+any mutually broadcastable arrays with the component axis first, which is
+what both the flux-differencing volume kernel (the unique node pairs of
+every line, each with its averaged contravariant vector) and the face
+kernels (all face nodes at once, with the unit normal) rely on.  The pair
+loops of the volume kernel therefore never recompute primitives.
+``evaluate`` is linear in the direction.
 """
 
 import numpy as np
@@ -50,33 +48,8 @@ def _mean(a, b):
     return 0.5 * (a + b)
 
 
-class TwoPointFlux:
-    """Symmetric, consistent two-point volume flux F#(u_L, u_R).
-
-    Subclasses implement ``prepare`` (nodal pre-processing, run once per
-    field) and ``evaluate`` (pairwise combination of two prepared states
-    contracted with ``direction``, shape (3, ...); returns (5, ...)).
-    Calling the object with two conservative states gives the Cartesian
-    triple (3, 5, ...), row d being ``evaluate`` with the unit vector e_d.
-    """
-
-    name = "abstract"
-
-    def prepare(self, u, gas):
-        return (u,)
-
-    def evaluate(self, left, right, direction, gas):
-        raise NotImplementedError
-
-    def __call__(self, u_left, u_right, gas):
-        left, right = self.prepare(u_left, gas), self.prepare(u_right, gas)
-        return np.stack([self.evaluate(left, right, e, gas) for e in np.eye(3)])
-
-
-class CentralFlux(TwoPointFlux):
+class CentralFlux:
     """Arithmetic mean of the physical fluxes (recovers standard DGSEM)."""
-
-    name = "central"
 
     def prepare(self, u, gas):
         return (physics.advective_flux(u, gas),)
@@ -86,7 +59,7 @@ class CentralFlux(TwoPointFlux):
         return direction[0] * f[0] + direction[1] * f[1] + direction[2] * f[2]
 
 
-class EntropyConservativeFlux(TwoPointFlux):
+class EntropyConservativeFlux:
     """Entropy-conservative two-point flux (Chandrashekar) in direction n.
 
     With rho^ln, <v>, p_hat = <rho>/(2<beta>), H_hat and beta = rho/(2p),
@@ -95,8 +68,6 @@ class EntropyConservativeFlux(TwoPointFlux):
     five-vector.  Satisfies the directional entropy conservation (Tadmor)
     condition jump(w)^T F#.n = n . jump(w^T f - f^S) for every n.
     """
-
-    name = "ec"
 
     def prepare(self, u, gas):
         rho, v, p = physics.primitive_from_conservative(u, gas)
@@ -130,14 +101,6 @@ class EntropyConservativeFlux(TwoPointFlux):
 VOLUME_FLUXES = {"central": CentralFlux(), "ec": EntropyConservativeFlux()}
 
 
-def central_flux(u_left, u_right, gas):
-    return VOLUME_FLUXES["central"](u_left, u_right, gas)
-
-
-def ec_flux(u_left, u_right, gas):
-    return VOLUME_FLUXES["ec"](u_left, u_right, gas)
-
-
 def get_volume_flux(name):
     try:
         return VOLUME_FLUXES[name]
@@ -145,18 +108,6 @@ def get_volume_flux(name):
         raise ValueError(
             f"unknown volume flux '{name}'; valid options: {sorted(VOLUME_FLUXES)}"
         ) from None
-
-
-def kg_momentum_term(u_left, u_right):
-    """<rho><v1><v2> two-point product of the cubic-split x-momentum term.
-
-    Split-form demonstrator only: flux differencing of this single entry
-    reproduces the seven-term cubic split form on polynomial data.
-    """
-    rho_l, rho_r = u_left[0], u_right[0]
-    v1 = _mean(u_left[1] / rho_l, u_right[1] / rho_r)
-    v2 = _mean(u_left[2] / rho_l, u_right[2] / rho_r)
-    return _mean(rho_l, rho_r) * v1 * v2
 
 
 DISSIPATION_MODES = ("none", "llf")
@@ -184,16 +135,3 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf"):
         fstar = fstar - 0.5 * lam * jump_w
     return fstar
 
-
-def br1_viscous_interface(fv_n_left, fv_n_right, w_left, w_right):
-    """BR1 coupling: both interface values are plain arithmetic means.
-
-    Args:
-        fv_n_left/right: normal viscous fluxes from the two sides, evaluated
-            with the same normal vector.
-        w_left/right: entropy-variable traces.
-
-    Returns:
-        (F^{v,*}_n, W*).
-    """
-    return _mean(fv_n_left, fv_n_right), _mean(w_left, w_right)

@@ -48,11 +48,6 @@ def orientation_indices(code, n1):
         raise ValueError(f"orientation code must be 0..7, got {code}") from None
 
 
-def orientation_inverse(code):
-    """The code of the inverse grid map (pairwise: 3 <-> 7, rest involutive)."""
-    return {0: 0, 1: 1, 2: 2, 3: 7, 4: 4, 5: 5, 6: 6, 7: 3}[code]
-
-
 @dataclass(frozen=True)
 class FaceLink:
     """One shared face: ``left`` owns it; ``orient`` maps left grid to right."""
@@ -133,7 +128,8 @@ class MeshTopology:
         for link in self.links:
             claim(link.left, link.left_face)
             claim(link.right, link.right_face)
-            orientation_inverse(link.orient)
+            if not 0 <= link.orient < 8:
+                raise ValueError(f"orientation code must be 0..7, got {link.orient} in {link}")
         for bf in self.boundary:
             claim(bf.element, bf.face)
         missing = self.num_elements * N_FACES - len(seen)
@@ -316,21 +312,27 @@ def read_mesh_file(path, degree=None):
         pos += 1
         return lines[pos - 1]
 
+    def numbers(kind, fields, line):
+        try:
+            return [kind(v) for v in fields]
+        except ValueError:
+            raise MeshFileError(f"{path}: expected {kind.__name__} values, got '{line}'") from None
+
     def expect(keyword):
         line = next_line(f"the '{keyword}' line")
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
             raise MeshFileError(f"{path}: expected '{keyword} <value>', got '{line}'")
-        return parts[1]
+        return numbers(int, parts[1:], line)[0]
 
     def index(value, limit, what, line):
-        i = int(value)
+        i = numbers(int, [value], line)[0]
         if not 0 <= i < limit:
             raise MeshFileError(f"{path}: {what} {i} out of range [0, {limit}) in '{line}'")
         return i
 
-    file_n = int(expect("degree"))
-    num_elements = int(expect("elements"))
+    file_n = expect("degree")
+    num_elements = expect("elements")
     n1 = file_n + 1
     corners = np.zeros((num_elements, 8, 3))
     curved = {}
@@ -346,7 +348,7 @@ def read_mesh_file(path, degree=None):
                 f"{path}: a '{key}' record has {RECORD_FIELDS[key]} fields, got '{line}'")
         if key == "corner":
             e = index(parts[1], num_elements, "element", line)
-            corners[e, index(parts[2], 8, "corner", line)] = [float(v) for v in parts[3:]]
+            corners[e, index(parts[2], 8, "corner", line)] = numbers(float, parts[3:], line)
         elif key == "curved":
             e = index(parts[1], num_elements, "element", line)
             f = index(parts[2], N_FACES, "face", line)
@@ -354,16 +356,17 @@ def read_mesh_file(path, degree=None):
             for a in range(n1):
                 for b in range(n1):
                     node = f"node ({a}, {b}) of '{line}'"
-                    vals = next_line(node).split()
+                    text = next_line(node)
+                    vals = text.split()
                     if len(vals) != 3:
-                        raise MeshFileError(f"{path}: {node} has 3 coordinates, got '{' '.join(vals)}'")
-                    grid[:, a, b] = [float(v) for v in vals]
+                        raise MeshFileError(f"{path}: {node} has 3 coordinates, got '{text}'")
+                    grid[:, a, b] = numbers(float, vals, text)
             curved[(e, f)] = grid
         elif key in ("link", "periodic"):
-            e, f, e2, f2, orient = (int(v) for v in parts[1:])
+            e, f, e2, f2, orient = numbers(int, parts[1:], line)
             links.append(FaceLink(e, f, e2, f2, orient, key == "periodic"))
         else:
-            boundary.append(BoundaryFace(int(parts[1]), int(parts[2]), parts[3]))
+            boundary.append(BoundaryFace(*numbers(int, parts[1:3], line), parts[3]))
 
     run_n = file_n if degree is None else degree
     basis = spectral.build_basis(run_n)

@@ -92,11 +92,6 @@ def conservative_from_primitive(rho, v, p, gas):
     return u
 
 
-def pressure(u, gas):
-    _, _, p = primitive_from_conservative(u, gas)
-    return p
-
-
 def advective_flux(u, gas):
     """Cartesian advective flux triple f_d(u), returned with shape (3, 5, ...)."""
     rho, v, p = primitive_from_conservative(u, gas)
@@ -142,34 +137,12 @@ def entropy_variables(u, gas):
     return w
 
 
-def conservative_from_entropy(w, gas):
-    """Invert entropy variables back to the conservative state."""
-    w = np.asarray(w, dtype=float)
-    if not np.all(w[4] < 0.0):
-        raise PositivityError("entropy variables require w[4] < 0")
-    v = w[1:4] / (-w[4])
-    rho_over_p = -w[4]
-    # w0 = (gamma - sigma)/(gamma-1) - rho|v|^2/(2p)  =>  solve for sigma.
-    sigma = gas.gamma - (gas.gamma - 1.0) * (w[0] + 0.5 * rho_over_p * np.sum(v * v, axis=0))
-    # sigma = ln p - gamma ln rho and p = rho / rho_over_p:
-    # sigma = (1 - gamma) ln rho - ln(rho_over_p)  =>  ln rho.
-    log_rho = (sigma + np.log(rho_over_p)) / (1.0 - gas.gamma)
-    rho = np.exp(log_rho)
-    p = rho / rho_over_p
-    return conservative_from_primitive(rho, v, p, gas)
-
-
 def entropy_potential(u, gas):
     """psi_d = w^T f_d - f^S_d; equals rho*v_d for the ideal gas."""
     w = entropy_variables(u, gas)
     f = advective_flux(u, gas)
     fs = entropy_flux(u, gas)
     return np.einsum("c...,dc...->d...", w, f) - fs
-
-
-def temperature(u, gas):
-    rho, _, p = primitive_from_conservative(u, gas)
-    return gas.gamma * gas.mach**2 * p / rho
 
 
 def viscous_flux(u, grad_v, grad_t, gas):

@@ -138,7 +138,8 @@ def split_divergence(u, ja, basis, volume_flux, gas):
         u: states (5, K, n, n, n).
         ja: contravariant vectors (3, 3, K, n, n, n) (curl form for the
             free-stream/entropy properties to hold).
-        volume_flux: a fluxes.TwoPointFlux object.
+        volume_flux: a two-point flux object of ``fluxes.VOLUME_FLUXES``;
+            only its ``prepare``/``evaluate`` contract is used.
 
     Returns:
         (5, K, n, n, n) array.

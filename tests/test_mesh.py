@@ -1,5 +1,7 @@
 """Mesh and state file round trips, and the `mesh` CLI subcommands."""
 
+import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,9 +162,9 @@ def test_empty_or_header_truncated_state_file_rejected(tmp_path, keep):
 
 
 # Edits (line index, new text) of a written one-element N=1 mesh file, each
-# leaving a short or out-of-range record: lines 1 and 2 are the degree and
-# elements lines, 3 the first corner, 11 'curved 0 0' and 12 its first node,
-# the last line a periodic link.
+# leaving a short, out-of-range or non-numeric record: lines 1 and 2 are the
+# degree and elements lines, 3 the first corner, 11 'curved 0 0' and 12 its
+# first node, the last line a periodic link.
 MALFORMED = {
     "bare degree": (1, "degree"),
     "bare elements": (2, "elements"),
@@ -173,6 +175,11 @@ MALFORMED = {
     "curved without face": (11, "curved 0"),
     "curved node with one coordinate": (12, "0.5"),
     "short link": (-1, "periodic 0 5 0 4"),
+    "non-numeric degree": (1, "degree two"),
+    "non-numeric corner index": (3, "corner x 1 0.0 0.0 0.0"),
+    "non-numeric curved node coordinate": (12, "0.0 y 0.0"),
+    "non-numeric link index": (-1, "periodic 0 5 zero 4 0"),
+    "non-numeric dirichlet index": (-1, "dirichlet 0 five dirichlet"),
 }
 
 
@@ -201,4 +208,40 @@ def test_state_file_with_bare_header_line_rejected(tmp_path):
     lines[1] = "degree\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match="expected 'degree <value>', got 'degree'"):
+        runner.read_state_file(path)
+
+
+def test_orientation_code_out_of_range_rejected(tmp_path, capsys):
+    mesh = mesh_mod.box_mesh(1, (1, 1, 1))
+    links = [dataclasses.replace(mesh.links[0], orient=8)] + mesh.links[1:]
+    with pytest.raises(ValueError, match=r"must be 0\.\.7, got 8 in FaceLink\(left=0, left_face=1"):
+        mesh_mod.MeshTopology(mesh.basis, mesh.x, links, mesh.boundary)
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh)
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "periodic 0 5 0 4 0"
+    lines[-1] = "periodic 0 5 0 4 9"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
+    assert "orientation code must be 0..7, got 9" in capsys.readouterr().err
+
+
+# Edits (line index, new text) of a written state file with a non-numeric field.
+NON_NUMERIC_STATE = {
+    "degree": (1, "degree two"),
+    "time": (3, "time t0"),
+    "data row": (7, "1.0 0.0 nan? 0.0 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_STATE))
+def test_state_file_with_non_numeric_field_rejected(tmp_path, case):
+    dg, state = _state()
+    path = tmp_path / "final.state"
+    runner.write_state_file(path, dg, state)
+    lines = path.read_text().splitlines(keepends=True)
+    index, text = NON_NUMERIC_STATE[case]
+    lines[index] = text + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"final.state: expected .* values, got '{re.escape(text)}'"):
         runner.read_state_file(path)

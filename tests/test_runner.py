@@ -77,6 +77,27 @@ def test_positivity_abort_names_the_rk_stage(tmp_path, capsys):
     assert "non-positive density" in err
 
 
+def test_positivity_abort_in_the_cfl_estimate_names_the_step(tmp_path, capsys):
+    # At this CFL every RK stage of the first step stays positive, but the
+    # step's final update does not: the next step's time-step estimate is
+    # the first to see the negative density.
+    config = {
+        "case": "density_wave",
+        "case_params": {"amplitude": 0.8},
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 2,
+        "cfl": 0.88,
+        "final_time": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "positivity failure in the time-step estimate of step 2 at t = 0.00625814" in err
+    assert "non-positive density" in err
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     failing = [verify.Check.below("passes", 0.0, 1.0), verify.Check.below("fails", 2.0, 1.0)]
     monkeypatch.setattr(verify, "run_suite", lambda name, seed=2024: failing)

@@ -19,7 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitdg import cases, fluxes, mesh as mesh_mod, physics, solver
+from flux_triple import cartesian_triple
+from splitdg import cases, fluxes, mesh as mesh_mod, physics, solver, verify
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
@@ -113,6 +114,24 @@ def test_dirichlet_box_free_stream(reynolds):
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
 
 
+# -- BR1 neutral stability on the solver's own residual -----------------------
+
+@pytest.mark.parametrize("dissipation", fluxes.DISSIPATION_MODES)
+def test_br1_viscous_entropy_rate_is_the_dissipation_warped_box(dissipation):
+    gas = physics.GasModel(reynolds=100.0)
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05)
+    assert verify.br1_dissipation_gap(mesh, gas, perturbed_wave(mesh.x, gas), dissipation) <= 1e-12
+
+
+@pytest.mark.parametrize("dissipation", fluxes.DISSIPATION_MODES)
+def test_br1_viscous_entropy_rate_is_the_dissipation_rotated_chain(chain, dissipation):
+    turns, mesh = chain
+    gas = physics.GasModel(reynolds=100.0)
+    u0 = perturbed_wave(mesh.x[:, :1], gas)
+    u = np.concatenate([u0, rotate(u0, turns)], axis=1)
+    assert verify.br1_dissipation_gap(mesh, gas, u, dissipation) <= 1e-12
+
+
 def dense_split_divergence(u, ja, basis, volume_flux, gas):
     """Reference kernel: every (i, m) pair of every line from the Cartesian triple.
 
@@ -127,7 +146,7 @@ def dense_split_divergence(u, ja, basis, volume_flux, gas):
     dot = ("dcKimjk,dKimjk->cKimjk", "dcKijmk,dKijmk->cKijmk", "dcKijkm,dKijkm->cKijkm")
     out = np.zeros_like(u)
     for axis, (lview, rview) in enumerate(views):
-        f = volume_flux(lview(u), rview(u), gas)
+        f = cartesian_triple(volume_flux, lview(u), rview(u), gas)
         jav = 0.5 * (lview(ja[axis]) + rview(ja[axis]))
         out += np.einsum(contract[axis], split, np.einsum(dot[axis], f, jav))
     return out
