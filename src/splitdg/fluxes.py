@@ -70,8 +70,7 @@ class EntropyConservativeFlux:
     """
 
     def prepare(self, u, gas):
-        rho, v, p = physics.primitive_from_conservative(u, gas)
-        return rho, v, 0.5 * rho / p
+        return _ec_state(*physics.primitive_from_conservative(u, gas))
 
     def evaluate(self, left, right, direction, gas):
         rho_l, v_l, beta_l = left
@@ -98,6 +97,11 @@ class EntropyConservativeFlux:
         return f
 
 
+def _ec_state(rho, v, p):
+    """The entropy-conservative flux's prepared state (rho, v, beta = rho / 2p)."""
+    return rho, v, 0.5 * rho / p
+
+
 VOLUME_FLUXES = {"central": CentralFlux(), "ec": EntropyConservativeFlux()}
 
 
@@ -121,17 +125,20 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf"):
     ``evaluate`` with the normal as direction, the same directional flux
     the volume kernel uses; "llf" adds local Lax-Friedrichs dissipation
     formulated in entropy-variable jumps, with lambda_max estimated per face
-    node, so its entropy contribution is provably non-positive.
+    node, so its entropy contribution is provably non-positive.  Each side
+    is converted to (rho, v, p) once; beta, c and w all derive from that.
     """
     if dissipation not in DISSIPATION_MODES:
         raise ValueError(
             f"unknown dissipation '{dissipation}'; valid options: {list(DISSIPATION_MODES)}"
         )
-    ec = VOLUME_FLUXES["ec"]
-    fstar = ec.evaluate(ec.prepare(u_left, gas), ec.prepare(u_right, gas), normal, gas)
+    left = physics.primitive_from_conservative(u_left, gas)
+    right = physics.primitive_from_conservative(u_right, gas)
+    fstar = VOLUME_FLUXES["ec"].evaluate(_ec_state(*left), _ec_state(*right), normal, gas)
     if dissipation == "llf":
-        lam = physics.max_wave_speed(u_left, u_right, normal, gas)
-        jump_w = physics.entropy_variables(u_right, gas) - physics.entropy_variables(u_left, gas)
-        fstar = fstar - 0.5 * lam * jump_w
+        diss = physics.entropy_variables_from_primitive(*right, gas)
+        diss -= physics.entropy_variables_from_primitive(*left, gas)
+        diss *= 0.5 * physics.max_wave_speed(left, right, normal, gas)  # (lambda_max/2) jump(w)
+        fstar -= diss
     return fstar
 

@@ -127,9 +127,13 @@ def entropy_variables(u, gas):
     w = [(gamma - sigma)/(gamma-1) - rho|v|^2/(2p), rho v/p, -rho/p] with
     sigma = ln p - gamma ln rho.  w[4] < 0 whenever rho, p > 0.
     """
-    rho, v, p = primitive_from_conservative(u, gas)
+    return entropy_variables_from_primitive(*primitive_from_conservative(u, gas), gas)
+
+
+def entropy_variables_from_primitive(rho, v, p, gas):
+    """The entropy variables of :func:`entropy_variables` from (rho, v, p)."""
     sigma = np.log(p) - gas.gamma * np.log(rho)
-    w = np.empty_like(u)
+    w = np.empty((NVAR,) + np.shape(rho))
     rho_over_p = rho / p
     w[0] = (gas.gamma - sigma) / (gas.gamma - 1.0) - 0.5 * rho_over_p * np.sum(v * v, axis=0)
     w[1:4] = rho_over_p * v
@@ -185,7 +189,9 @@ def gradients_from_entropy_gradients(u, q, gas):
     kinetic = 0.5 * rho * np.sum(v * v, axis=0)
     p = (gas.gamma - 1.0) * (u[4] - kinetic)
     p_over_rho = p / rho
-    grad_v = (q[:, 1:4] + v[None, :] * q[:, 4:5]) * p_over_rho
+    grad_v = v[None, :] * q[:, 4:5]
+    grad_v += q[:, 1:4]
+    grad_v *= p_over_rho
     grad_t = gas.gamma * gas.mach**2 * p_over_rho**2 * q[:, 4]
     return grad_v, grad_t
 
@@ -196,11 +202,14 @@ def viscous_flux_from_entropy_gradients(u, q, gas):
     return viscous_flux(u, grad_v, grad_t, gas)
 
 
-def max_wave_speed(u_left, u_right, normal, gas):
-    """Largest |v.n| + c over the two states (symmetric in its arguments)."""
+def max_wave_speed(left, right, normal, gas):
+    """Largest |v.n| + c over two primitive states (symmetric in its arguments).
+
+    ``left`` and ``right`` are (rho, v, p) triples as returned by
+    :func:`primitive_from_conservative`.
+    """
     speeds = []
-    for u in (u_left, u_right):
-        rho, v, p = primitive_from_conservative(u, gas)
+    for rho, v, p in (left, right):
         c = np.sqrt(gas.gamma * p / rho)
         speeds.append(np.abs(np.einsum("d...,d...->...", normal, v)) + c)
     return np.maximum(*speeds)

@@ -71,8 +71,11 @@ def run_case(config, output_dir=None):
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     dg, case, gas = build_solver(config)
-    state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-    u_init = state.u.copy()
+    try:
+        u_init = cases.initial_condition(case, dg, gas)
+    except physics.PositivityError as err:
+        raise physics.PositivityError(f"positivity failure in the initial condition: {err}") from err
+    state = solver_mod.SolutionField(u_init.copy(), 0.0)
 
     rows, rates = [MONITOR_HEADER], []
 
@@ -90,7 +93,13 @@ def run_case(config, output_dir=None):
             monitor(pending, dt, pending.rhs)
         state, dt = new, new_dt
         pending = state if step % config.monitor_interval == 0 else None
-    rhs = dg.residual(state.u, state.t)
+    # The final monitor residual is the only check of the last step's update.
+    try:
+        rhs = dg.residual(state.u, state.t)
+    except physics.PositivityError as err:
+        raise physics.PositivityError(
+            f"positivity failure in the final state after step {step} "
+            f"at t = {state.t:.6g}: {err}") from err
     monitor(state, dt, rhs)
 
     monitor_path = os.path.join(out_dir, f"{config.case_name}_monitor.csv")

@@ -216,16 +216,31 @@ def aliasing_coefficients(basis, u):
     return coeffs
 
 
-_DERIVATIVE_SUBSCRIPTS = ("in,...njk->...ijk", "jn,...ink->...ijk", "kn,...ijn->...ijk")
-
-
-def derivative(basis, field, axis):
+def derivative(basis, field, axis, out=None):
     """Derivative of a 3D nodal field along one reference axis.
 
     ``axis`` 0, 1, 2 is xi, eta, zeta; the last three axes of ``field`` are
     (i, j, k) and any leading axes (components, elements) are carried along.
+    Each axis is one BLAS ``matmul`` on a reshape of the field: D from the
+    left on (..., n, n*n) for xi and on the (j, k) matrices for eta, D^T
+    from the right on the (..., n) rows for zeta.  The result is written to
+    ``out``, a C-contiguous float array of the field's shape, when given.
     """
-    return np.einsum(_DERIVATIVE_SUBSCRIPTS[axis], basis.D, field)
+    d = basis.D
+    n = len(d)
+    field = np.asarray(field, dtype=float)
+    if out is None:
+        out = np.empty(field.shape)
+    elif out.shape != field.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with shape {field.shape}")
+    if axis == 0:
+        shape = field.shape[:-3] + (n, n * n)
+        np.matmul(d, field.reshape(shape), out=out.reshape(shape))
+    elif axis == 1:
+        np.matmul(d, field, out=out)
+    else:
+        np.matmul(field.reshape(-1, n), d.T, out=out.reshape(-1, n))
+    return out
 
 
 def tensor_gradient(basis, field):
@@ -236,7 +251,7 @@ def tensor_gradient(basis, field):
     """
     out = np.empty((3,) + field.shape)
     for axis in range(3):
-        out[axis] = derivative(basis, field, axis)
+        derivative(basis, field, axis, out[axis])
     return out
 
 
@@ -247,6 +262,7 @@ def tensor_divergence(basis, flux):
     the last three axes are (i, j, k).
     """
     out = derivative(basis, flux[0], 0)
-    out += derivative(basis, flux[1], 1)
-    out += derivative(basis, flux[2], 2)
+    part = np.empty(out.shape)
+    out += derivative(basis, flux[1], 1, part)
+    out += derivative(basis, flux[2], 2, part)
     return out

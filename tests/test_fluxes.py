@@ -293,6 +293,18 @@ class TestSurfaceFlux:
         ref = ec.evaluate(ec.prepare(ua, GAS), ec.prepare(ub, GAS), n, GAS)
         assert np.abs(fstar - ref).max() == 0.0
 
+    def test_llf_is_ec_flux_minus_half_lambda_jump_w(self):
+        rng = np.random.default_rng(13)
+        ua, ub = random_states(rng, 200), random_states(rng, 200)
+        n = rng.normal(size=(3, 200))
+        n /= np.sqrt(np.sum(n * n, axis=0))
+        ec = fl.VOLUME_FLUXES["ec"]
+        lam = ph.max_wave_speed(ph.primitive_from_conservative(ua, GAS),
+                                ph.primitive_from_conservative(ub, GAS), n, GAS)
+        ref = (ec.evaluate(ec.prepare(ua, GAS), ec.prepare(ub, GAS), n, GAS)
+               - 0.5 * lam * (ph.entropy_variables(ub, GAS) - ph.entropy_variables(ua, GAS)))
+        assert np.array_equal(fl.surface_flux_advective(ua, ub, n, GAS, "llf"), ref)
+
     def test_unknown_mode_rejected(self):
         u = random_states(np.random.default_rng(12), 4)
         with pytest.raises(ValueError, match="llf"):

@@ -1,6 +1,7 @@
 """Time loop and command-line round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -54,7 +55,8 @@ def test_run_with_negative_density_aborts_with_exit_3(tmp_path, capsys):
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(config))
     assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME
-    assert "runtime abort: non-positive density" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime abort: positivity failure in the initial condition: non-positive density" in err
 
 
 def test_positivity_abort_names_the_rk_stage(tmp_path, capsys):
@@ -96,6 +98,27 @@ def test_positivity_abort_in_the_cfl_estimate_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "positivity failure in the time-step estimate of step 2 at t = 0.00625814" in err
     assert "non-positive density" in err
+
+
+def test_positivity_abort_in_the_final_state_names_the_step_and_element(tmp_path, capsys):
+    # The config of the test above, ended after its first step: only the
+    # final monitor residual sees the negative density.
+    config = {
+        "case": "density_wave",
+        "case_params": {"amplitude": 0.8},
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 2,
+        "cfl": 0.88,
+        "final_time": 0.006258,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "positivity failure in the final state after step 1 at t = 0.006258" in err
+    # (element, i, j, k) of the volume state, not an index into face arrays.
+    assert re.search(r"non-positive density, min rho = \S+ at index \(\d+, \d+, \d+, \d+\)", err)
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -7,20 +7,23 @@ quarter turn is x1[..., i, j, k] = x0[..., i, k, r - j].  Both elements
 occupy the same physical cell, so matched data must reproduce the
 self-periodic single-element residual.  The two xi-links carry orientation
 codes (7, 3) for a quarter turn, (4, 4) for a half turn and (3, 7) for three
-quarters.
+quarters.  A second family of chains turns the second element by proper
+rotations that permute the reference axes; their xi/eta links carry the
+reflection codes 1, 2, 5 and 6.
 
 The volume kernel runs over element blocks; its output must not depend on
 the block size, its memory must not grow with the element count, and its
 positivity errors must name global elements.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from flux_triple import cartesian_triple
-from splitdg import cases, fluxes, mesh as mesh_mod, physics, solver, verify
+from splitdg import cases, cli, fluxes, geometry, mesh as mesh_mod, physics, solver, spectral, verify
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
@@ -61,6 +64,73 @@ def chain(single, request):
         mesh_mod.FaceLink(0, 5, 0, 4, 0, True), mesh_mod.FaceLink(1, 5, 1, 4, 0, True),
     ]
     return turns, mesh_mod.MeshTopology(single.basis, x, links)
+
+
+# Proper rotations that permute the reference axes: axis m of the second
+# element runs along axis AXES[m] of the first, reversed where FLIPS[m].
+# Its face at x = 0 is X_MIN_FACE; both x-links carry CODE.
+REFLECTIONS = {
+    # name: (axes, flips, x_min_face, code)
+    "xi->y eta->x zeta->-z": ((1, 0, 2), (False, False, True), 2, 6),
+    "xi->-y eta->x zeta->z": ((1, 0, 2), (True, False, False), 2, 2),
+    "xi->-x eta->z zeta->y": ((0, 2, 1), (True, False, False), 1, 1),
+    "xi->-x eta->-z zeta->-y": ((0, 2, 1), (True, True, True), 1, 5),
+}
+
+
+def reorient(a, axes, flips):
+    """First-element data (..., i, j, k) in the second element's index order."""
+    lead = a.ndim - 3
+    a = a.transpose(tuple(range(lead)) + tuple(lead + m for m in axes))
+    for m, flip in enumerate(flips):
+        if flip:
+            a = np.flip(a, axis=lead + m)
+    return a
+
+
+@pytest.fixture(scope="module", params=sorted(REFLECTIONS))
+def reflected_chain(single, request):
+    axes, flips, x_min, code = REFLECTIONS[request.param]
+    x = np.concatenate([single.x, reorient(single.x, axes, flips)], axis=1)
+    # The second element's other two face pairs are self-periodic.
+    y_pair, z_pair = (f for f in (0, 2, 4) if f != x_min - x_min % 2)
+    links = [
+        mesh_mod.FaceLink(0, 1, 1, x_min, code, False),
+        mesh_mod.FaceLink(1, x_min ^ 1, 0, 0, code, True),
+        mesh_mod.FaceLink(0, 3, 0, 2, 0, True), mesh_mod.FaceLink(0, 5, 0, 4, 0, True),
+        mesh_mod.FaceLink(1, y_pair + 1, 1, y_pair, 0, True),
+        mesh_mod.FaceLink(1, z_pair + 1, 1, z_pair, 0, True),
+    ]
+    return (axes, flips), mesh_mod.MeshTopology(single.basis, x, links)
+
+
+def test_reflected_chain_codes_pass_mesh_audit(reflected_chain, tmp_path, capsys):
+    path = tmp_path / "chain.mesh"
+    mesh_mod.write_mesh_file(path, reflected_chain[1])
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    s_gap = float(re.search(r"# face_s_hat_mismatch: (\S+)", out).group(1))
+    n_gap = float(re.search(r"# face_normal_mismatch: (\S+)", out).group(1))
+    assert s_gap < 1e-12 and n_gap < 1e-12
+
+
+@pytest.mark.parametrize("reynolds", VISCOSITY)
+def test_reflected_chain_invariants(single, reflected_chain, reynolds):
+    (axes, flips), mesh = reflected_chain
+    gas = physics.GasModel(reynolds=reynolds)
+    dg1 = solver.DGSolver(single, gas, "ec", "llf")
+    dg = solver.DGSolver(mesh, gas, "ec", "llf")
+    u0 = perturbed_wave(dg1.x, gas)
+    u = np.concatenate([u0, reorient(u0, axes, flips)], axis=1)
+    rhs = dg.residual(u, 0.0)
+    r1 = dg1.residual(u0, 0.0)
+    scale = np.abs(r1).max()
+    assert np.abs(rhs[:, :1] - r1).max() <= 1e-11 * scale
+    assert np.abs(rhs[:, 1:] - reorient(r1, axes, flips)).max() <= 1e-11 * scale
+    assert np.abs(dg.totals(rhs)).max() <= 1e-12
+    assert dg.entropy_rate(u, rhs) <= 1e-12
+    free = cases.initial_condition(cases.FreeStream(), dg, gas)
+    assert np.abs(dg.residual(free, 0.0)).max() <= 1e-11
 
 
 def test_chain_geometry_matches_across_rotated_links(chain):
@@ -112,6 +182,87 @@ def test_dirichlet_box_free_stream(reynolds):
                          boundary_states={"dirichlet": lambda x, t: case.state(x, t, gas)})
     u = cases.initial_condition(case, dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
+
+
+# -- the viscous face terms against stacked 15-component traces ----------------
+
+def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
+    """Reference residual, ec + llf, built from the stacked face traces.
+
+    The BR1 lift folds a (3, 5, 6, K, n, n) product of normals and W jumps
+    into a zero volume array; the viscous face terms take n . F^v from the
+    (3, 5, 6, K, n, n) traces of F^v, gathered at the owner and neighbour
+    sides.
+    """
+    own, nbr, nl, w0 = mesh.own, mesh.nbr, len(mesh.links), mesh.basis.weights[0]
+    n_own, s_own = mesh.normal[own], mesh.s_hat[own]
+    nc = lambda n, f: np.einsum("d...,dc...->c...", n, f)
+    ghost = np.empty((5, 0) + mesh.s_hat.shape[-2:])
+    if boundary_state is not None:
+        ghost = boundary_state(geometry.face_stack(mesh.x)[:, mesh.b_face, mesh.b_elem], t)
+
+    def exterior(faces, ghost):
+        return np.concatenate([faces[nbr], ghost], axis=-3)
+
+    def to_faces(vals, sign):
+        out = np.empty(vals.shape[:-3] + mesh.normal.shape[1:])
+        out[own] = vals
+        out[nbr] = sign * vals[..., :nl, :, :]
+        return out
+
+    def penalty(star, normal_flux=0.0):
+        return geometry.fold_faces((to_faces(star * s_own, -1.0) - normal_flux * mesh.s_hat) / w0)
+
+    uf = geometry.face_stack(u)
+    fstar = fluxes.surface_flux_advective(uf[own], exterior(uf, ghost), n_own, gas, "llf")
+    rhs = -(solver.split_divergence(u, mesh.ja, mesh.basis, fluxes.get_volume_flux("ec"), gas)
+            + penalty(fstar))
+
+    w = physics.entropy_variables(u, gas)
+    q = np.einsum("ldKijk,lcKijk->dcKijk", mesh.ja, spectral.tensor_gradient(mesh.basis, w))
+    wf = geometry.face_stack(w)
+    w_ext = exterior(wf, physics.entropy_variables(ghost, gas))
+    w_star = 0.5 * (wf[own] + w_ext)
+    w_star[..., nl:, :, :] = w_ext[..., nl:, :, :]
+    jump = (to_faces(w_star, 1.0) - wf) / w0
+    q += geometry.fold_faces(np.einsum("dfKab,cfKab->dcfKab", mesh.normal, jump) * mesh.s_hat)
+    q /= mesh.j
+
+    fv = physics.viscous_flux_from_entropy_gradients(u, q, gas)
+    fvf = geometry.face_stack(fv)
+    fv_own = fvf[own]
+    fv_star = 0.5 * (nc(n_own, fv_own) + nc(n_own, exterior(fvf, fv_own[..., nl:, :, :])))
+    visc = spectral.tensor_divergence(mesh.basis, np.einsum("ldKijk,dcKijk->lcKijk", mesh.ja, fv))
+    rhs += (visc + penalty(fv_star, nc(mesh.normal, fvf))) / gas.reynolds
+    return rhs / mesh.j
+
+
+def assert_matches_stacked_traces(mesh, u, boundary_state=None):
+    gas = physics.GasModel(reynolds=100.0)
+    states = {"dirichlet": boundary_state} if boundary_state else None
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_states=states)
+    ref = stacked_trace_residual(mesh, gas, u, boundary_state, 0.1)
+    assert np.abs(dg.residual(u, 0.1) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_viscous_faces_match_stacked_traces_rotated_chain(chain):
+    turns, mesh = chain
+    u0 = perturbed_wave(mesh.x[:, :1], physics.GasModel())
+    assert_matches_stacked_traces(mesh, np.concatenate([u0, rotate(u0, turns)], axis=1))
+
+
+def test_viscous_faces_match_stacked_traces_reflected_chain(reflected_chain):
+    (axes, flips), mesh = reflected_chain
+    u0 = perturbed_wave(mesh.x[:, :1], physics.GasModel())
+    assert_matches_stacked_traces(mesh, np.concatenate([u0, reorient(u0, axes, flips)], axis=1))
+
+
+def test_viscous_faces_match_stacked_traces_dirichlet_box():
+    gas = physics.GasModel()
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
+    case = cases.DensityWave()
+    assert_matches_stacked_traces(mesh, perturbed_wave(mesh.x, gas),
+                                  lambda x, t: case.state(x, t, gas))
 
 
 # -- BR1 neutral stability on the solver's own residual -----------------------

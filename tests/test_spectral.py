@@ -278,6 +278,39 @@ class TestTensorCalculus:
         assert abs(vol - surf) < 1e-12
 
 
+EINSUM_DERIVATIVE = ("in,...njk->...ijk", "jn,...ink->...ijk", "kn,...ijn->...ijk")
+
+
+def derivative_fields(rng, n1):
+    """A bare (n, n, n) field, one with leading axes, and a non-contiguous view."""
+    bare = rng.normal(size=(n1, n1, n1))
+    stacked = rng.normal(size=(5, 3, n1, n1, n1))
+    view = rng.normal(size=(4, 2 * n1, n1 + 1, n1, 3)).transpose(0, 4, 2, 3, 1)[:, :, 1:, :, ::2]
+    assert not view.flags.c_contiguous
+    return bare, stacked, view
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2))
+@pytest.mark.parametrize("n", (1, 3, 7))
+def test_derivative_matches_einsum_reference(n, axis):
+    b = sp.build_basis(n)
+    for field in derivative_fields(np.random.default_rng(n), n + 1):
+        ref = np.einsum(EINSUM_DERIVATIVE[axis], b.D, field)
+        out = sp.derivative(b, field, axis)
+        assert out.shape == field.shape
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(b.D).max() * np.abs(field).max()
+        given = np.empty(field.shape)
+        assert sp.derivative(b, field, axis, given) is given
+        assert np.array_equal(given, out)
+
+
+def test_derivative_rejects_a_non_contiguous_out():
+    b = sp.build_basis(3)
+    field = np.ones((2, 4, 4, 4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        sp.derivative(b, field, 0, np.empty((4, 4, 4, 2)).transpose(3, 0, 1, 2))
+
+
 class TestSbpAndAccuracy:
     @pytest.mark.parametrize("n", [1, 3, 6, 10, 15])
     def test_sbp_equals_integration_by_parts(self, n):
