@@ -1,6 +1,7 @@
 """Run configuration: JSON file schema, validation, and object construction."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -33,12 +34,11 @@ class RunConfig:
             raise ConfigError(f"degree: must be >= 1, got {self.degree}")
         if self.cfl is None and self.dt is None:
             raise ConfigError("cfl/dt: one of the two time controls must be set")
-        if self.cfl is not None and self.cfl <= 0:
-            raise ConfigError(f"cfl: must be positive, got {self.cfl}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt: must be positive, got {self.dt}")
-        if self.final_time <= 0:
-            raise ConfigError(f"final_time: must be positive, got {self.final_time}")
+        # JSON admits NaN and Infinity, which every "<= 0" test lets through.
+        for key in ("cfl", "dt", "final_time"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key}: must be finite and positive, got {value}")
         if self.monitor_interval < 1:
             raise ConfigError(f"monitor_interval: must be >= 1, got {self.monitor_interval}")
         if self.volume_flux not in fluxes.VOLUME_FLUXES:

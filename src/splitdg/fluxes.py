@@ -7,10 +7,18 @@ gas)``, which returns F#(u_L, u_R) . n with shape (5, ...), the five
 components first, from two prepared states.  States and directions may be
 any mutually broadcastable arrays with the component axis first, which is
 what both the flux-differencing volume kernel (the unique node pairs of
-every line, each with its averaged contravariant vector) and the face
+every line, each with its summed contravariant vector) and the face
 kernels (all face nodes at once, with the unit normal) rely on.  The pair
 loops of the volume kernel therefore never recompute primitives.
 ``evaluate`` is linear in the direction.
+
+``evaluate(left, right, direction, gas, out=None)`` writes the flux into
+``out``, a float array of the broadcast (5, ...) shape, when given, and
+returns it.  The arithmetic is the same with and without ``out``, so the
+two give bitwise equal results; ``out`` must not overlap the inputs.  The
+volume kernel passes its own pair-array buffer, so a call allocates only a
+few scratch arrays of one pair-array each; the surface flux lets
+``evaluate`` allocate.
 """
 
 import numpy as np
@@ -38,14 +46,20 @@ def log_mean(a_left, a_right):
     return out
 
 
-def _log_mean_raw(a_left, a_right):
-    low = np.asarray(np.minimum(a_left, a_right))
-    gap = np.maximum(a_left, a_right) - low
-    return np.divide(gap, np.log1p(gap / low), out=low, where=gap > 0.0)
+def _log_mean_raw(a_left, a_right, out=None, gap=None, ratio=None):
+    """log_mean without checks, into ``out``; ``gap`` and ``ratio`` are scratch buffers."""
+    low = np.asarray(np.minimum(a_left, a_right, out=out))
+    gap = np.maximum(a_left, a_right, out=gap)
+    gap -= low
+    ratio = np.log1p(np.divide(gap, low, out=ratio), out=ratio)
+    return np.divide(gap, ratio, out=low, where=gap > 0.0)
 
 
-def _mean(a, b):
-    return 0.5 * (a + b)
+def _flux_buffer(out, *operands):
+    """``out``, or a fresh (5, ...) array of the operands' broadcast shape."""
+    if out is None:
+        out = np.empty((physics.NVAR,) + np.broadcast_shapes(*(np.shape(a) for a in operands)))
+    return out
 
 
 class CentralFlux:
@@ -54,9 +68,20 @@ class CentralFlux:
     def prepare(self, u, gas):
         return (physics.advective_flux(u, gas),)
 
-    def evaluate(self, left, right, direction, gas):
-        f = _mean(left[0], right[0])
-        return direction[0] * f[0] + direction[1] * f[1] + direction[2] * f[2]
+    def evaluate(self, left, right, direction, gas, out=None):
+        f_l, f_r = left[0], right[0]
+        out = _flux_buffer(out, f_l[0, 0], f_r[0, 0], direction[0])
+        # sum_d n_d <f_d>, one direction at a time.
+        np.add(f_l[0], f_r[0], out=out)
+        out *= 0.5
+        out *= direction[0]
+        term = np.empty_like(out)
+        for d in (1, 2):
+            np.add(f_l[d], f_r[d], out=term)
+            term *= 0.5
+            term *= direction[d]
+            out += term
+        return out
 
 
 class EntropyConservativeFlux:
@@ -72,28 +97,44 @@ class EntropyConservativeFlux:
     def prepare(self, u, gas):
         return _ec_state(*physics.primitive_from_conservative(u, gas))
 
-    def evaluate(self, left, right, direction, gas):
+    def evaluate(self, left, right, direction, gas, out=None):
         rho_l, v_l, beta_l = left
         rho_r, v_r, beta_r = right
-
-        rho_ln = _log_mean_raw(rho_l, rho_r)
-        beta_ln = _log_mean_raw(beta_l, beta_r)
-        v_avg = _mean(v_l, v_r)
-        p_hat = _mean(rho_l, rho_r) / (2.0 * _mean(beta_l, beta_r))
+        f = _flux_buffer(out, rho_l, rho_r, v_l[0], v_r[0], direction[0])
+        # The rows of f hold the means until the flux overwrites them:
+        # f[0] rho^ln, then the mass flux; f[1:4] <v>; f[4] H_hat.  s0, s1
+        # are scratch; s2 holds p_hat.  f[m, ...] is a view even when the
+        # states are scalars.
+        s0, s1, s2 = (np.empty_like(f[0, ...]) for _ in range(3))
+        rho_ln = _log_mean_raw(rho_l, rho_r, out=f[0, ...], gap=s0, ratio=s1)
+        v_avg = np.add(v_l, v_r, out=f[1:4])
+        v_avg *= 0.5
+        # 1 / (2 beta^ln (gamma - 1)), the first term of H_hat.
+        h_hat = _log_mean_raw(beta_l, beta_r, out=f[4, ...], gap=s0, ratio=s1)
+        h_hat *= 2.0
+        h_hat *= gas.gamma - 1.0
+        np.divide(1.0, h_hat, out=h_hat)
+        # p_hat = <rho> / (2 <beta>), with 2 <beta> = beta_L + beta_R exactly.
+        p_hat = np.add(rho_l, rho_r, out=s2)
+        p_hat *= 0.5
+        p_hat /= np.add(beta_l, beta_r, out=s0)
+        h_hat += np.divide(p_hat, rho_ln, out=s0)
         # <v>.<v> - <|v|^2>/2 = v_L.v_R / 2, without the cancellation.
-        h_hat = (
-            1.0 / (2.0 * beta_ln * (gas.gamma - 1.0))
-            + p_hat / rho_ln
-            + 0.5 * (v_l[0] * v_r[0] + v_l[1] * v_r[1] + v_l[2] * v_r[2])
-        )
-        mass = rho_ln * (v_avg[0] * direction[0] + v_avg[1] * direction[1]
-                         + v_avg[2] * direction[2])
-
-        f = np.empty((physics.NVAR,) + mass.shape)
-        f[0] = mass
+        dot = np.multiply(v_l[0], v_r[0], out=s0)
+        dot += np.multiply(v_l[1], v_r[1], out=s1)
+        dot += np.multiply(v_l[2], v_r[2], out=s1)
+        dot *= 0.5
+        h_hat += dot
+        # mass = rho^ln (<v>.n), in place of rho^ln.
+        vn = np.multiply(v_avg[0], direction[0], out=s0)
+        vn += np.multiply(v_avg[1], direction[1], out=s1)
+        vn += np.multiply(v_avg[2], direction[2], out=s1)
+        mass = rho_ln
+        mass *= vn
+        h_hat *= mass
         for m in range(3):
-            f[1 + m] = mass * v_avg[m] + p_hat * direction[m]
-        f[4] = mass * h_hat
+            f[1 + m] *= mass
+            f[1 + m] += np.multiply(p_hat, direction[m], out=s1)
         return f
 
 

@@ -8,6 +8,7 @@ which the viscous terms carry a 1/Re prefactor and the heat conduction
 coefficient is lam = mu / ((gamma-1) Pr Ma^2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class GasModel:
     mu: float = 1.0
 
     def __post_init__(self):
+        for name in ("gamma", "mach", "prandtl", "reynolds", "mu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
         if self.mach <= 0 or self.prandtl <= 0 or self.mu < 0:

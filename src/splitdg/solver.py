@@ -42,9 +42,19 @@ all faces.  There are no data dependencies between elements within a stage,
 every kernel operation acts element by element, and the fixed numpy
 reduction order makes results reproducible run to run and independent of
 the block size.
+
+The pair arrays of every block and axis are written into one
+``PairWorkspace``, flat buffers sized for one block from the leading shapes
+of the prepared flux state.  Each ``DGSolver`` owns one and keeps it across
+residuals.  Fresh per-block temporaries, about 25 pair arrays, would
+be freed at the end of each block, trimmed by glibc and faulted back in as
+new pages by the next block, at a few microseconds per page; in the
+workspace the block loop allocates only the flux's few scratch arrays,
+which the allocator's free lists serve again.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -52,7 +62,10 @@ from splitdg import fluxes, geometry, physics, spectral
 
 # Byte budget of one pair array, (pairs, n, n) float64 per element, of an
 # element block in split_divergence: 4 elements at N=7, 32 at N=4, 85 at N=3.
-# The best or near-best of 32-128 KiB at N = 3, 4, 7 with a 2 MiB L2 cache.
+# Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3 boxes with the
+# workspace in place: 16-32 KiB are slower everywhere; 128 KiB is up to
+# 10-30 % faster at N = 4 and 7, but the workspace, about 18 pair arrays,
+# doubles with it (+1.1-1.5 MiB peak RSS at 4^3).
 PAIR_BLOCK_BYTES = 64 * 1024
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
@@ -81,8 +94,8 @@ RK_C = (
 
 def rk_step(u, t, dt, rhs):
     """One five-stage low-storage RK4 step of du/dt = rhs(u, t)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:  # NaN fails too
+        raise ValueError(f"dt must be positive, got {dt}")
     g = None
     for a, b, c in zip(RK_A, RK_B, RK_C):
         r = rhs(u, t + c * dt)
@@ -109,7 +122,33 @@ def _normal_component(normal, flux):
     return np.einsum("d...,dc...->c...", normal, flux)
 
 
-def split_divergence(u, ja, basis, volume_flux, gas):
+class PairWorkspace:
+    """Reusable flat float buffers of ``split_divergence``.
+
+    ``reserve(*sizes)`` returns one buffer per size and keeps them while
+    the sizes stay the same, so the pair arrays of every element block and
+    axis live in the same memory from call to call.  New sizes (another
+    state layout, degree or block budget) replace the buffers.  The object
+    is not thread-safe: one kernel call at a time may use it.
+    """
+
+    def __init__(self):
+        self.sizes = None
+        self.buffers = None
+
+    def reserve(self, *sizes):
+        if sizes != self.sizes:
+            self.sizes = sizes
+            self.buffers = tuple(np.empty(size) for size in sizes)
+        return self.buffers
+
+
+def _view(flat, shape, offset=0):
+    """A C-contiguous view of the given shape into ``flat``, from ``offset`` on."""
+    return flat[offset:offset + math.prod(shape)].reshape(shape)
+
+
+def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     """Two-point flux-differencing divergence (not yet divided by J).
 
     Implements, per node and per reference direction, the sums
@@ -122,19 +161,33 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     end nodes); the residual forms neither, and its advective surface term
     is lift(F* s_hat) alone.  F# is symmetric, so the directional flux is
     evaluated once per unique pair m > i of each line, N(N+1)/2 per line.
-    One (n, pairs) matrix scatters every pair flux to both of its ends
-    with weights 2 D_im and 2 D_mi.
+    The flux is linear in the direction, so it is evaluated with the sum
+    Ja_i + Ja_m and scattered with weights D_im and D_mi, not with the
+    average and 2 D: both factors are powers of two, so the result is
+    the same bit for bit.  One (n, pairs) matrix scatters every pair flux
+    to both of its ends, as a BLAS ``matmul`` in the output's own layout
+    (as in ``spectral.derivative``).
 
     The flux is prepared once for all elements, so a positivity failure
     names the global element.  The pair arrays are then built block by
-    block: each block of consecutive elements gathers its pairs from views
-    of the prepared arrays and of ``ja``, evaluates them, and adds into its
-    own slice of the output.  A block holds as many elements as fit one
-    (pairs, n, n) float array per element into ``PAIR_BLOCK_BYTES`` (at
-    least one).  The budget is in bytes because the pair arrays grow like
-    N^4: the temporaries stay cache-sized at every degree and do not grow
-    with K.  Every operation acts element by element, so the result is
-    bitwise independent of the block size.
+    block: each block of consecutive elements gathers its pairs from the
+    prepared arrays and ``ja``, evaluates them, and adds into its own slice
+    of the output.  A block holds as many elements as fit one (pairs, n, n)
+    float array per element into ``PAIR_BLOCK_BYTES`` (at least one).  The
+    budget is in bytes because the pair arrays grow like N^4: the
+    temporaries stay cache-sized at every degree and do not grow with K.
+    Every operation acts element by element, so the result is bitwise
+    independent of the block size.
+
+    The pair arrays live in ``work``, a ``PairWorkspace`` sized for one
+    block: the left and right gathers of every prepared array (their rows
+    follow its leading shape, so every flux shares this path), reused for
+    the scatter product; the left ``Ja`` gather, which becomes the pair
+    direction; and the flux rows, which first hold the right ``Ja`` gather.
+    ``DGSolver`` passes the workspace it keeps across calls, so the block
+    loop allocates no pair arrays but the flux's own few scratch arrays
+    (the module docstring says why).  Without ``work`` the call uses a
+    workspace of its own.
 
     Args:
         u: states (5, K, n, n, n).
@@ -142,6 +195,7 @@ def split_divergence(u, ja, basis, volume_flux, gas):
             free-stream/entropy properties to hold).
         volume_flux: a two-point flux object of ``fluxes.VOLUME_FLUXES``;
             only its ``prepare``/``evaluate`` contract is used.
+        work: a ``PairWorkspace`` to reuse, or None.
 
     Returns:
         (5, K, n, n, n) array.
@@ -149,27 +203,86 @@ def split_divergence(u, ja, basis, volume_flux, gas):
     d = basis.D
     n = len(d)
     left, right = np.triu_indices(n, 1)
-    scatter = np.zeros((n, len(left)))
-    pairs = np.arange(len(left))
-    scatter[left, pairs] = 2.0 * d[left, right]
-    scatter[right, pairs] = 2.0 * d[right, left]
+    npairs = len(left)
+    scatter = np.zeros((n, npairs))
+    pairs = np.arange(npairs)
+    scatter[left, pairs] = d[left, right]
+    scatter[right, pairs] = d[right, left]
+    # The zeta scatter is one matmul of all (..., pairs) rows; BLAS takes a
+    # contiguous S^T at about twice the speed of the transposed view.
+    scatter_t = np.ascontiguousarray(scatter.T)
 
     state = volume_flux.prepare(u, gas)
+    leads = [a.shape[:-4] for a in state]
+    # Every prepared array as (rows, K, n, n, n), like ja[axis].
+    state_rows = [a.reshape((-1,) + a.shape[-4:]) for a in state]
     out = np.zeros_like(u)
     num_elements = u.shape[1]
-    step = max(1, PAIR_BLOCK_BYTES // (len(left) * n * n * 8))
+    step = min(num_elements, max(1, PAIR_BLOCK_BYTES // (npairs * n * n * 8)))
+    if work is None:
+        work = PairWorkspace()
+    pair_size = step * npairs * n * n
+    buffers = work.reserve(
+        max(2 * sum(len(rows) for rows in state_rows) * pair_size, physics.NVAR * step * n**3),
+        3 * pair_size, physics.NVAR * pair_size)
+    layouts = {}
     for start in range(0, num_elements, step):
         block = slice(start, start + step)
-        # The element axis is fourth from the end of every prepared array.
-        part = tuple(a[..., block, :, :, :] for a in state)
+        count = min(step, num_elements - start)
         for axis in range(3):
             line = axis - 3
-            ja_axis = ja[axis][:, block]
-            f = volume_flux.evaluate(
-                tuple(a.take(left, axis=line) for a in part),
-                tuple(a.take(right, axis=line) for a in part),
-                0.5 * (ja_axis.take(left, axis=line) + ja_axis.take(right, axis=line)), gas)
-            out[:, block] += np.moveaxis(np.tensordot(scatter, f, axes=(1, line)), 0, line)
+            if (count, axis) not in layouts:
+                layouts[count, axis] = _block_layout(buffers, leads, count, axis, n, npairs)
+            lefts, rights, direction, ja_right, flux, prod = layouts[count, axis]
+            for rows, l_buf, r_buf in zip(state_rows, lefts, rights):
+                _take_rows(rows, block, left, line, l_buf)
+                _take_rows(rows, block, right, line, r_buf)
+            _take_rows(ja[axis], block, left, line, direction)
+            direction += _take_rows(ja[axis], block, right, line, ja_right)
+            f = volume_flux.evaluate(lefts, rights, direction, gas, out=flux)
+            if axis == 0:
+                np.matmul(scatter, f.reshape(-1, npairs, n * n), out=prod.reshape(-1, n, n * n))
+            elif axis == 1:
+                np.matmul(scatter, f, out=prod)
+            else:
+                np.matmul(f.reshape(-1, npairs), scatter_t, out=prod.reshape(-1, n))
+            out[:, block] += prod
+    return out
+
+
+def _block_layout(buffers, leads, count, axis, n, npairs):
+    """The workspace's views for a block of ``count`` elements along ``axis``.
+
+    Returns the left and right gathers of every prepared array (its leading
+    shape, then the block's pair shape), the pair direction and the right
+    ``Ja`` gather (3, pair shape), the flux rows (5, pair shape), and the
+    scatter product (5, count, n, n, n).  The right ``Ja`` gather lives in
+    the flux rows, which ``evaluate`` overwrites only after reading the
+    direction, and the product lives in the gathers, spent by then.
+    """
+    gather, ja_left, flux = buffers
+    shape = [count, n, n, n]
+    shape[axis + 1] = npairs
+    shape = tuple(shape)
+    sides, offset = [], 0
+    for lead in leads * 2:
+        sides.append(_view(gather, lead + shape, offset))
+        offset += sides[-1].size
+    return (sides[:len(leads)], sides[len(leads):], _view(ja_left, (3,) + shape),
+            _view(flux, (3,) + shape), _view(flux, (physics.NVAR,) + shape),
+            _view(gather, (physics.NVAR, count, n, n, n)))
+
+
+def _take_rows(rows, block, index, line, out):
+    """Gather ``rows[r, block]`` at ``index`` along axis ``line`` into ``out[r]``.
+
+    One row at a time: the block of one row is contiguous, and take copies
+    a non-contiguous input first.  mode="clip" writes straight into
+    ``out``, where the default "raise" goes through a temporary; the
+    indices are always in range.
+    """
+    for src, dst in zip(rows, out.reshape((-1,) + out.shape[-4:])):
+        src[block].take(index, axis=line, out=dst, mode="clip")
     return out
 
 
@@ -211,6 +324,7 @@ class DGSolver:
                 f"valid options: {list(fluxes.DISSIPATION_MODES)}")
         self.surface_dissipation = surface_dissipation
         self.source = source
+        self.residual_evals = 0  # calls of residual, for the run's cost report
 
         self.num_elements = mesh.num_elements
         self.n1 = mesh.basis.n + 1
@@ -240,6 +354,12 @@ class DGSolver:
     def _lift_normal(self):
         """BR1 lifting factor n s_hat / w0 of every face node."""
         return self.normal * self.s_hat / self.w0
+
+    # The volume kernel's pair buffers, kept across residuals (see
+    # split_divergence); sized on the first call.
+    @functools.cached_property
+    def _pair_work(self):
+        return PairWorkspace()
 
     @functools.cached_property
     def _link_normal(self):
@@ -318,9 +438,10 @@ class DGSolver:
 
     def residual(self, u, t=0.0):
         """Semi-discrete right-hand side du/dt, shape (5, K, n, n, n)."""
+        self.residual_evals += 1
         gas = self.gas
         # The volume term first: its positivity check names (element, i, j, k).
-        div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas)
+        div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas, self._pair_work)
         uf = geometry.face_stack(u)
         fstar = fluxes.surface_flux_advective(
             uf[self._own], self._exterior(uf, self._ghost(t)), self._n_own, gas,
@@ -387,8 +508,8 @@ class DGSolver:
         J/(lam_i |Ja^i|) is the per-direction grid crossing time.  Advective
         estimate only.
         """
-        if cfl <= 0.0:
-            raise ValueError("CFL must be positive")
+        if not cfl > 0.0:
+            raise ValueError(f"CFL must be positive, got {cfl}")
         rho, v, p = physics.primitive_from_conservative(u, self.gas)
         c = np.sqrt(self.gas.gamma * p / rho)
         worst = np.inf

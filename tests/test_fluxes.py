@@ -249,6 +249,32 @@ class TestDirectionalContract:
         assert np.abs(directional(name, ua, ub, n) - n @ triple).max() <= 1e-13 * np.abs(triple).max()
 
 
+# Volume pairs: (K, pairs, n, n) gathers with their own (3, ...) directions.
+# Faces: states and directions that only broadcast to the (nf, n, n) grid.
+OUT_SHAPES = {
+    "pairs": ((4, 10, 5, 5), (4, 10, 5, 5), (3, 4, 10, 5, 5)),
+    "faces": ((6, 1, 4), (6, 4, 1), (3, 1, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(OUT_SHAPES))
+@pytest.mark.parametrize("name", sorted(fl.VOLUME_FLUXES))
+def test_evaluate_into_out_is_bitwise_equal(name, layout):
+    rng = np.random.default_rng(12)
+    left_shape, right_shape, direction_shape = OUT_SHAPES[layout]
+    flux = fl.VOLUME_FLUXES[name]
+    states = [random_states(rng, int(np.prod(s))).reshape((5,) + s) for s in (left_shape, right_shape)]
+    left, right = (flux.prepare(u, GAS) for u in states)
+    direction = rng.uniform(-1.0, 1.0, direction_shape)
+    inputs = [a.copy() for a in (*left, *right, direction)]
+    expected = flux.evaluate(left, right, direction, GAS)
+    out = np.full(expected.shape, np.nan)
+    assert flux.evaluate(left, right, direction, GAS, out=out) is out
+    assert np.array_equal(out, expected)
+    # The inputs are read, never written.
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (*left, *right, direction)))
+
+
 @settings(deadline=None)
 @given(ua=states, ub=states, n=directions)
 def test_directional_tadmor_condition(ua, ub, n):

@@ -1,6 +1,7 @@
 """Time loop and command-line round trips."""
 
 import json
+import math
 import re
 
 import pytest
@@ -121,6 +122,31 @@ def test_positivity_abort_in_the_final_state_names_the_step_and_element(tmp_path
     assert re.search(r"non-positive density, min rho = \S+ at index \(\d+, \d+, \d+, \d+\)", err)
 
 
+@pytest.mark.parametrize("key, values", [
+    ("final_time", {"final_time": math.nan}),
+    ("final_time", {"final_time": math.inf}),
+    ("cfl", {"cfl": math.nan}),
+    ("dt", {"dt": math.nan, "cfl": None}),
+    ("reynolds", {"gas": {"reynolds": math.nan}}),
+    ("gamma", {"gas": {"gamma": math.nan}}),
+], ids=("final_time-nan", "final_time-inf", "cfl-nan", "dt-nan", "reynolds-nan", "gamma-nan"))
+def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
+    # json writes and reads NaN and Infinity, which "<= 0" tests let through.
+    config = {
+        "case": "density_wave",
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 2,
+        "final_time": 0.01,
+        "output_dir": str(tmp_path / "out"),
+        **values,
+    }
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     failing = [verify.Check.below("passes", 0.0, 1.0), verify.Check.below("fails", 2.0, 1.0)]
     monkeypatch.setattr(verify, "run_suite", lambda name, seed=2024: failing)
@@ -178,3 +204,35 @@ def test_monitor_rows_match_separate_residuals(tmp_path, monitor_interval):
     assert len(expected) == {1: 6, 3: 4}[monitor_interval]  # header and steps 0-4 or 0, 3, 4
     assert rows == expected
     assert summary["final_max_residual"] == float(abs(rhs).max())
+
+
+def test_run_reports_its_own_cost(tmp_path):
+    summary = runner.run_case(wave_config(tmp_path, 1))
+    assert summary["residual_evals"] == 5 * STEPS + 1
+    assert summary["loop_wall_s"] > 0.0
+    dofs = 8 * 3**3  # 2^3 elements of degree 2
+    assert summary["pid_us"] == pytest.approx(
+        summary["loop_wall_s"] * 1e6 / (dofs * summary["residual_evals"]), rel=1e-12)
+
+
+# -- convergence on the warped mesh ---------------------------------------------
+
+@pytest.mark.parametrize("case, boundary, gas", [
+    ("density_wave", "periodic", {}),
+    ("manufactured", "dirichlet", {"reynolds": 100.0}),
+])
+def test_warped_mesh_density_converges_at_order_n_plus_one(case, boundary, gas):
+    # N = 3, warped 2^3 -> 4^3, ec + llf: the density's L2 order must reach N + 1/2.
+    config = RunConfig.from_dict({
+        "case": case,
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 3,
+        "gas": gas,
+        "volume_flux": "ec",
+        "surface_dissipation": "llf",
+        "cfl": 0.2,
+        "final_time": 0.02,
+        "boundary": boundary,
+    })
+    report = runner.convergence_study(config, [2, 4])
+    assert report["orders"][0][0] >= 3.5

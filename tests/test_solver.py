@@ -12,7 +12,8 @@ rotations that permute the reference axes; their xi/eta links carry the
 reflection codes 1, 2, 5 and 6.
 
 The volume kernel runs over element blocks; its output must not depend on
-the block size, its memory must not grow with the element count, and its
+the block size, its memory must not grow with the element count, a warm
+call in the solver's workspace must allocate no pair arrays, and its
 positivity errors must name global elements.
 """
 
@@ -340,14 +341,22 @@ def test_split_divergence_is_bitwise_independent_of_block_size(monkeypatch, degr
     gas = physics.GasModel()
     dg = solver.DGSolver(BLOCK_MESHES[degree](), gas, flux, "llf")
     u = perturbed_wave(dg.x, gas)
+    n = degree + 1
+    element_pairs = n * (n - 1) // 2 * n * n  # one element's (pairs, n, n) array
     results = []
     # Default blocks, one block of all elements, one element per block.
     for budget in (solver.PAIR_BLOCK_BYTES, 1 << 40, 1):
         monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
         results.append((solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas),
+                        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work),
                         dg.residual(u, 0.0)))
-    for div, res in results[1:]:
-        assert np.array_equal(div, results[0][0]) and np.array_equal(res, results[0][1])
+        # The solver's workspace follows the budget: its flux rows hold one block.
+        block = min(dg.num_elements, max(1, budget // (8 * element_pairs)))
+        assert dg._pair_work.sizes[-1] == physics.NVAR * block * element_pairs
+    div, res = results[0][0], results[0][2]
+    for call_local, in_workspace, residual in results:
+        assert np.array_equal(call_local, div) and np.array_equal(in_workspace, div)
+        assert np.array_equal(residual, res)
 
 
 @pytest.mark.parametrize("flux", ("ec", "central"))
@@ -382,6 +391,24 @@ def test_split_divergence_memory_is_flat_in_elements(warped_n7_4):
         extra.append(peak - 2 * u.nbytes)
     assert max(extra) < 4 * 2**20
     assert max(extra) <= 1.25 * min(extra)
+
+
+@pytest.mark.parametrize("degree, cells", ((7, 4), (4, 6), (3, 6)))
+def test_warm_split_divergence_allocates_no_pair_arrays(degree, cells):
+    """A warm call in the solver's workspace: traced memory beyond the output and prepared state."""
+    gas = physics.GasModel()
+    dg = solver.DGSolver(mesh_mod.warped_box_mesh(degree, (cells,) * 3, amplitude=0.05), gas, "ec", "llf")
+    u = perturbed_wave(dg.x, gas)
+    prepared = sum(a.nbytes for a in dg.volume_flux.prepare(u, gas) if not np.shares_memory(a, u))
+    solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work)
+    tracemalloc.start()
+    try:
+        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The flux's few scratch arrays of one pair array each, not a block's pair arrays.
+    assert peak - u.nbytes - prepared <= 6 * solver.PAIR_BLOCK_BYTES
 
 
 def test_split_divergence_positivity_error_names_global_element(warped_n7_4):
