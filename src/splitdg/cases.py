@@ -122,12 +122,12 @@ def initial_condition(case, solver, gas, t=0.0):
     return case.state(solver.x, t, gas)
 
 
-def error_norms(solver, u, case, gas, t, extra_degree=8):
+def error_norms(solver, u, case, gas, t):
     """L2 and Linf errors per variable against the exact case solution.
 
     The numerical solution, the geometry, and the Jacobian are interpolated
-    to an LGL grid of degree 2N + ``extra_degree`` (exact for the geometry,
-    which is a degree-N polynomial), and the L2 norm uses that over-resolved
+    to an LGL grid of degree 2N + 8 (exact for the geometry, which is a
+    degree-N polynomial), and the L2 norm uses that over-resolved
     quadrature.  Elements are refined one at a time, one axis at a time, so
     only one element's fine-grid arrays are held at once.
 
@@ -135,8 +135,8 @@ def error_norms(solver, u, case, gas, t, extra_degree=8):
         (l2, linf): arrays of 5 per-variable error norms.
     """
     basis = solver.basis
-    fine = spectral.build_basis(2 * basis.n + extra_degree)
-    p = spectral.interpolation_matrix(basis, fine.nodes)
+    fine = spectral.build_basis(2 * basis.n + 8)
+    p = spectral.lagrange_values(basis, fine.nodes)
     w = fine.weights
 
     def refine(a):

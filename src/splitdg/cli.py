@@ -3,10 +3,9 @@
 Subcommands:
     run <config.json>               execute a configured case with monitors
     verify <suite>                  run invariant batteries (exit 0 iff pass)
-    converge <config.json> ...      mesh- or degree-refinement study
+    converge <config.json> ...      mesh-refinement study
     mesh audit <path>               per-element J range and metric residuals
     mesh write <out> ...            emit a built-in mesh as a mesh file
-    basis dump --degree N           print basis tables as CSV
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 runtime abort
 (positivity loss).
@@ -15,8 +14,6 @@ Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 runtime abort
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from splitdg import mesh as mesh_mod, physics, runner, verify
 from splitdg.config import ConfigError, RunConfig
@@ -46,7 +43,7 @@ def _cmd_verify(args):
 
 def _cmd_converge(args):
     config = RunConfig.from_file(args.config)
-    report = runner.convergence_study(config, args.levels, refine=args.refine)
+    report = runner.convergence_study(config, args.levels)
     text = runner.format_convergence_report(report)
     print(text)
     if args.report:
@@ -77,21 +74,6 @@ def _cmd_mesh_write(args):
     return EXIT_OK
 
 
-def _cmd_basis_dump(args):
-    from splitdg import spectral
-
-    b = spectral.build_basis(args.degree)
-    print("# nodes and weights")
-    print("j,node,weight,barycentric")
-    for j in range(args.degree + 1):
-        print(f"{j},{b.nodes[j]!s},{b.weights[j]!s},{b.bary[j]!s}")
-    for name, mat in (("D", b.D), ("Q", b.Q)):
-        print(f"# {name} matrix, row major")
-        for row in np.asarray(mat):
-            print(",".join(repr(float(v)) for v in row))
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="splitdg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -111,7 +93,6 @@ def build_parser():
     p_conv = sub.add_parser("converge", help="convergence study")
     p_conv.add_argument("config")
     p_conv.add_argument("--levels", type=int, nargs="+", required=True)
-    p_conv.add_argument("--refine", choices=("mesh", "degree"), default="mesh")
     p_conv.add_argument("--report", default=None)
     p_conv.set_defaults(func=_cmd_converge)
 
@@ -127,12 +108,6 @@ def build_parser():
     p_write.add_argument("--cells", type=int, nargs=3, default=(4, 4, 4))
     p_write.add_argument("--amplitude", type=float, default=0.05)
     p_write.set_defaults(func=_cmd_mesh_write)
-
-    p_basis = sub.add_parser("basis", help="basis utilities")
-    basis_sub = p_basis.add_subparsers(dest="basis_command", required=True)
-    p_dump = basis_sub.add_parser("dump", help="print basis tables as CSV")
-    p_dump.add_argument("--degree", type=int, required=True)
-    p_dump.set_defaults(func=_cmd_basis_dump)
 
     return parser
 

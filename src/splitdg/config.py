@@ -12,6 +12,11 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
+def _is_count(value):
+    """True for an int >= 1; JSON's true/false are ints in Python, so not for a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class RunConfig:
     case: str = "density_wave"
@@ -30,8 +35,14 @@ class RunConfig:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ConfigError(f"degree: must be >= 1, got {self.degree}")
+        for key in ("degree", "monitor_interval"):
+            if not _is_count(getattr(self, key)):
+                raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
+        if not isinstance(self.mesh, dict):
+            raise ConfigError(f"mesh: must be an object, got {self.mesh!r}")
+        cells = self.mesh.get("cells", [4, 4, 4])
+        if not (isinstance(cells, (list, tuple)) and len(cells) == 3 and all(map(_is_count, cells))):
+            raise ConfigError(f"mesh.cells: must be three integers >= 1, got {cells!r}")
         if self.cfl is None and self.dt is None:
             raise ConfigError("cfl/dt: one of the two time controls must be set")
         # JSON admits NaN and Infinity, which every "<= 0" test lets through.
@@ -39,8 +50,6 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key}: must be finite and positive, got {value}")
-        if self.monitor_interval < 1:
-            raise ConfigError(f"monitor_interval: must be >= 1, got {self.monitor_interval}")
         if self.volume_flux not in fluxes.VOLUME_FLUXES:
             raise ConfigError(
                 f"volume_flux: unknown value '{self.volume_flux}'; "
@@ -97,12 +106,11 @@ class RunConfig:
         except TypeError as err:
             raise ConfigError(f"case_params: {err}") from err
 
-    def build_mesh(self, cells_override=None, degree_override=None):
+    def build_mesh(self, cells_override=None):
         spec = dict(self.mesh)
-        degree = degree_override if degree_override is not None else self.degree
         periodic = self.boundary == "periodic"
         if "path" in spec:
-            return mesh_mod.read_mesh_file(spec["path"], degree=degree)
+            return mesh_mod.read_mesh_file(spec["path"], degree=self.degree)
         builtin = spec.pop("builtin", "warped_box")
         cells = spec.pop("cells", (4, 4, 4))
         cells = tuple(cells if cells_override is None else cells_override)
@@ -110,13 +118,13 @@ class RunConfig:
         if builtin == "cartesian":
             if spec:
                 raise ConfigError(f"mesh: unknown cartesian options {sorted(spec)}")
-            return mesh_mod.box_mesh(degree, cells, bounds, periodic=periodic)
+            return mesh_mod.box_mesh(self.degree, cells, bounds, periodic=periodic)
         if builtin == "warped_box":
             amplitude = spec.pop("amplitude", 0.05)
             periods = tuple(spec.pop("periods", (1, 1, 1)))
             if spec:
                 raise ConfigError(f"mesh: unknown warped_box options {sorted(spec)}")
-            return mesh_mod.warped_box_mesh(degree, cells, amplitude, periods, bounds,
+            return mesh_mod.warped_box_mesh(self.degree, cells, amplitude, periods, bounds,
                                             periodic=periodic)
         raise ConfigError(f"mesh.builtin: unknown value '{builtin}'; "
                           "valid options: ['cartesian', 'warped_box']")

@@ -29,7 +29,6 @@ from splitdg import spectral
 
 FACE_NORMAL_AXIS = (0, 0, 1, 1, 2, 2)  # reference axis each face is normal to
 FACE_SIGN = (-1, +1, -1, +1, -1, +1)
-FACE_TANGENT_AXES = ((1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1))
 
 
 class GeometryError(ValueError):
@@ -102,7 +101,7 @@ class FaceDefinition:
 
     def validate_watertight(self, tol=1.0e-12):
         gap = self.edge_mismatch()
-        if gap > tol:
+        if not gap <= tol:  # NaN fails too
             raise GeometryError(f"faces are not watertight: edge mismatch {gap:.3e} > {tol:.1e}")
 
 
@@ -251,17 +250,20 @@ def jacobian(covariant):
 
 
 def check_jacobian(j, rel_tol=1.0e-12):
-    """Raise GeometryError unless J > rel_tol * max|J| at every node of every element.
+    """Raise GeometryError unless J is finite and J > rel_tol * max|J| at every node.
 
-    ``j`` has shape (K, n, n, n); the error names the first bad element and node.
+    ``j`` has shape (K, n, n, n); the error names the first bad element and
+    node.  Non-finite values are looked for first: they pass every "<="
+    test and leave max|J| no scale to compare with.
     """
-    jmax = np.abs(j).max(axis=(-3, -2, -1), keepdims=True)
-    bad = np.argwhere(j <= rel_tol * jmax)
+    bad = np.argwhere(~np.isfinite(j))
+    if not len(bad):
+        bad = np.argwhere(j <= rel_tol * np.abs(j).max(axis=(-3, -2, -1), keepdims=True))
     if len(bad):
         where = tuple(int(i) for i in bad[0])
         raise GeometryError(
-            f"non-positive mapping Jacobian in element {where[0]} at node {where[1:]}: "
-            f"J = {j[where]:.3e}"
+            f"non-positive or non-finite mapping Jacobian in element {where[0]} at node "
+            f"{where[1:]}: J = {j[where]:.3e}"
         )
 
 
@@ -296,8 +298,8 @@ def metrics_curl_form(basis, x):
         b, c = (i + 1) % 3, (i + 2) % 3
         for d in range(3):
             e, g = (d + 1) % 3, (d + 2) % 3
-            ja[i, d] = (spectral.derivative(basis, dx[b, e] * x[g], c)
-                        - spectral.derivative(basis, dx[c, e] * x[g], b))
+            ja[i, d] = (spectral.apply_along(basis.D, dx[b, e] * x[g], c)
+                        - spectral.apply_along(basis.D, dx[c, e] * x[g], b))
     return ja
 
 
@@ -317,9 +319,10 @@ def face_geometry(ja):
     """
     vec = np.stack([ja[FACE_NORMAL_AXIS[f]][face_slice(f)] for f in range(6)], axis=1)
     s_hat = np.sqrt(np.sum(vec * vec, axis=0))
-    bad = np.argwhere(s_hat <= 0.0)
+    bad = np.argwhere(~(s_hat > 0.0))  # NaN fails too
     if len(bad):
         raise GeometryError(
-            f"degenerate face {bad[0][0]} of element {bad[0][1]}: vanishing surface element")
+            f"degenerate face {bad[0][0]} of element {bad[0][1]}: "
+            f"surface element {s_hat[tuple(bad[0])]:.3e}")
     sign = np.array(FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
     return s_hat, sign * vec / s_hat

@@ -8,10 +8,6 @@ periodic) face is stored exactly once as a ``FaceLink``; the ``left``
 element owns the face and its outward normal.  Orientation codes 0..7 (the
 symmetries of the square) map the owner's face grid (a, b) onto the
 neighbour's grid so that mapped indices are physically coincident points.
-The owner faces are the link left sides followed by the Dirichlet faces;
-``own`` and ``nbr`` index a (C..., 6, K, n, n) face array at the owner
-faces and, permuted onto the owner grid, at the neighbour side of every
-link.
 
 The mesh file format is line-based text (see ``write_mesh_file``): per
 element the 8 corner points, optional curved-face point grids, then the
@@ -19,6 +15,7 @@ face-neighbour table with orientation codes and explicitly listed periodic
 pairs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,9 +231,9 @@ def warped_box_mesh(n, cells=(4, 4, 4), amplitude=0.05, periods=(1, 1, 1),
     return box_mesh(n, cells, bounds, warp, periodic)
 
 
-def self_periodic_cube(n, warp=None, bounds=((0.0, 1.0),) * 3):
-    """Single element periodically glued to itself in all three directions."""
-    return box_mesh(n, (1, 1, 1), bounds, warp, periodic=True)
+def self_periodic_cube(n, warp=None):
+    """Single unit-cube element periodically glued to itself in all three directions."""
+    return box_mesh(n, (1, 1, 1), warp=warp, periodic=True)
 
 
 # ----------------------------------------------------------------------------
@@ -246,16 +243,12 @@ def self_periodic_cube(n, warp=None, bounds=((0.0, 1.0),) * 3):
 MESH_MAGIC = "splitdg-mesh 1"
 
 
-def write_mesh_file(path, mesh, corners_list=None, curved_faces=None):
-    """Write a mesh in the text format.
+def write_mesh_file(path, mesh):
+    """Write a MeshTopology in the text format.
 
-    Args:
-        mesh: a MeshTopology.
-        corners_list: optional per-element (8, 3) corner arrays; defaults to
-            the corners of each element's mapped geometry.
-        curved_faces: optional dict (element, face) -> (3, N+1, N+1) grid.
-            By default every face of every element is written as curved,
-            which reproduces the geometry exactly.
+    The corners are those of each element's mapped geometry, and every face
+    of every element is written as curved, which reproduces the geometry
+    exactly.
     """
     n1 = mesh.basis.n + 1
     lines = [MESH_MAGIC, f"degree {mesh.basis.n}", f"elements {mesh.num_elements}"]
@@ -264,17 +257,14 @@ def write_mesh_file(path, mesh, corners_list=None, curved_faces=None):
     fmt = lambda p: " ".join(repr(float(v)) for v in p)
     for e in range(mesh.num_elements):
         for ci, (i, j, k) in enumerate(corner_index):
-            x = mesh.x[:, e, i, j, k] if corners_list is None else corners_list[e][ci]
-            lines.append(f"corner {e} {ci} {fmt(x)}")
-    if curved_faces is None:
-        xf = geometry.face_stack(mesh.x)
-        curved_faces = {(e, f): xf[:, f, e]
-                        for e in range(mesh.num_elements) for f in range(N_FACES)}
-    for (e, f), grid in sorted(curved_faces.items()):
-        lines.append(f"curved {e} {f}")
-        for a in range(n1):
-            for b in range(n1):
-                lines.append(fmt(grid[:, a, b]))
+            lines.append(f"corner {e} {ci} {fmt(mesh.x[:, e, i, j, k])}")
+    xf = geometry.face_stack(mesh.x)
+    for e in range(mesh.num_elements):
+        for f in range(N_FACES):
+            lines.append(f"curved {e} {f}")
+            for a in range(n1):
+                for b in range(n1):
+                    lines.append(fmt(xf[:, f, e, a, b]))
     for link in mesh.links:
         kind = "periodic" if link.periodic else "link"
         lines.append(f"{kind} {link.left} {link.left_face} {link.right} {link.right_face} {link.orient}")
@@ -299,8 +289,8 @@ def read_mesh_file(path, degree=None):
     at least the degree stored in the file.
     """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        numbered = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in numbered]
     if not lines or lines[0] != MESH_MAGIC:
         raise MeshFileError(f"{path}: not a splitdg mesh file")
     pos = 1
@@ -314,9 +304,14 @@ def read_mesh_file(path, degree=None):
 
     def numbers(kind, fields, line):
         try:
-            return [kind(v) for v in fields]
+            values = [kind(v) for v in fields]
         except ValueError:
             raise MeshFileError(f"{path}: expected {kind.__name__} values, got '{line}'") from None
+        if not all(map(math.isfinite, values)):
+            # The line just read: every record is parsed right after next_line.
+            raise MeshFileError(
+                f"{path}: non-finite value on line {numbered[pos - 1][0]}: '{line}'")
+        return values
 
     def expect(keyword):
         line = next_line(f"the '{keyword}' line")
@@ -373,7 +368,7 @@ def read_mesh_file(path, degree=None):
     file_basis = spectral.build_basis(file_n)
     resample = None
     if run_n != file_n:
-        resample = spectral.interpolation_matrix(file_basis, basis.nodes)
+        resample = spectral.lagrange_values(file_basis, basis.nodes)
 
     x = np.empty((3, num_elements) + (basis.n + 1,) * 3)
     for e in range(num_elements):

@@ -192,45 +192,38 @@ def read_state_file(path):
     return degree, u, t
 
 
-def convergence_study(config, levels, refine="mesh"):
-    """Error-vs-resolution study against the registered exact solution.
+def convergence_study(config, levels):
+    """Mesh-refinement study against the registered exact solution.
 
     Args:
         config: a RunConfig.
-        levels: mesh cell counts (refine="mesh") or polynomial degrees
-            (refine="degree").
-        refine: "mesh" or "degree".
+        levels: distinct positive cell counts per direction.
 
     Returns:
         dict with rows [{resolution, l2, linf}] sorted by resolution and
-        "orders": observed L2 orders (per variable) between consecutive rows
-        (mesh refinement only; degree refinement reports errors alone).
+        "orders": observed L2 orders (per variable) between consecutive rows.
+
+    Raises:
+        ValueError: if a level repeats or is not positive.
     """
+    if len(set(levels)) != len(levels) or min(levels) < 1:
+        raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):
-        if refine == "mesh":
-            mesh = config.build_mesh(cells_override=(level,) * 3)
-            resolution = level
-        elif refine == "degree":
-            mesh = config.build_mesh(degree_override=level)
-            resolution = level
-        else:
-            raise ValueError("refine must be 'mesh' or 'degree'")
-        dg, case, gas = build_solver(config, mesh=mesh)
+        dg, case, gas = build_solver(config, mesh=config.build_mesh(cells_override=(level,) * 3))
         state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
         for state, _ in integrate(dg, state, config):
             pass
         l2, linf = cases.error_norms(dg, state.u, case, gas, state.t)
-        rows.append({"resolution": resolution, "l2": l2.tolist(), "linf": linf.tolist()})
+        rows.append({"resolution": level, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []
-    if refine == "mesh":
-        for a, b in zip(rows, rows[1:]):
-            ratio = b["resolution"] / a["resolution"]
-            orders.append([
-                float(np.log(ea / eb) / np.log(ratio)) if eb > 0 else float("inf")
-                for ea, eb in zip(a["l2"], b["l2"])
-            ])
-    return {"refine": refine, "rows": rows, "orders": orders}
+    for a, b in zip(rows, rows[1:]):
+        ratio = b["resolution"] / a["resolution"]
+        orders.append([
+            float(np.log(ea / eb) / np.log(ratio)) if eb > 0 else float("inf")
+            for ea, eb in zip(a["l2"], b["l2"])
+        ])
+    return {"rows": rows, "orders": orders}
 
 
 def format_convergence_report(report):

@@ -16,41 +16,9 @@ The residual is
 with the two-point flux-differencing divergence S.F# of the split operator
 S = 2D - B W^{-1}, the standard nodal divergence D_std for the viscous
 contravariant fluxes, and surface liftings scaled by 1/w_0 at the face nodes.
-S has a zero diagonal: it is the strong form 2D.F# + lift(-F_n s_hat) with
-the end-node terms, which cancel exactly, left out, so the advective surface
-term needs no physical flux on the face traces.  The viscous term keeps the
+S has a zero diagonal (see ``split_divergence``), so the advective surface
+term needs no physical flux on the face traces; the viscous term keeps the
 strong/penalty form.
-
-All faces go through one pipeline.  The owner faces are the left sides of
-all mesh links followed by all Dirichlet faces; a Dirichlet face is a
-one-sided link whose exterior trace is the ghost state.  Each numerical
-flux is evaluated once per owner face with the owner's normal and surface
-element, then written to the owner side and, sign-flipped and permuted onto
-the neighbour grid, to the neighbour side, so conservation telescopes
-bitwise across links.  The mesh guarantees that every (element, face) is
-an owner or a neighbour exactly once, so this is plain index assignment.
-
-The flux-differencing volume kernel loops over blocks of consecutive
-elements: its pair arrays are (pairs, n, n) per element and direction, so
-they are built one block at a time, the block sized by the byte budget
-``PAIR_BLOCK_BYTES`` of one pair array.  A byte budget, not an element
-count, because the pair arrays grow like N^4: it keeps the temporaries
-cache-sized at every degree and the kernel's memory flat in K, while blocks
-of many low-degree elements keep the Python loop overhead small.  The other
-volume terms are vectorized over all elements and the interface kernels over
-all faces.  There are no data dependencies between elements within a stage,
-every kernel operation acts element by element, and the fixed numpy
-reduction order makes results reproducible run to run and independent of
-the block size.
-
-The pair arrays of every block and axis are written into one
-``PairWorkspace``, flat buffers sized for one block from the leading shapes
-of the prepared flux state.  Each ``DGSolver`` owns one and keeps it across
-residuals.  Fresh per-block temporaries, about 25 pair arrays, would
-be freed at the end of each block, trimmed by glibc and faulted back in as
-new pages by the next block, at a few microseconds per page; in the
-workspace the block loop allocates only the flux's few scratch arrays,
-which the allocator's free lists serve again.
 """
 
 import functools
@@ -62,10 +30,13 @@ from splitdg import fluxes, geometry, physics, spectral
 
 # Byte budget of one pair array, (pairs, n, n) float64 per element, of an
 # element block in split_divergence: 4 elements at N=7, 32 at N=4, 85 at N=3.
-# Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3 boxes with the
-# workspace in place: 16-32 KiB are slower everywhere; 128 KiB is up to
-# 10-30 % faster at N = 4 and 7, but the workspace, about 18 pair arrays,
-# doubles with it (+1.1-1.5 MiB peak RSS at 4^3).
+# A byte budget, not an element count, because the pair arrays grow like
+# N^4: it keeps them cache-sized at every degree and the kernel's memory
+# flat in K, while blocks of many low-degree elements keep the Python loop
+# overhead small.  Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3
+# boxes with the workspace in place: 16-32 KiB are slower everywhere;
+# 128 KiB is up to 10-30 % faster at N = 4 and 7, but the workspace, about
+# 18 pair arrays, doubles with it (+1.1-1.5 MiB peak RSS at 4^3).
 PAIR_BLOCK_BYTES = 64 * 1024
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
@@ -128,8 +99,11 @@ class PairWorkspace:
     ``reserve(*sizes)`` returns one buffer per size and keeps them while
     the sizes stay the same, so the pair arrays of every element block and
     axis live in the same memory from call to call.  New sizes (another
-    state layout, degree or block budget) replace the buffers.  The object
-    is not thread-safe: one kernel call at a time may use it.
+    state layout, degree or block budget) replace the buffers.  Fresh
+    per-block pair arrays would be freed at the end of each block, trimmed
+    by glibc and faulted back in as new pages by the next block, at a few
+    microseconds per page.  The object is not thread-safe: one kernel call
+    at a time may use it.
     """
 
     def __init__(self):
@@ -165,29 +139,14 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     Ja_i + Ja_m and scattered with weights D_im and D_mi, not with the
     average and 2 D: both factors are powers of two, so the result is
     the same bit for bit.  One (n, pairs) matrix scatters every pair flux
-    to both of its ends, as a BLAS ``matmul`` in the output's own layout
-    (as in ``spectral.derivative``).
+    to both of its ends, through ``spectral.apply_along``.
 
     The flux is prepared once for all elements, so a positivity failure
-    names the global element.  The pair arrays are then built block by
-    block: each block of consecutive elements gathers its pairs from the
-    prepared arrays and ``ja``, evaluates them, and adds into its own slice
-    of the output.  A block holds as many elements as fit one (pairs, n, n)
-    float array per element into ``PAIR_BLOCK_BYTES`` (at least one).  The
-    budget is in bytes because the pair arrays grow like N^4: the
-    temporaries stay cache-sized at every degree and do not grow with K.
-    Every operation acts element by element, so the result is bitwise
-    independent of the block size.
-
-    The pair arrays live in ``work``, a ``PairWorkspace`` sized for one
-    block: the left and right gathers of every prepared array (their rows
-    follow its leading shape, so every flux shares this path), reused for
-    the scatter product; the left ``Ja`` gather, which becomes the pair
-    direction; and the flux rows, which first hold the right ``Ja`` gather.
-    ``DGSolver`` passes the workspace it keeps across calls, so the block
-    loop allocates no pair arrays but the flux's own few scratch arrays
-    (the module docstring says why).  Without ``work`` the call uses a
-    workspace of its own.
+    names the global element.  The pairs are then gathered, evaluated and
+    scattered one block of ``PAIR_BLOCK_BYTES`` at a time, in the buffers
+    of ``work`` (a call-local ``PairWorkspace`` when None).  Every operation
+    acts element by element, so the result is bitwise independent of the
+    block size.
 
     Args:
         u: states (5, K, n, n, n).
@@ -208,9 +167,6 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     pairs = np.arange(npairs)
     scatter[left, pairs] = d[left, right]
     scatter[right, pairs] = d[right, left]
-    # The zeta scatter is one matmul of all (..., pairs) rows; BLAS takes a
-    # contiguous S^T at about twice the speed of the transposed view.
-    scatter_t = np.ascontiguousarray(scatter.T)
 
     state = volume_flux.prepare(u, gas)
     leads = [a.shape[:-4] for a in state]
@@ -240,13 +196,7 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
             _take_rows(ja[axis], block, left, line, direction)
             direction += _take_rows(ja[axis], block, right, line, ja_right)
             f = volume_flux.evaluate(lefts, rights, direction, gas, out=flux)
-            if axis == 0:
-                np.matmul(scatter, f.reshape(-1, npairs, n * n), out=prod.reshape(-1, n, n * n))
-            elif axis == 1:
-                np.matmul(scatter, f, out=prod)
-            else:
-                np.matmul(f.reshape(-1, npairs), scatter_t, out=prod.reshape(-1, n))
-            out[:, block] += prod
+            out[:, block] += spectral.apply_along(scatter, f, axis, prod)
     return out
 
 
@@ -293,12 +243,15 @@ class DGSolver:
     the owner/neighbour face indices are the mesh's own, computed once per
     mesh.  Faces are handled by one pipeline.  The owner faces are the left
     sides of all mesh links (elements ``l_elem``) followed by all Dirichlet
-    faces (elements ``b_elem``); owner-face arrays have shape
-    (C..., nf, n, n).
-    ``_exterior`` supplies the outside trace of every owner face (the
-    neighbour's values permuted onto the owner grid, then the ghost values
-    of the Dirichlet faces), and ``_to_faces`` returns owner-face results
-    to the (C..., 6, K, n, n) face layout of the volume arrays.
+    faces (elements ``b_elem``); a Dirichlet face is a one-sided link whose
+    exterior trace is the ghost state.  Owner-face arrays have shape
+    (C..., nf, n, n).  ``_exterior`` supplies the outside trace of every
+    owner face (the neighbour's values permuted onto the owner grid, then
+    the ghost values of the Dirichlet faces).  Each numerical flux is
+    evaluated once per owner face with the owner's normal and surface
+    element, and ``_to_faces`` writes it to the owner side and,
+    sign-flipped and permuted onto the neighbour grid, to the neighbour
+    side, so conservation telescopes bitwise across links.
 
     Args:
         mesh: MeshTopology (its curl-form metrics give the discrete
@@ -355,8 +308,8 @@ class DGSolver:
         """BR1 lifting factor n s_hat / w0 of every face node."""
         return self.normal * self.s_hat / self.w0
 
-    # The volume kernel's pair buffers, kept across residuals (see
-    # split_divergence); sized on the first call.
+    # The volume kernel's pair buffers, kept across residuals; sized on the
+    # first call.
     @functools.cached_property
     def _pair_work(self):
         return PairWorkspace()
@@ -493,13 +446,6 @@ class DGSolver:
         w_vars = physics.entropy_variables(u, self.gas)
         w = self.basis.weights
         return float(np.einsum("cKijk,cKijk,Kijk,i,j,k->", w_vars, rhs, self.j, w, w, w))
-
-    def entropy_surface_scale(self, u):
-        """Total surface quadrature of |f^S . n| s_hat: the entropy-flux scale."""
-        fs = geometry.face_stack(physics.entropy_flux(u, self.gas))
-        fn = np.einsum("dfKab,dfKab->fKab", self.normal, fs)
-        w = self.basis.weights
-        return float(np.einsum("fKab,fKab,a,b->", np.abs(fn), self.s_hat, w, w))
 
     def timestep_estimate(self, u, cfl):
         """dt = CFL * min over nodes/directions of J / (lam_i |Ja^i|) / (N+1)^2.

@@ -98,8 +98,7 @@ class NodalBasis:
         weights: LGL quadrature weights (also the diagonal of the mass matrix).
         bary: barycentric interpolation weights.
         D: derivative matrix, D[j, m] = ell_m'(x_j).
-        M: diagonal mass matrix (dense, for convenience).
-        Q: M @ D; satisfies Q + Q^T = B.
+        Q: W D with W = diag(weights); satisfies Q + Q^T = B.
         B: boundary matrix diag(-1, 0, ..., 0, +1).
     """
 
@@ -117,12 +116,11 @@ class NodalBasis:
         np.fill_diagonal(d, 0.0)
         np.fill_diagonal(d, -d.sum(axis=1))
         self.D = d
-        self.M = np.diag(self.weights)
-        self.Q = self.M @ self.D
+        self.Q = self.weights[:, None] * self.D
         b = np.zeros((n + 1, n + 1))
         b[0, 0], b[n, n] = -1.0, 1.0
         self.B = b
-        for a in (self.nodes, self.weights, self.bary, self.D, self.M, self.Q, self.B):
+        for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B):
             a.setflags(write=False)
 
     def __repr__(self):
@@ -172,11 +170,6 @@ def interpolate(basis, values, x):
     return out.reshape(values.shape[:-1] + ell.shape[:-1])
 
 
-def interpolation_matrix(basis, x):
-    """Matrix P with P[m, j] = ell_j(x_m) for evaluation points x."""
-    return lagrange_values(basis, np.asarray(x, dtype=float))
-
-
 def inner_product(basis, u, v):
     """Discrete 1D inner product <u, v>_N = sum u_j v_j w_j (last axis nodal)."""
     u, v = np.asarray(u), np.asarray(v)
@@ -216,30 +209,36 @@ def aliasing_coefficients(basis, u):
     return coeffs
 
 
-def derivative(basis, field, axis, out=None):
-    """Derivative of a 3D nodal field along one reference axis.
+def apply_along(matrix, field, axis, out=None):
+    """Apply an (m, p) matrix along one tensor axis of a (..., n, n, n) field.
 
-    ``axis`` 0, 1, 2 is xi, eta, zeta; the last three axes of ``field`` are
-    (i, j, k) and any leading axes (components, elements) are carried along.
-    Each axis is one BLAS ``matmul`` on a reshape of the field: D from the
-    left on (..., n, n*n) for xi and on the (j, k) matrices for eta, D^T
-    from the right on the (..., n) rows for zeta.  The result is written to
-    ``out``, a C-contiguous float array of the field's shape, when given.
+    ``axis`` 0, 1, 2 is xi, eta, zeta; that axis of ``field`` (length p) is
+    contracted with the matrix columns and becomes the m rows of the result,
+    and any leading axes (components, elements) are carried along.  With
+    ``basis.D`` this is the derivative along the axis.  Each axis is one BLAS
+    ``matmul`` in the output's own layout: the matrix from the left on
+    (..., p, rest) for xi and on the trailing matrices for eta, its
+    transpose from the right on the (..., p) rows for zeta.  BLAS takes a
+    contiguous transpose at about twice the speed of the transposed view.
+    The result is written to ``out``, a C-contiguous float array of the
+    result's shape, when given.
     """
-    d = basis.D
-    n = len(d)
+    m, p = matrix.shape
     field = np.asarray(field, dtype=float)
+    shape = list(field.shape)
+    shape[axis - 3] = m
+    shape = tuple(shape)
     if out is None:
-        out = np.empty(field.shape)
-    elif out.shape != field.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be C-contiguous with shape {field.shape}")
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with shape {shape}")
     if axis == 0:
-        shape = field.shape[:-3] + (n, n * n)
-        np.matmul(d, field.reshape(shape), out=out.reshape(shape))
+        lead = field.shape[:-3]
+        np.matmul(matrix, field.reshape(lead + (p, -1)), out=out.reshape(lead + (m, -1)))
     elif axis == 1:
-        np.matmul(d, field, out=out)
+        np.matmul(matrix, field, out=out)
     else:
-        np.matmul(field.reshape(-1, n), d.T, out=out.reshape(-1, n))
+        np.matmul(field.reshape(-1, p), np.ascontiguousarray(matrix.T), out=out.reshape(-1, m))
     return out
 
 
@@ -251,7 +250,7 @@ def tensor_gradient(basis, field):
     """
     out = np.empty((3,) + field.shape)
     for axis in range(3):
-        derivative(basis, field, axis, out[axis])
+        apply_along(basis.D, field, axis, out[axis])
     return out
 
 
@@ -261,8 +260,8 @@ def tensor_divergence(basis, flux):
     ``flux`` has a leading axis of length 3 (the xi/eta/zeta components);
     the last three axes are (i, j, k).
     """
-    out = derivative(basis, flux[0], 0)
+    out = apply_along(basis.D, flux[0], 0)
     part = np.empty(out.shape)
-    out += derivative(basis, flux[1], 1, part)
-    out += derivative(basis, flux[2], 2, part)
+    out += apply_along(basis.D, flux[1], 1, part)
+    out += apply_along(basis.D, flux[2], 2, part)
     return out

@@ -71,6 +71,13 @@ class TestTransfiniteMap:
         with pytest.raises(ge.GeometryError, match="watertight"):
             bad.validate_watertight()
 
+    def test_watertight_validation_catches_nan(self):
+        fd = ge.faces_from_corners(UNIT_CORNERS, 3)
+        broken = [f.copy() for f in fd.faces]
+        broken[2][1, 0, 0] = np.nan
+        with pytest.raises(ge.GeometryError, match="edge mismatch nan"):
+            ge.FaceDefinition(broken).validate_watertight()
+
     def test_face_shape_validation(self):
         with pytest.raises(ValueError):
             ge.FaceDefinition([np.zeros((3, 4, 4))] * 5)
@@ -174,6 +181,17 @@ class TestMetrics:
             element_mesh(b, lambda xi: xi, flipped)
 
 
+    def test_non_finite_jacobian_named_before_the_relative_test(self):
+        j = np.ones((2, 3, 3, 3))
+        j[1, 0, 0, 0] = 0.0  # fails the relative test, but comes first in order
+        j[1, 2, 1, 0] = np.inf
+        with pytest.raises(ge.GeometryError, match=r"element 1 at node \(2, 1, 0\): J = inf"):
+            ge.check_jacobian(j)
+        j[1, 2, 1, 0] = 1.0
+        with pytest.raises(ge.GeometryError, match=r"element 1 at node \(0, 0, 0\): J = 0"):
+            ge.check_jacobian(j)
+
+
 class TestFaceGeometry:
     def test_identity_map_faces(self):
         b = sp.build_basis(3)
@@ -243,4 +261,12 @@ class TestFaceGeometry:
         ja[1, 1] = 1.0
         ja[2, 2, 0] = 1.0  # zeta faces of element 1 degenerate
         with pytest.raises(ge.GeometryError, match="degenerate face 4 of element 1"):
+            ge.face_geometry(ja)
+
+    def test_nan_face_detected(self):
+        ja = np.zeros((3, 3, 2, 3, 3, 3))
+        for i in range(3):
+            ja[i, i] = 1.0
+        ja[1, 0, 1, 1, -1, 2] = np.nan  # a node of face 3 (eta = +1) of element 1
+        with pytest.raises(ge.GeometryError, match="degenerate face 3 of element 1: surface element nan"):
             ge.face_geometry(ja)

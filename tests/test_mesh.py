@@ -1,6 +1,7 @@
 """Mesh and state file round trips, and the `mesh` CLI subcommands."""
 
 import dataclasses
+import json
 import re
 from types import SimpleNamespace
 
@@ -140,6 +141,64 @@ ordering element-major; nodes (i,j,k) row-major; components rho rhov1 rhov2 rhov
 """
 
 
+REFERENCE_MESH_FILE = """\
+splitdg-mesh 1
+degree 1
+elements 1
+corner 0 0 0.0 -0.1 -1.0
+corner 0 1 0.3 -0.1 -0.97
+corner 0 2 0.3333333333333333 0.2333333333333333 -0.97
+corner 0 3 0.03333333333333333 0.2333333333333333 -1.0
+corner 0 4 0.0 0.06999999999999999 0.7
+corner 0 5 0.3 0.06999999999999999 0.73
+corner 0 6 0.3333333333333333 0.4033333333333333 0.73
+corner 0 7 0.03333333333333333 0.4033333333333333 0.7
+curved 0 0
+0.0 -0.1 -1.0
+0.0 0.06999999999999999 0.7
+0.03333333333333333 0.2333333333333333 -1.0
+0.03333333333333333 0.4033333333333333 0.7
+curved 0 1
+0.3 -0.1 -0.97
+0.3 0.06999999999999999 0.73
+0.3333333333333333 0.2333333333333333 -0.97
+0.3333333333333333 0.4033333333333333 0.73
+curved 0 2
+0.0 -0.1 -1.0
+0.0 0.06999999999999999 0.7
+0.3 -0.1 -0.97
+0.3 0.06999999999999999 0.73
+curved 0 3
+0.03333333333333333 0.2333333333333333 -1.0
+0.03333333333333333 0.4033333333333333 0.7
+0.3333333333333333 0.2333333333333333 -0.97
+0.3333333333333333 0.4033333333333333 0.73
+curved 0 4
+0.0 -0.1 -1.0
+0.03333333333333333 0.2333333333333333 -1.0
+0.3 -0.1 -0.97
+0.3333333333333333 0.2333333333333333 -0.97
+curved 0 5
+0.0 0.06999999999999999 0.7
+0.03333333333333333 0.4033333333333333 0.7
+0.3 0.06999999999999999 0.73
+0.3333333333333333 0.4033333333333333 0.73
+periodic 0 1 0 0 0
+dirichlet 0 3 dirichlet
+dirichlet 0 2 dirichlet
+dirichlet 0 5 dirichlet
+dirichlet 0 4 dirichlet
+"""
+
+
+def test_mesh_file_bytes_match_reference(tmp_path):
+    mesh = mesh_mod.box_mesh(1, (1, 1, 1), bounds=((0.0, 0.3), (0.0, 1.0 / 3.0), (-1.0, 0.7)),
+                             warp=lambda x: x + 0.1 * x[[1, 2, 0]], periodic=(0,))
+    path = tmp_path / "ref.mesh"
+    mesh_mod.write_mesh_file(path, mesh)
+    assert path.read_bytes() == REFERENCE_MESH_FILE.encode()
+
+
 def test_state_file_bytes_match_reference(tmp_path):
     u = np.arange(80.0).reshape(5, 2, 2, 2, 2) / 7.0
     u[0, 0, 0, 0, 0] = 1e-300
@@ -162,7 +221,7 @@ def test_empty_or_header_truncated_state_file_rejected(tmp_path, keep):
 
 
 # Edits (line index, new text) of a written one-element N=1 mesh file, each
-# leaving a short, out-of-range or non-numeric record: lines 1 and 2 are the
+# leaving a short, out-of-range, non-numeric or non-finite record: lines 1 and 2 are the
 # degree and elements lines, 3 the first corner, 11 'curved 0 0' and 12 its
 # first node, the last line a periodic link.
 MALFORMED = {
@@ -180,6 +239,8 @@ MALFORMED = {
     "non-numeric curved node coordinate": (12, "0.0 y 0.0"),
     "non-numeric link index": (-1, "periodic 0 5 zero 4 0"),
     "non-numeric dirichlet index": (-1, "dirichlet 0 five dirichlet"),
+    "infinite corner coordinate": (3, "corner 0 0 inf 0.0 0.0"),
+    "nan curved node coordinate": (12, "nan 0.0 0.0"),
 }
 
 
@@ -198,6 +259,20 @@ def test_cli_mesh_audit_rejects_malformed_record(tmp_path, capsys, case):
     assert cli.main(["mesh", "audit", str(bad)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bad.mesh: " in err and f"'{text}'" in err
+
+
+def test_run_on_a_mesh_with_a_nan_node_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh_mod.warped_box_mesh(2, (2, 1, 1), amplitude=0.05))
+    lines = path.read_text().splitlines()
+    node = lines.index("curved 0 1") + 1
+    lines[node] = "nan " + lines[node].split(maxsplit=1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mesh": {"path": str(path)}, "degree": 2, "final_time": 0.001,
+                                  "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(config)]) == cli.EXIT_CONFIG
+    assert f"box.mesh: non-finite value on line {node + 1}: 'nan " in capsys.readouterr().err
 
 
 def test_state_file_with_bare_header_line_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Time loop and command-line round trips."""
 
+import argparse
+import itertools
 import json
 import math
 import re
@@ -145,6 +147,61 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("key, values", [
+    ("degree", {"degree": 2.5}),
+    ("degree", {"degree": True}),
+    ("monitor_interval", {"monitor_interval": 1.5}),
+    ("mesh.cells", {"mesh": {"cells": [2.5, 2, 2]}}),
+    ("mesh.cells", {"mesh": {"cells": [0, 2, 2]}}),
+    ("mesh.cells", {"mesh": {"cells": [2, 2]}}),
+    ("mesh", {"mesh": [2, 2, 2]}),
+], ids=("degree-2.5", "degree-true", "monitor_interval-1.5", "cells-2.5", "cells-0", "cells-two",
+        "mesh-list"))
+def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
+    config = {"degree": 2, "final_time": 0.001, "output_dir": str(tmp_path / "out"), **values}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: must be ")
+
+
+@pytest.mark.parametrize("mesh", [{"cells": [1, 1, 1], "amplitude": 1e308},
+                                  {"cells": [1, 1, 1], "bounds": [[0, 1], [0, 0], [0, 1]]}],
+                         ids=("amplitude-1e308", "zero-width-bounds"))
+def test_non_finite_geometry_exits_2(tmp_path, capsys, mesh):
+    config = {"degree": 2, "final_time": 0.001, "mesh": mesh, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    # The map overflows (or divides 0 by 0) on purpose; numpy says so.
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert "non-finite mapping Jacobian in element 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", (["2", "2"], ["0", "2"]))
+def test_converge_rejects_degenerate_levels(tmp_path, capsys, levels):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"degree": 2, "dt": 0.01, "final_time": 0.02}))
+    assert cli.main(["converge", str(path), "--levels", *levels]) == cli.EXIT_CONFIG
+    assert "levels must be distinct positive cell counts" in capsys.readouterr().err
+
+
+def parser_commands(parser, prefix=()):
+    """Every runnable subcommand of an argparse parser, as "mesh audit" style strings."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [cmd for name, sub in subs[0].choices.items() for cmd in parser_commands(sub, prefix + (name,))]
+
+
+def test_cli_docstring_lists_the_parser_subcommands():
+    block = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    # Each line is the command words, then its arguments ("<path>", "--degree N", "...").
+    listed = [" ".join(itertools.takewhile(str.isalpha, line.split())) for line in block.splitlines()]
+    assert sorted(listed) == sorted(parser_commands(cli.build_parser()))
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

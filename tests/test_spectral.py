@@ -133,7 +133,7 @@ class TestInterpolation:
     def test_interpolation_matrix_matches(self):
         b = sp.build_basis(4)
         x = np.linspace(-1, 1, 9)
-        p = sp.interpolation_matrix(b, x)
+        p = sp.lagrange_values(b, x)
         vals = np.random.default_rng(1).normal(size=5)
         assert np.allclose(p @ vals, sp.interpolate(b, vals, x), atol=1e-14)
 
@@ -278,37 +278,61 @@ class TestTensorCalculus:
         assert abs(vol - surf) < 1e-12
 
 
-EINSUM_DERIVATIVE = ("in,...njk->...ijk", "jn,...ink->...ijk", "kn,...ijn->...ijk")
+EINSUM_ALONG = ("in,...njk->...ijk", "jn,...ink->...ijk", "kn,...ijn->...ijk")
 
 
-def derivative_fields(rng, n1):
-    """A bare (n, n, n) field, one with leading axes, and a non-contiguous view."""
-    bare = rng.normal(size=(n1, n1, n1))
-    stacked = rng.normal(size=(5, 3, n1, n1, n1))
-    view = rng.normal(size=(4, 2 * n1, n1 + 1, n1, 3)).transpose(0, 4, 2, 3, 1)[:, :, 1:, :, ::2]
-    assert not view.flags.c_contiguous
+def tensor_fields(rng, trailing):
+    """A bare field, one with leading axes, and a non-contiguous view, all (..., *trailing)."""
+    a, b, c = trailing
+    bare = rng.normal(size=trailing)
+    stacked = rng.normal(size=(5, 3) + trailing)
+    view = rng.normal(size=(4, 2 * c, b + 1, a, 3)).transpose(0, 4, 3, 2, 1)[:, :, :, 1:, ::2]
+    assert view.shape[-3:] == trailing and not view.flags.c_contiguous
     return bare, stacked, view
+
+
+def check_against_einsum(matrix, field, axis):
+    ref = np.einsum(EINSUM_ALONG[axis], matrix, field)
+    out = sp.apply_along(matrix, field, axis)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(matrix).max() * np.abs(field).max()
+    given = np.empty(ref.shape)
+    assert sp.apply_along(matrix, field, axis, given) is given
+    assert np.array_equal(given, out)
 
 
 @pytest.mark.parametrize("axis", (0, 1, 2))
 @pytest.mark.parametrize("n", (1, 3, 7))
 def test_derivative_matches_einsum_reference(n, axis):
     b = sp.build_basis(n)
-    for field in derivative_fields(np.random.default_rng(n), n + 1):
-        ref = np.einsum(EINSUM_DERIVATIVE[axis], b.D, field)
-        out = sp.derivative(b, field, axis)
-        assert out.shape == field.shape
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(b.D).max() * np.abs(field).max()
-        given = np.empty(field.shape)
-        assert sp.derivative(b, field, axis, given) is given
-        assert np.array_equal(given, out)
+    for field in tensor_fields(np.random.default_rng(n), (n + 1,) * 3):
+        check_against_einsum(b.D, field, axis)
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2))
+@pytest.mark.parametrize("n1", (2, 4, 8))
+def test_apply_along_non_square_matrix_matches_einsum_reference(n1, axis):
+    """An (n, pairs) matrix, as the flux-differencing scatter uses, on a pairs-long axis."""
+    rng = np.random.default_rng(n1)
+    pairs = n1 * (n1 - 1) // 2
+    trailing = [n1] * 3
+    trailing[axis] = pairs
+    matrix = rng.normal(size=(n1, pairs))
+    for field in tensor_fields(rng, tuple(trailing)):
+        check_against_einsum(matrix, field, axis)
 
 
 def test_derivative_rejects_a_non_contiguous_out():
     b = sp.build_basis(3)
     field = np.ones((2, 4, 4, 4))
     with pytest.raises(ValueError, match="C-contiguous"):
-        sp.derivative(b, field, 0, np.empty((4, 4, 4, 2)).transpose(3, 0, 1, 2))
+        sp.apply_along(b.D, field, 0, np.empty((4, 4, 4, 2)).transpose(3, 0, 1, 2))
+
+
+def test_apply_along_rejects_an_out_of_the_wrong_shape():
+    field = np.ones((2, 4, 6, 4))
+    with pytest.raises(ValueError, match=r"shape \(2, 4, 4, 4\)"):
+        sp.apply_along(np.ones((4, 6)), field, 1, np.empty(field.shape))
 
 
 class TestSbpAndAccuracy:
@@ -326,7 +350,7 @@ class TestSbpAndAccuracy:
         rng = np.random.default_rng(n)
         b = sp.build_basis(n)
         fine = sp.build_basis(2 * n + 8)
-        pmat = sp.interpolation_matrix(b, fine.nodes)
+        pmat = sp.lagrange_values(b, fine.nodes)
         for _ in range(10):
             u = poly_eval(rng.normal(size=n + 1), b.nodes)
             continuous = np.sqrt(sp.quadrature(fine, (pmat @ u) ** 2))
