@@ -138,17 +138,19 @@ def error_norms(solver, u, case, gas, t):
     fine = spectral.build_basis(2 * basis.n + 8)
     p = spectral.lagrange_values(basis, fine.nodes)
     w = fine.weights
+    w3 = np.multiply.outer(np.multiply.outer(w, w), w)
 
     def refine(a):
-        a = p @ (a @ p.T)  # k, then j
-        return np.moveaxis(np.tensordot(p, a, axes=(1, -3)), 0, -3)  # i
+        for axis in range(3):
+            a = spectral.apply_along(p, a, axis)
+        return a
 
     l2_sq = np.zeros(physics.NVAR)
     linf = np.zeros(physics.NVAR)
     for k in range(u.shape[1]):
         x_fine = refine(solver.x[:, k])
-        jac = geometry.jacobian(spectral.tensor_gradient(fine, x_fine))
-        diff = refine(u[:, k]) - case.state(x_fine, t, gas)
-        l2_sq += np.einsum("cijk,cijk,ijk,i,j,k->c", diff, diff, jac, w, w, w)
-        linf = np.maximum(linf, np.abs(diff).reshape(physics.NVAR, -1).max(axis=1))
+        jw = geometry.jacobian(spectral.tensor_gradient(fine, x_fine)) * w3
+        diff = (refine(u[:, k]) - case.state(x_fine, t, gas)).reshape(physics.NVAR, -1)
+        l2_sq += (diff * diff) @ jw.ravel()
+        linf = np.maximum(linf, np.abs(diff).max(axis=1))
     return np.sqrt(l2_sq), linf

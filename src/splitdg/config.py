@@ -17,6 +17,19 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _is_finite_number(value):
+    """True for a finite int or float, not a bool (JSON admits NaN and Infinity)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_list_of(value, length, item_ok):
+    return isinstance(value, (list, tuple)) and len(value) == length and all(map(item_ok, value))
+
+
+def _is_interval(value):
+    return _is_list_of(value, 2, _is_finite_number) and value[0] < value[1]
+
+
 @dataclass
 class RunConfig:
     case: str = "density_wave"
@@ -40,9 +53,20 @@ class RunConfig:
                 raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
         if not isinstance(self.mesh, dict):
             raise ConfigError(f"mesh: must be an object, got {self.mesh!r}")
-        cells = self.mesh.get("cells", [4, 4, 4])
-        if not (isinstance(cells, (list, tuple)) and len(cells) == 3 and all(map(_is_count, cells))):
-            raise ConfigError(f"mesh.cells: must be three integers >= 1, got {cells!r}")
+        # The built-in mesh keys.  A zero width (0/0) or a non-finite amplitude
+        # would surface only as a NaN Jacobian, and a fractional period as
+        # periodic partner faces that do not match.
+        mesh_keys = (
+            ("cells", [4, 4, 4], lambda v: _is_list_of(v, 3, _is_count), "three integers >= 1"),
+            ("bounds", [[0.0, 1.0]] * 3, lambda v: _is_list_of(v, 3, _is_interval),
+             "three [lo, hi] pairs of finite numbers with lo < hi"),
+            ("amplitude", 0.05, _is_finite_number, "a finite number"),
+            ("periods", [1, 1, 1], lambda v: _is_list_of(v, 3, _is_count), "three integers >= 1"),
+        )
+        for key, default, ok, what in mesh_keys:
+            value = self.mesh.get(key, default)
+            if not ok(value):
+                raise ConfigError(f"mesh.{key}: must be {what}, got {value!r}")
         if self.cfl is None and self.dt is None:
             raise ConfigError("cfl/dt: one of the two time controls must be set")
         # JSON admits NaN and Infinity, which every "<= 0" test lets through.

@@ -330,6 +330,7 @@ def read_mesh_file(path, degree=None):
     num_elements = expect("elements")
     n1 = file_n + 1
     corners = np.zeros((num_elements, 8, 3))
+    given = np.zeros((num_elements, 8), dtype=bool)
     curved = {}
     links, boundary = [], []
     while pos < len(lines):
@@ -342,8 +343,9 @@ def read_mesh_file(path, degree=None):
             raise MeshFileError(
                 f"{path}: a '{key}' record has {RECORD_FIELDS[key]} fields, got '{line}'")
         if key == "corner":
-            e = index(parts[1], num_elements, "element", line)
-            corners[e, index(parts[2], 8, "corner", line)] = numbers(float, parts[3:], line)
+            e, c = index(parts[1], num_elements, "element", line), index(parts[2], 8, "corner", line)
+            corners[e, c] = numbers(float, parts[3:], line)
+            given[e, c] = True
         elif key == "curved":
             e = index(parts[1], num_elements, "element", line)
             f = index(parts[2], N_FACES, "face", line)
@@ -374,10 +376,22 @@ def read_mesh_file(path, degree=None):
     for e in range(num_elements):
         fd = geometry.faces_from_corners(corners[e], file_n)
         grids = [curved.get((e, f), fd.faces[f]) for f in range(N_FACES)]
-        if resample is not None:
-            grids = [np.einsum("am,bn,cmn->cab", resample, resample, g) for g in grids]
         face_def = geometry.FaceDefinition(grids)
         face_def.validate_watertight()
+        # The faces alone define the element (a fully curved one ignores its
+        # corners), so every corner record must be where the faces meet.
+        extent = np.ptp(np.stack(grids), axis=(0, 2, 3)).max()
+        face_corners = face_def.corners()
+        gap = np.abs(face_corners - corners[e]).max(axis=1)
+        bad = np.flatnonzero(given[e] & ~(gap <= 1e-12 * extent))
+        if bad.size:
+            c = bad[0]
+            raise MeshFileError(
+                f"{path}: corner {c} of element {e} is at {corners[e, c].tolist()}, but its "
+                f"faces meet at {face_corners[c].tolist()}")
+        if resample is not None:
+            face_def = geometry.FaceDefinition(
+                [np.einsum("am,bn,cmn->cab", resample, resample, g) for g in grids])
         x[:, e] = geometry.sample_map_on_grid(face_def, basis)
     return MeshTopology(basis, x, links, boundary)
 

@@ -53,6 +53,20 @@ def test_mesh_file_with_open_faces_rejected(tmp_path):
         mesh_mod.read_mesh_file(path)
 
 
+def test_corner_record_away_from_its_faces_rejected(tmp_path, capsys):
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh_mod.warped_box_mesh(2, (2, 1, 1), amplitude=0.05))
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    index = next(i for i, ln in enumerate(lines) if ln.startswith("corner 1 6 "))
+    *head, x = lines[index].split()
+    lines[index] = " ".join(head + [repr(float(x) + 0.1)])
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
+    assert "box.mesh: corner 6 of element 1 is at " in capsys.readouterr().err
+
+
 def test_cli_mesh_write_and_audit(tmp_path, capsys):
     path = tmp_path / "box.mesh"
     assert cli.main(["mesh", "write", str(path), "--degree", "2", "--cells", "2", "1", "1"]) == cli.EXIT_OK

@@ -4,10 +4,15 @@ import argparse
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import splitdg
 from splitdg import cases, cli, runner, solver, verify
 from splitdg.config import RunConfig
 
@@ -168,14 +173,41 @@ def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, 
     assert err.startswith(f"error: {key}: must be ")
 
 
-@pytest.mark.parametrize("mesh", [{"cells": [1, 1, 1], "amplitude": 1e308},
-                                  {"cells": [1, 1, 1], "bounds": [[0, 1], [0, 0], [0, 1]]}],
-                         ids=("amplitude-1e308", "zero-width-bounds"))
+@pytest.mark.parametrize("key, mesh", [
+    ("mesh.bounds", {"bounds": [[0, 1], [0, 0], [0, 1]]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [0.5, 0.5], [0, 1]]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [1, 0], [0, 1]]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [0, math.inf], [0, 1]]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [0, 1]]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [0, 1, 2], [0, 1]]}),
+    ("mesh.amplitude", {"amplitude": math.nan}),
+    ("mesh.amplitude", {"amplitude": -math.inf}),
+    ("mesh.amplitude", {"amplitude": "0.05"}),
+    ("mesh.periods", {"periods": [1.5, 1, 1]}),
+    ("mesh.periods", {"periods": [0, 1, 1]}),
+    ("mesh.periods", {"periods": [1, 1]}),
+], ids=("bounds-zero-width", "bounds-half-zero-width", "bounds-reversed", "bounds-inf",
+        "bounds-two", "bounds-triple", "amplitude-nan", "amplitude-inf", "amplitude-string",
+        "periods-1.5", "periods-0", "periods-two"))
+def test_builtin_mesh_key_exits_2_naming_the_key(tmp_path, capsys, key, mesh):
+    config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1], **mesh},
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be ")
+
+
+@pytest.mark.parametrize("mesh", [{"cells": [1, 1, 1], "amplitude": 1e308}],
+                         ids=("amplitude-1e308",))
 def test_non_finite_geometry_exits_2(tmp_path, capsys, mesh):
     config = {"degree": 2, "final_time": 0.001, "mesh": mesh, "output_dir": str(tmp_path / "out")}
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(config))
-    # The map overflows (or divides 0 by 0) on purpose; numpy says so.
+    # A finite amplitude passes the config check; the map overflows on
+    # purpose, numpy says so, and the Jacobian check names the element.
     with pytest.warns(RuntimeWarning):
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     assert "non-finite mapping Jacobian in element 0" in capsys.readouterr().err
@@ -187,6 +219,32 @@ def test_converge_rejects_degenerate_levels(tmp_path, capsys, levels):
     path.write_text(json.dumps({"degree": 2, "dt": 0.01, "final_time": 0.02}))
     assert cli.main(["converge", str(path), "--levels", *levels]) == cli.EXIT_CONFIG
     assert "levels must be distinct positive cell counts" in capsys.readouterr().err
+
+
+def run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports splitdg from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitdg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_importing_the_cli_does_not_load_mpmath():
+    result = run_fresh_python("import sys, splitdg.cli; print('mpmath' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_run_exits_0_where_mpmath_cannot_be_imported(tmp_path):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"degree": 1, "mesh": {"cells": [1, 1, 1]}, "final_time": 0.001,
+                                "output_dir": str(tmp_path / "out")}))
+    # A None entry in sys.modules makes every later "import mpmath" fail.
+    result = run_fresh_python("import sys; sys.modules['mpmath'] = None\n"
+                              "from splitdg import cli\n"
+                              f"sys.exit(cli.main(['run', {str(path)!r}]))")
+    assert result.returncode == cli.EXIT_OK, result.stderr
 
 
 def parser_commands(parser, prefix=()):
