@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from splitdg import mesh as mesh_mod, physics, runner, verify
+from splitdg import geometry, mesh as mesh_mod, physics, runner, verify
 from splitdg.config import ConfigError, RunConfig
 
 EXIT_OK = 0
@@ -68,7 +68,10 @@ def _cmd_mesh_write(args):
     if args.builtin == "cartesian":
         mesh = mesh_mod.box_mesh(args.degree, tuple(args.cells))
     else:
-        mesh = mesh_mod.warped_box_mesh(args.degree, tuple(args.cells), args.amplitude)
+        try:
+            mesh = mesh_mod.warped_box_mesh(args.degree, tuple(args.cells), args.amplitude)
+        except geometry.GeometryError as err:
+            raise ConfigError(f"--amplitude: {args.amplitude!r} folds the box: {err}") from err
     mesh_mod.write_mesh_file(args.out, mesh)
     print(f"wrote {mesh.num_elements} elements at degree {args.degree} to {args.out}")
     return EXIT_OK

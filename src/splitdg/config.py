@@ -5,7 +5,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from splitdg import cases, fluxes, mesh as mesh_mod, physics
+from splitdg import cases, fluxes, geometry, mesh as mesh_mod, physics
 
 
 class ConfigError(ValueError):
@@ -148,7 +148,10 @@ class RunConfig:
             periods = tuple(spec.pop("periods", (1, 1, 1)))
             if spec:
                 raise ConfigError(f"mesh: unknown warped_box options {sorted(spec)}")
-            return mesh_mod.warped_box_mesh(self.degree, cells, amplitude, periods, bounds,
-                                            periodic=periodic)
+            try:
+                return mesh_mod.warped_box_mesh(self.degree, cells, amplitude, periods, bounds,
+                                                periodic=periodic)
+            except geometry.GeometryError as err:
+                raise ConfigError(f"mesh.amplitude: {amplitude!r} folds the box: {err}") from err
         raise ConfigError(f"mesh.builtin: unknown value '{builtin}'; "
                           "valid options: ['cartesian', 'warped_box']")

@@ -126,19 +126,19 @@ def entropy_flux(u, gas):
     return s * v
 
 
-def entropy_variables(u, gas):
-    """w = ds/du, the entropy variables, shape (5, ...).
+def entropy_variables(u, gas, out=None):
+    """w = ds/du, the entropy variables, shape (5, ...), into ``out`` when given.
 
     w = [(gamma - sigma)/(gamma-1) - rho|v|^2/(2p), rho v/p, -rho/p] with
     sigma = ln p - gamma ln rho.  w[4] < 0 whenever rho, p > 0.
     """
-    return entropy_variables_from_primitive(*primitive_from_conservative(u, gas), gas)
+    return entropy_variables_from_primitive(*primitive_from_conservative(u, gas), gas, out)
 
 
-def entropy_variables_from_primitive(rho, v, p, gas):
+def entropy_variables_from_primitive(rho, v, p, gas, out=None):
     """The entropy variables of :func:`entropy_variables` from (rho, v, p)."""
     sigma = np.log(p) - gas.gamma * np.log(rho)
-    w = np.empty((NVAR,) + np.shape(rho))
+    w = np.empty((NVAR,) + np.shape(rho)) if out is None else out
     rho_over_p = rho / p
     w[0] = (gas.gamma - sigma) / (gas.gamma - 1.0) - 0.5 * rho_over_p * np.sum(v * v, axis=0)
     w[1:4] = rho_over_p * v
@@ -154,13 +154,14 @@ def entropy_potential(u, gas):
     return np.einsum("c...,dc...->d...", w, f) - fs
 
 
-def viscous_flux(u, grad_v, grad_t, gas):
+def viscous_flux(u, grad_v, grad_t, gas, out=None):
     """Cartesian viscous flux triple from primitive-variable gradients.
 
     Args:
         u: conservative state, shape (5, ...).
         grad_v: velocity gradients, grad_v[d, m] = d v_m / d x_d, shape (3, 3, ...).
         grad_t: temperature gradient, grad_t[d] = d T / d x_d, shape (3, ...).
+        out: optional (3, 5, ...) array for the result.
 
     Returns:
         f^v with shape (3, 5, ...); the mass component is zero.
@@ -168,15 +169,15 @@ def viscous_flux(u, grad_v, grad_t, gas):
     v = u[1:4] / u[0]
     mu = gas.mu
     div_v = grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]
-    tau = np.empty((3, 3) + u.shape[1:])
+    f = np.empty((3, NVAR) + u.shape[1:]) if out is None else out
+    f[:, 0] = 0.0
+    tau = f[:, 1:4]  # the viscous stress, in place
     for i in range(3):
         for j in range(3):
-            tau[i, j] = mu * (grad_v[i, j] + grad_v[j, i])
+            np.multiply(mu, grad_v[i, j] + grad_v[j, i], out=tau[i, j, ...])
         tau[i, i] -= (2.0 / 3.0) * mu * div_v
     lam = gas.heat_conduction
-    f = np.zeros((3, NVAR) + u.shape[1:])
     for d in range(3):
-        f[d, 1:4] = tau[d]
         f[d, 4] = np.einsum("m...,m...->...", v, tau[d]) + lam * grad_t[d]
     return f
 
@@ -201,10 +202,10 @@ def gradients_from_entropy_gradients(u, q, gas):
     return grad_v, grad_t
 
 
-def viscous_flux_from_entropy_gradients(u, q, gas):
-    """f^v evaluated from lifted entropy-variable gradients (3, 5, ...)."""
+def viscous_flux_from_entropy_gradients(u, q, gas, out=None):
+    """f^v evaluated from lifted entropy-variable gradients (3, 5, ...), into ``out`` when given."""
     grad_v, grad_t = gradients_from_entropy_gradients(u, q, gas)
-    return viscous_flux(u, grad_v, grad_t, gas)
+    return viscous_flux(u, grad_v, grad_t, gas, out)
 
 
 def max_wave_speed(left, right, normal, gas):

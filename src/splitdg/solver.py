@@ -19,25 +19,51 @@ contravariant fluxes, and surface liftings scaled by 1/w_0 at the face nodes.
 S has a zero diagonal (see ``split_divergence``), so the advective surface
 term needs no physical flux on the face traces; the viscous term keeps the
 strong/penalty form.
+
+A residual forms the volume term over element blocks, then the advective
+surface flux over all faces.  The viscous terms follow in three passes:
+the BR1 lifting jump over all faces; one element-block loop that forms the
+lifted gradients Q, the viscous flux F^v, its contravariant form and
+divergence, and its face traces; and the viscous penalty over all faces.
+So no (3, 5, K, n1, n1, n1) array of Q or F^v is ever whole.  The block
+arrays of both loops live in one workspace that the solver keeps.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from splitdg import fluxes, geometry, physics, spectral
 
-# Byte budget of one pair array, (pairs, n, n) float64 per element, of an
-# element block in split_divergence: 4 elements at N=7, 32 at N=4, 85 at N=3.
-# A byte budget, not an element count, because the pair arrays grow like
-# N^4: it keeps them cache-sized at every degree and the kernel's memory
-# flat in K, while blocks of many low-degree elements keep the Python loop
-# overhead small.  Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3
+# Byte budget of one float64 row of an element block: the (pairs, n, n)
+# row of a pair array in split_divergence, the (n, n, n) row of a nodal
+# field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
+# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop.  A byte
+# budget, not an element count, because the per-element rows grow like N^4
+# and N^3: it keeps the block arrays cache-sized at every degree and the
+# memory flat in K, while blocks of many low-degree elements keep the Python
+# loop overhead small.  Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3
 # boxes with the workspace in place: 16-32 KiB are slower everywhere;
 # 128 KiB is up to 10-30 % faster at N = 4 and 7, but the workspace, about
-# 18 pair arrays, doubles with it (+1.1-1.5 MiB peak RSS at 4^3).
+# 18 pair arrays, doubles with it (+1.1-1.5 MiB peak RSS at 4^3).  Re=100
+# residuals at N=3 on 6^3, N=4 on 4^3 and N=7 on 3^3 elements (medians of
+# 15 interleaved warm calls): the viscous loop's 128, 65 and 16 elements
+# are within 5 % of one block of all elements, blocks of 4 elements are
+# 1.1-1.8x slower.
 PAIR_BLOCK_BYTES = 64 * 1024
+
+
+def _block_elements(num_elements, row_size):
+    """Elements per block: a float64 row of ``row_size`` values per element within the budget."""
+    return min(num_elements, max(1, PAIR_BLOCK_BYTES // (8 * row_size)))
+
+
+def _blocks(num_elements, step):
+    """Slices of the element axis, ``step`` elements each; the last may be short."""
+    return [slice(start, start + step) for start in range(0, num_elements, step)]
+
 
 # Five-stage fourth-order low-storage Runge-Kutta (Carpenter-Kennedy).
 RK_A = (
@@ -64,14 +90,25 @@ RK_C = (
 
 
 def rk_step(u, t, dt, rhs):
-    """One five-stage low-storage RK4 step of du/dt = rhs(u, t)."""
+    """One five-stage low-storage RK4 step of du/dt = rhs(u, t).
+
+    Advances a private copy of ``u`` in place, with the operations of
+    g = a g + dt r, u = u + b g in the same order, so the result is the
+    same bit for bit while a stage allocates only the two products.  ``u``
+    itself is left unchanged.
+    """
     if not dt > 0.0:  # NaN fails too
         raise ValueError(f"dt must be positive, got {dt}")
+    u = np.array(u, dtype=float)
     g = None
     for a, b, c in zip(RK_A, RK_B, RK_C):
         r = rhs(u, t + c * dt)
-        g = dt * r if g is None else a * g + dt * r
-        u = u + b * g
+        if g is None:
+            g = dt * r
+        else:
+            g *= a
+            g += dt * r
+        u += b * g
     return u
 
 
@@ -88,33 +125,34 @@ class SolutionField:
         self.rhs = None
 
 
-def _normal_component(normal, flux):
-    """n . f for a (3, ...) normal and a (3, C, ...) flux; shape (C, ...)."""
-    return np.einsum("d...,dc...->c...", normal, flux)
+class Workspace:
+    """Reusable flat float buffers of the volume kernel and the viscous path.
 
-
-class PairWorkspace:
-    """Reusable flat float buffers of ``split_divergence``.
-
-    ``reserve(*sizes)`` returns one buffer per size and keeps them while
-    the sizes stay the same, so the pair arrays of every element block and
-    axis live in the same memory from call to call.  New sizes (another
-    state layout, degree or block budget) replace the buffers.  Fresh
-    per-block pair arrays would be freed at the end of each block, trimmed
-    by glibc and faulted back in as new pages by the next block, at a few
-    microseconds per page.  The object is not thread-safe: one kernel call
-    at a time may use it.
+    ``reserve(*sizes)`` returns one flat buffer per size, carved in order
+    from one kept allocation, which is replaced only when the sizes
+    outgrow it.  The kernel and the viscous block loop run one after the
+    other in a residual, so they share that memory, and the block arrays of
+    every element block, axis and residual live in the same pages from call
+    to call.  Fresh per-block arrays would be freed at the end of each
+    block, trimmed by glibc and faulted back in as new pages by the next
+    block, at a few microseconds per page.  ``sizes`` is the last request.
+    The object is not thread-safe: one caller at a time may use it.
     """
 
     def __init__(self):
-        self.sizes = None
-        self.buffers = None
+        self.sizes = ()
+        self.flat = np.empty(0)
 
     def reserve(self, *sizes):
-        if sizes != self.sizes:
-            self.sizes = sizes
-            self.buffers = tuple(np.empty(size) for size in sizes)
-        return self.buffers
+        self.sizes = sizes
+        if sum(sizes) > self.flat.size:
+            self.flat = np.empty(sum(sizes))
+        ends = itertools.accumulate(sizes)
+        return tuple(self.flat[end - size:end] for size, end in zip(sizes, ends))
+
+
+# Outward sign of each face's reference normal, against the face axis.
+_FACE_SIGN = np.array(geometry.FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
 
 
 def _view(flat, shape, offset=0):
@@ -144,7 +182,7 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     The flux is prepared once for all elements, so a positivity failure
     names the global element.  The pairs are then gathered, evaluated and
     scattered one block of ``PAIR_BLOCK_BYTES`` at a time, in the buffers
-    of ``work`` (a call-local ``PairWorkspace`` when None).  Every operation
+    of ``work`` (a call-local ``Workspace`` when None).  Every operation
     acts element by element, so the result is bitwise independent of the
     block size.
 
@@ -154,7 +192,7 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
             free-stream/entropy properties to hold).
         volume_flux: a two-point flux object of ``fluxes.VOLUME_FLUXES``;
             only its ``prepare``/``evaluate`` contract is used.
-        work: a ``PairWorkspace`` to reuse, or None.
+        work: a ``Workspace`` to reuse, or None.
 
     Returns:
         (5, K, n, n, n) array.
@@ -174,9 +212,9 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     state_rows = [a.reshape((-1,) + a.shape[-4:]) for a in state]
     out = np.zeros_like(u)
     num_elements = u.shape[1]
-    step = min(num_elements, max(1, PAIR_BLOCK_BYTES // (npairs * n * n * 8)))
+    step = _block_elements(num_elements, npairs * n * n)
     if work is None:
-        work = PairWorkspace()
+        work = Workspace()
     pair_size = step * npairs * n * n
     buffers = work.reserve(
         max(2 * sum(len(rows) for rows in state_rows) * pair_size, physics.NVAR * step * n**3),
@@ -253,6 +291,12 @@ class DGSolver:
     sign-flipped and permuted onto the neighbour grid, to the neighbour
     side, so conservation telescopes bitwise across links.
 
+    The solver owns one ``Workspace``, ``_work``.  In every residual the
+    volume kernel's pair arrays and then the viscous path's arrays (the
+    entropy variables, the lifting jump and n . F^v traces on all faces,
+    and two block buffers) are views of its memory, so a warm residual
+    allocates none of them afresh.
+
     Args:
         mesh: MeshTopology (its curl-form metrics give the discrete
             free-stream and entropy invariants).
@@ -287,6 +331,26 @@ class DGSolver:
         self.w0 = mesh.basis.weights[0]  # = weights[-1]; surface lifting scale
         self.l_elem, self.b_elem = mesh.l_elem, mesh.b_elem
         self._own, self._nbr = mesh.own, mesh.nbr
+        # The same faces as flat node indices, for one-index gathers: into
+        # the trailing (6, K, n, n) axes of a face array, the neighbour node
+        # of every link node and the owner-face node that every face node
+        # copies (its own on the owner side, the link's on the neighbour
+        # side, negated by ``_flip`` where the copy changes sign); into the
+        # trailing (K, n, n, n) axes of a volume array, the node of every
+        # owner-face node and of every link's neighbour node.
+        n1, num_elements = self.n1, self.num_elements
+        nodes = np.arange(6 * num_elements * n1**2).reshape(6, num_elements, n1, n1)
+        own_nodes = nodes[self._own].ravel()
+        self._nbr_nodes = nodes[self._nbr].ravel()
+        self._from_own = np.empty(nodes.size, dtype=np.intp)
+        self._from_own[own_nodes] = np.arange(own_nodes.size)
+        self._from_own[self._nbr_nodes] = np.arange(self._nbr_nodes.size)
+        self._flip = np.ones(nodes.size)
+        self._flip[self._nbr_nodes] = -1.0
+        volume_nodes = geometry.face_stack(
+            np.arange(num_elements * n1**3).reshape(num_elements, n1, n1, n1))
+        self._own_volume = volume_nodes[self._own].ravel()
+        self._nbr_volume = volume_nodes[self._nbr].ravel()
         self._n_own = self.normal[self._own]
         self._s_own = self.s_hat[self._own]
 
@@ -302,22 +366,11 @@ class DGSolver:
 
     # -- face helpers --------------------------------------------------------
 
-    # Face factors of the viscous terms, (3, 6, K, n, n), built on first use.
+    # The buffers of the volume kernel and the viscous path, kept across
+    # residuals; sized on the first call.
     @functools.cached_property
-    def _lift_normal(self):
-        """BR1 lifting factor n s_hat / w0 of every face node."""
-        return self.normal * self.s_hat / self.w0
-
-    # The volume kernel's pair buffers, kept across residuals; sized on the
-    # first call.
-    @functools.cached_property
-    def _pair_work(self):
-        return PairWorkspace()
-
-    @functools.cached_property
-    def _link_normal(self):
-        """The owner's normal on both sides of every link; a Dirichlet face's own."""
-        return self._to_faces(self._n_own, 1.0)
+    def _work(self):
+        return Workspace()
 
     def _ghost(self, t):
         """Exterior conservative states on all Dirichlet faces (5, nb, n, n)."""
@@ -326,42 +379,112 @@ class DGSolver:
             u_ext[:, sel] = state(x, t)
         return u_ext
 
-    def _exterior(self, faces, ghost):
+    def _exterior(self, values, nodes, ghost):
         """Outside traces (C..., nf, n, n) of the owner faces.
 
-        Links take the neighbour's values of the (C..., 6, K, n, n) array
-        ``faces`` permuted onto the owner grid; Dirichlet faces take
-        ``ghost`` (C..., nb, n, n).
+        Links take the neighbour's values, permuted onto the owner grid:
+        ``values`` at the flat indices ``nodes`` of its trailing axes,
+        ``_nbr_nodes`` for a (C..., 6, K, n, n) face array and
+        ``_nbr_volume`` for a (C..., K, n, n, n) volume array.  Dirichlet
+        faces take ``ghost`` (C..., nb, n, n).
         """
-        return np.concatenate([faces[self._nbr], ghost], axis=-3)
+        lead = values.shape[:-4]
+        out = np.empty(lead + self._s_own.shape)
+        flat = out.reshape(lead + (-1,))
+        values.reshape(lead + (-1,)).take(nodes, axis=-1, out=flat[..., :nodes.size], mode="clip")
+        out[..., len(self.l_elem):, :, :] = ghost
+        return out
 
-    def _to_faces(self, own, sign):
+    def _traces(self, vol, ghost):
+        """Own and outside traces (C..., nf, n, n) of the owner faces of a volume array."""
+        lead = vol.shape[:-4]
+        own = vol.reshape(lead + (-1,)).take(self._own_volume, axis=-1)
+        return own.reshape(lead + self._s_own.shape), self._exterior(vol, self._nbr_volume, ghost)
+
+    def _to_faces(self, own, sign, out=None):
         """Owner-face values (C..., nf, n, n) in the (C..., 6, K, n, n) layout.
 
         The owner side gets ``own``; the neighbour side of every link gets
-        ``sign`` times the owner value, permuted onto the neighbour grid.
-        Every (element, face) is one of the two exactly once.
+        ``sign`` (+1 or -1) times the owner value, permuted onto the
+        neighbour grid.  Every (element, face) is one of the two exactly
+        once.  The result goes to ``out`` (C-contiguous) when given.
         """
-        out = np.empty(own.shape[:-3] + (6, self.num_elements, self.n1, self.n1))
-        out[self._own] = own
-        out[self._nbr] = sign * own[..., :len(self.l_elem), :, :]
+        lead = own.shape[:-3]
+        if out is None:
+            out = np.empty(lead + (6, self.num_elements, self.n1, self.n1))
+        flat = out.reshape(lead + (-1,))
+        own.reshape(lead + (-1,)).take(self._from_own, axis=-1, out=flat, mode="clip")
+        if sign < 0:
+            flat *= self._flip
         return out
 
-    def _surface_penalty(self, flux_star, flux_normal=None):
-        """lift((F* - F_n) s_hat) as a (C, K, n, n, n) volume array.
+    def _surface_penalty(self, flux_star):
+        """lift(F* s_hat) as a (C, K, n, n, n) volume array.
 
         ``flux_star`` (C, nf, n, n) is the numerical normal flux on the owner
-        faces; ``flux_normal`` (C, 6, K, n, n) is each side's own n . f.
-        Without ``flux_normal`` this is lift(F* s_hat), the advective term
-        next to the zero-diagonal split operator.
+        faces: the advective term next to the zero-diagonal split operator.
         """
         star = self._to_faces(flux_star * self._s_own, -1.0)
-        if flux_normal is not None:
-            star -= flux_normal * self.s_hat
         star /= self.w0
         return geometry.fold_faces(star)
 
-    # -- gradient lifting (BR1 auxiliary equation, strong form) --------------
+    # -- BR1 viscous terms ----------------------------------------------------
+
+    def _br1_faces(self, u, ghost):
+        """Faces first: W and the lifting jump, over all faces, in the workspace.
+
+        The jump is FACE_SIGN (W* - W) / w0 on every face.  W* is the
+        arithmetic mean on links, so W* - W is (W_ext - W_own)/2 on the
+        owner side and minus that, permuted, on the neighbour side; on a
+        Dirichlet face W* is the ghost value of ``ghost`` (5, nb, n, n).
+
+        Returns:
+            the viscous block size in elements; W (5, K, n, n, n); the jump
+            (5, 6, K, n, n); a (4, 6, K, n, n) face array for the n . F^v
+            s_hat traces; and two flat block buffers of 3 * 5 rows each.
+        """
+        n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
+        step = _block_elements(num_elements, n**3)
+        faces = (nv, 6, num_elements, n, n)
+        w, jump, traces, *blocks = self._work.reserve(
+            u.size, math.prod(faces), math.prod(faces[1:]) * (nv - 1), 3 * nv * step * n**3,
+            3 * nv * step * n**3)
+        w = w.reshape(u.shape)
+        # Block by block, so the primitive-variable temporaries stay small.
+        for block in _blocks(num_elements, step):
+            try:
+                physics.entropy_variables(u[:, block], self.gas, w[:, block])
+            except physics.PositivityError:
+                physics.entropy_variables(u, self.gas)  # names the global element
+                raise
+        w_own, diff = self._traces(w, physics.entropy_variables(ghost, self.gas))
+        diff -= w_own
+        diff[..., :len(self.l_elem), :, :] *= 0.5
+        jump = self._to_faces(diff, -1.0, jump.reshape(faces))
+        jump *= _FACE_SIGN / self.w0
+        return step, w, jump, traces.reshape((nv - 1,) + faces[1:]), blocks
+
+    def _lifted_blocks(self, w, jump, step, buffers):
+        """Lifted gradients Q, one element block of ``step`` elements at a time.
+
+        Yields (block, q): the block's slice of the element axis and its Q,
+        (3, 5, count, n, n, n) in the second block buffer, valid until the
+        next block.  The BR1 auxiliary equation in strong collocation form is
+        J Q_d = sum_l Ja^l_d D_l W + lift((W* - W) n_d s_hat).  At the face
+        nodes n s_hat = FACE_SIGN Ja^l, l the face's normal axis, so the
+        lifting adds the jump to D_l W on the face before the metric
+        contraction.  Every operation acts element by element, so Q is
+        bitwise independent of ``step``.
+        """
+        for block in _blocks(self.num_elements, step):
+            shape = (3,) + w[:, block].shape
+            g = spectral.tensor_gradient(self.basis, w[:, block], out=_view(buffers[0], shape))
+            for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
+                g[axis][geometry.face_slice(face)] += jump[:, face, block]
+            q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g,
+                          out=_view(buffers[1], shape))
+            q /= self.j[block]
+            yield block, q
 
     def lift_gradients(self, u, t=0.0):
         """Lifted gradients Q of the entropy variables.
@@ -369,23 +492,53 @@ class DGSolver:
         Solves the BR1 auxiliary equation in strong collocation form:
         J Q_d = sum_l Ja^l_d (D_l W) + lift((W* - W) n_d s_hat), with
         W* the arithmetic mean on links and the ghost value on Dirichlet
-        faces.
+        faces.  Runs the residual's block code into a whole Q.
 
         Returns:
             Q with shape (3, 5, K, n, n, n); Q[d] approximates dW/dx_d.
         """
-        w = physics.entropy_variables(u, self.gas)
-        q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja, spectral.tensor_gradient(self.basis, w))
-        wf = geometry.face_stack(w)
-        w_ext = self._exterior(wf, physics.entropy_variables(self._ghost(t), self.gas))
-        w_star = 0.5 * (wf[self._own] + w_ext)
-        nl = len(self.l_elem)
-        w_star[..., nl:, :, :] = w_ext[..., nl:, :, :]
-        jump = self._to_faces(w_star, 1.0) - wf
-        for face in range(6):
-            q[geometry.face_slice(face)] += self._lift_normal[:, None, face] * jump[:, face]
-        q /= self.j
+        step, w, jump, _, buffers = self._br1_faces(u, self._ghost(t))
+        q = np.empty((3,) + u.shape)
+        for block, q_block in self._lifted_blocks(w, jump, step, buffers):
+            q[:, :, block] = q_block
         return q
+
+    def _add_viscous(self, u, ghost, rhs):
+        """Add (1/Re) [D_std . F~v + lift((F^{v,*}_n - F^v_n) s_hat)] to ``rhs``.
+
+        Faces first, over all faces: the lifting jump.  Then one element
+        block loop: Q, F^v from Q, the contravariant fluxes F~v = Ja . F^v,
+        their divergence into the block of ``rhs``, and the block's
+        n . F^v s_hat face traces, which are FACE_SIGN F~v^l at the face
+        nodes.  F^v has no mass component, so this half runs on the other
+        four.  Then the penalty over all faces.  With F^{v,*} the arithmetic
+        mean and the two sides' outward normals opposite, it is
+        -(F_own + F_ext) . n s_hat / (2 w0) on both sides of a link, each
+        side with its own outward normal, and zero on a Dirichlet face,
+        whose exterior F^v is the interior one.
+        """
+        gas = self.gas
+        step, w, jump, traces, buffers = self._br1_faces(u, ghost)
+        for block, q in self._lifted_blocks(w, jump, step, buffers):
+            # The reference gradient is spent: F^v goes to its buffer, and
+            # F~v to Q's once F^v is formed.
+            fv = physics.viscous_flux_from_entropy_gradients(
+                u[:, block], q, gas, out=_view(buffers[0], q.shape))[:, 1:]
+            flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv,
+                             out=_view(buffers[1], fv.shape))
+            for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
+                traces[:, face, block] = flux[axis][geometry.face_slice(face)]
+            div = spectral.tensor_divergence(self.basis, flux)
+            div /= gas.reynolds
+            rhs[1:, block] += div
+        traces *= _FACE_SIGN
+        links = len(self.l_elem)
+        penalty = self._exterior(traces, self._nbr_nodes, 0.0)
+        penalty[..., :links, :, :] += traces[self._own][..., :links, :, :]
+        penalty *= -0.5 / (self.w0 * gas.reynolds)
+        penalty = self._to_faces(penalty, 1.0, jump[1:])
+        for face in range(6):
+            rhs[1:][geometry.face_slice(face)] += penalty[:, face]
 
     # -- residual -------------------------------------------------------------
 
@@ -393,40 +546,26 @@ class DGSolver:
         """Semi-discrete right-hand side du/dt, shape (5, K, n, n, n)."""
         self.residual_evals += 1
         gas = self.gas
+        ghost = self._ghost(t)
+        rhs = self._advective(u, ghost)
+        if gas.viscous:
+            self._add_viscous(u, ghost, rhs)
+        rhs /= self.j
+        if self.source is not None:
+            rhs += self.source(self.x, t, gas)
+        return rhs
+
+    def _advective(self, u, ghost):
+        """-(S.F# + lift(F*_n s_hat)), not yet divided by J."""
+        gas = self.gas
         # The volume term first: its positivity check names (element, i, j, k).
-        div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas, self._pair_work)
-        uf = geometry.face_stack(u)
+        div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas, self._work)
         fstar = fluxes.surface_flux_advective(
-            uf[self._own], self._exterior(uf, self._ghost(t)), self._n_own, gas,
-            self.surface_dissipation)
+            *self._traces(u, ghost), self._n_own, gas, self.surface_dissipation)
         # Sums in place: every fresh volume temporary costs page faults.
         rhs = self._surface_penalty(fstar)
         rhs += div
         np.negative(rhs, out=rhs)
-
-        if gas.viscous:
-            fv = physics.viscous_flux_from_entropy_gradients(u, self.lift_gradients(u, t), gas)
-            # n . F^v on every face, one face trace of F^v at a time: with
-            # each side's own normal (fvn) and with the owner's normal of its
-            # link (fvl).  Contracting a contiguous copy of the trace takes half
-            # the time of contracting the strided view.
-            shape = (physics.NVAR, 6, self.num_elements, self.n1, self.n1)
-            fvn, fvl = np.empty(shape), np.empty(shape)
-            for face in range(6):
-                trace = np.ascontiguousarray(fv[geometry.face_slice(face)])
-                fvn[:, face] = _normal_component(self.normal[:, face], trace)
-                fvl[:, face] = _normal_component(self._link_normal[:, face], trace)
-            fv_own = fvl[self._own]
-            # Dirichlet faces take the interior trace as exterior: zero penalty.
-            fv_star = 0.5 * (fv_own + self._exterior(fvl, fv_own[..., len(self.l_elem):, :, :]))
-            visc = spectral.tensor_divergence(
-                self.basis, np.einsum("ldKijk,dcKijk->lcKijk", self.ja, fv))
-            visc += self._surface_penalty(fv_star, fvn)
-            visc /= gas.reynolds
-            rhs += visc
-        rhs /= self.j
-        if self.source is not None:
-            rhs += self.source(self.x, t, gas)
         return rhs
 
     # -- monitors and time stepping -------------------------------------------

@@ -242,13 +242,15 @@ def apply_along(matrix, field, axis, out=None):
     return out
 
 
-def tensor_gradient(basis, field):
+def tensor_gradient(basis, field, out=None):
     """Reference-space gradient of a 3D nodal field.
 
     The last three axes of ``field`` are (i, j, k).  Returns an array with a
-    new leading axis of length 3 holding (d/dxi, d/deta, d/dzeta).
+    new leading axis of length 3 holding (d/dxi, d/deta, d/dzeta), written
+    to ``out`` (C-contiguous) when given.
     """
-    out = np.empty((3,) + field.shape)
+    if out is None:
+        out = np.empty((3,) + field.shape)
     for axis in range(3):
         apply_along(basis.D, field, axis, out[axis])
     return out

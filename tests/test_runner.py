@@ -207,10 +207,35 @@ def test_non_finite_geometry_exits_2(tmp_path, capsys, mesh):
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(config))
     # A finite amplitude passes the config check; the map overflows on
-    # purpose, numpy says so, and the Jacobian check names the element.
-    with pytest.warns(RuntimeWarning):
+    # purpose, quietly, and the Jacobian check names the element and the key.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
-    assert "non-finite mapping Jacobian in element 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh.amplitude: 1e+308 folds the box: ")
+    assert "non-finite mapping Jacobian in element 0" in err
+
+
+@pytest.mark.parametrize("amplitude", (1e308, 10.0, 0.05))
+def test_warp_amplitude_that_folds_the_box_exits_2_naming_the_key(tmp_path, amplitude):
+    """``run`` and ``mesh write`` in a fresh interpreter with RuntimeWarning as an error."""
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"degree": 2, "mesh": {"cells": [1, 1, 1], "amplitude": amplitude},
+                                "final_time": 0.001, "output_dir": str(tmp_path / "out")}))
+    write = ["mesh", "write", str(tmp_path / "m.txt"), "--degree", "2", "--cells", "1", "1", "1",
+             "--amplitude", repr(amplitude)]
+    result = run_fresh_python("import sys\nfrom splitdg import cli\n"
+                              f"codes = cli.main(['run', {str(path)!r}]), cli.main({write!r})\n"
+                              "print(*codes)")
+    assert result.returncode == 0, result.stderr
+    if amplitude == 0.05:
+        assert result.stdout.split()[-2:] == ["0", "0"], result.stderr
+    else:
+        assert result.stdout.split() == ["2", "2"]
+        # One error line each: no warning, no traceback.
+        run_err, write_err = result.stderr.splitlines()
+        assert run_err.startswith(f"error: mesh.amplitude: {amplitude!r} folds the box: ")
+        assert write_err.startswith(f"error: --amplitude: {amplitude!r} folds the box: ")
 
 
 @pytest.mark.parametrize("levels", (["2", "2"], ["0", "2"]))

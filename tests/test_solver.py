@@ -14,7 +14,10 @@ reflection codes 1, 2, 5 and 6.
 The volume kernel runs over element blocks; its output must not depend on
 the block size, its memory must not grow with the element count, a warm
 call in the solver's workspace must allocate no pair arrays, and its
-positivity errors must name global elements.
+positivity errors must name global elements.  The viscous path runs over
+element blocks too: the Re=100 residual and the lifted gradients must not
+depend on the block size, and a warm viscous residual must allocate no
+whole gradient or flux array.
 """
 
 import re
@@ -348,11 +351,11 @@ def test_split_divergence_is_bitwise_independent_of_block_size(monkeypatch, degr
     for budget in (solver.PAIR_BLOCK_BYTES, 1 << 40, 1):
         monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
         results.append((solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas),
-                        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work),
+                        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work),
                         dg.residual(u, 0.0)))
         # The solver's workspace follows the budget: its flux rows hold one block.
         block = min(dg.num_elements, max(1, budget // (8 * element_pairs)))
-        assert dg._pair_work.sizes[-1] == physics.NVAR * block * element_pairs
+        assert dg._work.sizes[-1] == physics.NVAR * block * element_pairs
     div, res = results[0][0], results[0][2]
     for call_local, in_workspace, residual in results:
         assert np.array_equal(call_local, div) and np.array_equal(in_workspace, div)
@@ -400,10 +403,10 @@ def test_warm_split_divergence_allocates_no_pair_arrays(degree, cells):
     dg = solver.DGSolver(mesh_mod.warped_box_mesh(degree, (cells,) * 3, amplitude=0.05), gas, "ec", "llf")
     u = perturbed_wave(dg.x, gas)
     prepared = sum(a.nbytes for a in dg.volume_flux.prepare(u, gas) if not np.shares_memory(a, u))
-    solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work)
+    solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
     tracemalloc.start()
     try:
-        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._pair_work)
+        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,3 +421,91 @@ def test_split_divergence_positivity_error_names_global_element(warped_n7_4):
     u[0, 63, 3, 4, 2] = -0.1
     with pytest.raises(physics.PositivityError, match=r"density.* at index \(63, 3, 4, 2\)"):
         solver.split_divergence(u, mesh.ja, mesh.basis, fluxes.get_volume_flux("ec"), gas)
+
+
+# -- element blocks of the viscous path ----------------------------------------
+
+def assert_viscous_path_block_independent(monkeypatch, mesh, u, boundary_state=None):
+    """Re=100 residual and lifted gradients: equal at blocks of 1, 3 and all elements."""
+    gas = physics.GasModel(reynolds=100.0)
+    states = {"dirichlet": boundary_state} if boundary_state else None
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_states=states)
+    results = []
+    for budget in (1, 3 * 8 * dg.n1**3, 1 << 40):
+        monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
+        results.append((dg.residual(u, 0.1), dg.lift_gradients(u, 0.1)))
+    for residual, q in results[1:]:
+        assert np.array_equal(residual, results[0][0]) and np.array_equal(q, results[0][1])
+
+
+def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeypatch):
+    gas = physics.GasModel()
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
+    case = cases.DensityWave()
+    assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
+                                          lambda x, t: case.state(x, t, gas))
+
+
+def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
+    turns, mesh = chain
+    u0 = perturbed_wave(mesh.x[:, :1], physics.GasModel())
+    u = np.concatenate([u0, rotate(u0, turns)], axis=1)
+    assert_viscous_path_block_independent(monkeypatch, mesh, u)
+
+
+def test_viscous_path_is_bitwise_independent_of_block_size_reflected_chain(monkeypatch,
+                                                                           reflected_chain):
+    (axes, flips), mesh = reflected_chain
+    u0 = perturbed_wave(mesh.x[:, :1], physics.GasModel())
+    u = np.concatenate([u0, reorient(u0, axes, flips)], axis=1)
+    assert_viscous_path_block_independent(monkeypatch, mesh, u)
+
+
+def test_warm_viscous_residual_allocates_no_whole_gradient_arrays(warped_n7_4):
+    """Traced peak of a warm residual, Re=100 against inviscid, in the solver's workspace."""
+    peaks = {}
+    for reynolds in VISCOSITY:
+        gas = physics.GasModel(reynolds=reynolds)
+        dg = solver.DGSolver(warped_n7_4, gas, "ec", "llf")
+        u = perturbed_wave(dg.x, gas)
+        dg.residual(u, 0.0)
+        tracemalloc.start()
+        try:
+            dg.residual(u, 0.0)
+            peaks[reynolds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # A whole (3, 5, K, n, n, n) array of Q, F^v or Ja . F^v alone is 3 u.nbytes.
+    assert peaks[100.0] - peaks[None] < 3 * u.nbytes
+
+
+def test_rk_step_in_place_is_bitwise_the_out_of_place_formula():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 4))
+    u0 = rng.standard_normal((4, 6))
+    rhs = lambda u, t: a @ u + t
+
+    def reference(u, t, dt, rhs):
+        g = None
+        for ra, rb, rc in zip(solver.RK_A, solver.RK_B, solver.RK_C):
+            r = rhs(u, t + rc * dt)
+            g = dt * r if g is None else ra * g + dt * r
+            u = u + rb * g
+        return u
+
+    u = u0.copy()
+    assert np.array_equal(solver.rk_step(u, 0.3, 0.01, rhs), reference(u0, 0.3, 0.01, rhs))
+    assert np.array_equal(u, u0)
+    # verify's RK rows step 0-d arrays.
+    y, decay = np.array(1.0), lambda v, t: -v
+    assert solver.rk_step(y, 0.0, 0.1, decay) == reference(np.array(1.0), 0.0, 0.1, decay)
+    assert y == 1.0
+
+
+def test_lift_gradients_positivity_error_names_global_element(warped_n7_4):
+    gas = physics.GasModel(reynolds=100.0)
+    mesh = warped_n7_4
+    u = physics.conservative_from_primitive(np.ones_like(mesh.x[0]), 0.1 * mesh.x, 1.0, gas)
+    u[0, 63, 3, 4, 2] = -0.1
+    with pytest.raises(physics.PositivityError, match=r"density.* at index \(63, 3, 4, 2\)"):
+        solver.DGSolver(mesh, gas).lift_gradients(u)
