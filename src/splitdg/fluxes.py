@@ -17,9 +17,11 @@ loops of the volume kernel therefore never recompute primitives.
 returns it.  The arithmetic is the same with and without ``out``, so the
 two give bitwise equal results; ``out`` must not overlap the inputs.  The
 volume kernel passes its own pair-array buffer, so a call allocates only a
-few scratch arrays of one pair-array each; the surface flux lets
-``evaluate`` allocate.
+few scratch arrays of one pair-array each; the surface flux passes rows of
+the flat ``work`` buffer that holds all its intermediates.
 """
+
+import math
 
 import numpy as np
 
@@ -138,9 +140,11 @@ class EntropyConservativeFlux:
         return f
 
 
-def _ec_state(rho, v, p):
-    """The entropy-conservative flux's prepared state (rho, v, beta = rho / 2p)."""
-    return rho, v, 0.5 * rho / p
+def _ec_state(rho, v, p, out=None):
+    """The entropy-conservative flux's prepared state (rho, v, beta = rho / 2p), beta into ``out``."""
+    beta = np.multiply(0.5, rho, out=out)
+    beta /= p
+    return rho, v, beta
 
 
 VOLUME_FLUXES = {"central": CentralFlux(), "ec": EntropyConservativeFlux()}
@@ -158,7 +162,7 @@ def get_volume_flux(name):
 DISSIPATION_MODES = ("none", "llf")
 
 
-def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf"):
+def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work=None):
     """Interface flux F* = F#(u_L,u_R).n - (lambda_max/2) jump(w).
 
     ``normal`` is the unit outward normal of the left element, shape (3, ...).
@@ -168,18 +172,35 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf"):
     formulated in entropy-variable jumps, with lambda_max estimated per face
     node, so its entropy contribution is provably non-positive.  Each side
     is converted to (rho, v, p) once; beta, c and w all derive from that.
+
+    F* and every intermediate (both sides' primitives and beta, the
+    entropy-variable jump, the wave speeds) are rows of ``work``, a flat
+    float buffer with room for four (5, ...) arrays of the states' broadcast
+    shape; the returned F* is a view into it, and only ``evaluate``'s three
+    scratch rows are allocated.  With ``work=None`` the four arrays are
+    allocated separately.
     """
     if dissipation not in DISSIPATION_MODES:
         raise ValueError(
             f"unknown dissipation '{dissipation}'; valid options: {list(DISSIPATION_MODES)}"
         )
-    left = physics.primitive_from_conservative(u_left, gas)
-    right = physics.primitive_from_conservative(u_right, gas)
-    fstar = VOLUME_FLUXES["ec"].evaluate(_ec_state(*left), _ec_state(*right), normal, gas)
+    shape = (physics.NVAR,) + np.broadcast_shapes(u_left.shape[1:], u_right.shape[1:], normal.shape[1:])
+    size = math.prod(shape)
+    fstar, prim_l, prim_r, diss = (
+        np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
+        for i in range(4))
+    # Each side's primitives (beta, v, p) in the rows of its buffer.
+    left = physics.primitive_from_conservative(u_left, gas, out=prim_l)
+    right = physics.primitive_from_conservative(u_right, gas, out=prim_r)
     if dissipation == "llf":
-        diss = physics.entropy_variables_from_primitive(*right, gas)
-        diss -= physics.entropy_variables_from_primitive(*left, gas)
-        diss *= 0.5 * physics.max_wave_speed(left, right, normal, gas)  # (lambda_max/2) jump(w)
+        # (lambda_max/2) jump(w) first, w_L and lambda_max in F*'s rows.
+        physics.entropy_variables_from_primitive(*right, gas, out=diss)
+        diss -= physics.entropy_variables_from_primitive(*left, gas, out=fstar)
+        half_lam = physics.max_wave_speed(left, right, normal, gas, out=fstar[:3])
+        diss *= np.multiply(0.5, half_lam, out=half_lam)
+    ec = VOLUME_FLUXES["ec"]
+    ec.evaluate(_ec_state(*left, out=prim_l[0, ...]), _ec_state(*right, out=prim_r[0, ...]),
+                normal, gas, out=fstar)
+    if dissipation == "llf":
         fstar -= diss
     return fstar
-

@@ -66,21 +66,40 @@ def _check_positive(rho, p):
             raise PositivityError(f"non-positive {quantity}, min {symbol} = {a_min} at index {at}")
 
 
-def primitive_from_conservative(u, gas):
+def primitive_from_conservative(u, gas, out=None):
     """Convert conservative state(s) to (rho, v, p).
 
+    ``out``, an optional (5, ...) float buffer, receives v in out[1:4] and p
+    in out[4]; out[0] is scratch.  Without it, v, p and one scratch row are
+    separate arrays, so a caller that keeps only v holds three rows.
+
     Returns:
-        rho: density array, v: velocity array with leading axis 3, p: pressure.
+        rho: density array (a view of u[0]), v: velocity array with leading
+        axis 3, p: pressure.
 
     Raises:
         PositivityError: if rho <= 0 or p <= 0 anywhere.
     """
     rho = u[0]
-    v = u[1:4] / rho
-    kinetic = 0.5 * rho * np.sum(v * v, axis=0)
-    p = (gas.gamma - 1.0) * (u[4] - kinetic)
+    if out is None:
+        scratch, v, p = np.empty(np.shape(rho)), np.empty((3,) + np.shape(rho)), np.empty(np.shape(rho))
+    else:
+        scratch, v, p = out[0, ...], out[1:4], out[4, ...]
+    np.divide(u[1:4], rho, out=v)
+    kinetic = _dot(v, v, p, scratch)
+    kinetic *= np.multiply(0.5, rho, out=scratch)
+    p = np.subtract(u[4], kinetic, out=p)
+    p *= gas.gamma - 1.0
     _check_positive(rho, p)
     return rho, v, p
+
+
+def _dot(a, b, out, scratch):
+    """sum_d a[d] b[d] over the leading axis of length 3, into ``out``, in the order of np.sum."""
+    np.multiply(a[0], b[0], out=out)
+    for d in (1, 2):
+        out += np.multiply(a[d], b[d], out=scratch)
+    return out
 
 
 def conservative_from_primitive(rho, v, p, gas):
@@ -126,23 +145,33 @@ def entropy_flux(u, gas):
     return s * v
 
 
-def entropy_variables(u, gas, out=None):
-    """w = ds/du, the entropy variables, shape (5, ...), into ``out`` when given.
+def entropy_variables(u, gas):
+    """w = ds/du, the entropy variables, shape (5, ...).
 
     w = [(gamma - sigma)/(gamma-1) - rho|v|^2/(2p), rho v/p, -rho/p] with
     sigma = ln p - gamma ln rho.  w[4] < 0 whenever rho, p > 0.
     """
-    return entropy_variables_from_primitive(*primitive_from_conservative(u, gas), gas, out)
+    return entropy_variables_from_primitive(*primitive_from_conservative(u, gas), gas)
 
 
 def entropy_variables_from_primitive(rho, v, p, gas, out=None):
-    """The entropy variables of :func:`entropy_variables` from (rho, v, p)."""
-    sigma = np.log(p) - gas.gamma * np.log(rho)
+    """The entropy variables of :func:`entropy_variables` from (rho, v, p).
+
+    The rows of ``out`` (5, ...) hold the intermediates, so the call
+    allocates nothing when it is given.  It must not overlap the inputs.
+    """
     w = np.empty((NVAR,) + np.shape(rho)) if out is None else out
-    rho_over_p = rho / p
-    w[0] = (gas.gamma - sigma) / (gas.gamma - 1.0) - 0.5 * rho_over_p * np.sum(v * v, axis=0)
-    w[1:4] = rho_over_p * v
-    w[4] = -rho_over_p
+    # sigma = ln p - gamma ln rho, then (gamma - sigma) / (gamma - 1).
+    sigma = np.log(p, out=w[0, ...])
+    sigma -= np.multiply(np.log(rho, out=w[1, ...]), gas.gamma, out=w[1, ...])
+    w0 = np.subtract(gas.gamma, sigma, out=w[0, ...])
+    w0 /= gas.gamma - 1.0
+    rho_over_p = np.divide(rho, p, out=w[4, ...])
+    kinetic = _dot(v, v, w[2, ...], w[3, ...])
+    kinetic *= np.multiply(0.5, rho_over_p, out=w[1, ...])
+    w0 -= kinetic
+    np.multiply(rho_over_p, v, out=w[1:4])
+    np.negative(rho_over_p, out=w[4, ...])
     return w
 
 
@@ -161,61 +190,91 @@ def viscous_flux(u, grad_v, grad_t, gas, out=None):
         u: conservative state, shape (5, ...).
         grad_v: velocity gradients, grad_v[d, m] = d v_m / d x_d, shape (3, 3, ...).
         grad_t: temperature gradient, grad_t[d] = d T / d x_d, shape (3, ...).
-        out: optional (3, 5, ...) array for the result.
+        out: optional (3, 5, ...) array for the result, not overlapping the
+            gradients.  Its rows hold the intermediates, so the call then
+            allocates one scratch row at a time.
 
     Returns:
         f^v with shape (3, 5, ...); the mass component is zero.
     """
-    v = u[1:4] / u[0]
-    mu = gas.mu
-    div_v = grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]
     f = np.empty((3, NVAR) + u.shape[1:]) if out is None else out
-    f[:, 0] = 0.0
+    mu = gas.mu
+    # The mass rows hold v until the end, f[2, 4] the divergence term until
+    # the last energy row.
+    v = np.divide(u[1:4], u[0], out=f[:, 0])
+    div_v = np.add(grad_v[0, 0], grad_v[1, 1], out=f[2, 4, ...])
+    div_v += grad_v[2, 2]
+    div_v *= (2.0 / 3.0) * mu
     tau = f[:, 1:4]  # the viscous stress, in place
     for i in range(3):
         for j in range(3):
-            np.multiply(mu, grad_v[i, j] + grad_v[j, i], out=tau[i, j, ...])
-        tau[i, i] -= (2.0 / 3.0) * mu * div_v
+            np.add(grad_v[i, j], grad_v[j, i], out=tau[i, j, ...])
+            tau[i, j, ...] *= mu
+        tau[i, i, ...] -= div_v
     lam = gas.heat_conduction
     for d in range(3):
-        f[d, 4] = np.einsum("m...,m...->...", v, tau[d]) + lam * grad_t[d]
+        energy = np.einsum("m...,m...->...", v, tau[d], out=f[d, 4, ...])
+        energy += lam * grad_t[d]
+    f[:, 0] = 0.0
     return f
 
 
-def gradients_from_entropy_gradients(u, q, gas):
+def gradients_from_entropy_gradients(u, q, gas, out=None):
     """Primitive gradients (grad v, grad T) from entropy-variable gradients.
 
     ``q`` holds d w / d x_d with shape (3, 5, ...).  The map is linear in q
     at a fixed state: with p/rho = -1/w5,
         d v_m / d x_d = (q[d, 1+m] + v_m q[d, 4]) * (p / rho)
         d T  / d x_d = gamma Ma^2 (p / rho)^2 q[d, 4].
+    The gradients are the rows out[:, 1:4] and out[:, 4] of ``out``, a
+    (3, 5, ...) array that may be ``q`` itself; its mass rows out[:, 0] are
+    scratch.  Beyond ``out`` the call allocates two scratch rows.
     """
+    g = np.empty(np.shape(q)) if out is None else out
     rho = u[0]
-    v = u[1:4] / rho
-    kinetic = 0.5 * rho * np.sum(v * v, axis=0)
-    p = (gas.gamma - 1.0) * (u[4] - kinetic)
-    p_over_rho = p / rho
-    grad_v = v[None, :] * q[:, 4:5]
-    grad_v += q[:, 1:4]
+    v = np.divide(u[1:4], rho, out=g[:, 0])
+    p_over_rho, scratch = np.empty(np.shape(rho)), np.empty(np.shape(rho))
+    kinetic = _dot(v, v, p_over_rho, scratch)
+    kinetic *= np.multiply(0.5, rho, out=scratch)
+    p = np.subtract(u[4], kinetic, out=p_over_rho)
+    p *= gas.gamma - 1.0
+    p_over_rho = np.divide(p, rho, out=p_over_rho)
+    # Each row of q is read before its own gradient row is written.
+    for d in range(3):
+        for m in range(3):
+            np.add(np.multiply(v[m], q[d, 4], out=scratch), q[d, 1 + m], out=g[d, 1 + m, ...])
+    grad_v = g[:, 1:4]
     grad_v *= p_over_rho
-    grad_t = gas.gamma * gas.mach**2 * p_over_rho**2 * q[:, 4]
+    coef = np.square(p_over_rho, out=scratch)
+    coef *= gas.gamma * gas.mach**2
+    grad_t = np.multiply(coef, q[:, 4], out=g[:, 4])
     return grad_v, grad_t
 
 
 def viscous_flux_from_entropy_gradients(u, q, gas, out=None):
-    """f^v evaluated from lifted entropy-variable gradients (3, 5, ...), into ``out`` when given."""
-    grad_v, grad_t = gradients_from_entropy_gradients(u, q, gas)
+    """f^v evaluated from lifted entropy-variable gradients q (3, 5, ...), into ``out`` when given.
+
+    With ``out``, the primitive gradients are formed in q's own memory, so
+    ``q`` is overwritten and the call allocates only a few scratch rows.
+    """
+    grad_v, grad_t = gradients_from_entropy_gradients(u, q, gas, None if out is None else q)
     return viscous_flux(u, grad_v, grad_t, gas, out)
 
 
-def max_wave_speed(left, right, normal, gas):
+def max_wave_speed(left, right, normal, gas, out=None):
     """Largest |v.n| + c over two primitive states (symmetric in its arguments).
 
     ``left`` and ``right`` are (rho, v, p) triples as returned by
-    :func:`primitive_from_conservative`.
+    :func:`primitive_from_conservative`.  ``out``, an optional (3, ...)
+    float buffer, receives the result in out[0]; out[1:] is scratch.
     """
-    speeds = []
-    for rho, v, p in (left, right):
-        c = np.sqrt(gas.gamma * p / rho)
-        speeds.append(np.abs(np.einsum("d...,d...->...", normal, v)) + c)
-    return np.maximum(*speeds)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(left[0]), np.shape(right[0]), np.shape(normal)[1:])
+        out = np.empty((3,) + shape)
+    c = out[0, ...]
+    speeds = out[1, ...], out[2, ...]
+    for speed, (rho, v, p) in zip(speeds, (left, right)):
+        np.sqrt(np.divide(np.multiply(gas.gamma, p, out=c), rho, out=c), out=c)
+        np.abs(np.einsum("d...,d...->...", normal, v, out=speed), out=speed)
+        speed += c
+    return np.maximum(*speeds, out=out[0, ...])

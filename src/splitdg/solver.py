@@ -20,13 +20,19 @@ S has a zero diagonal (see ``split_divergence``), so the advective surface
 term needs no physical flux on the face traces; the viscous term keeps the
 strong/penalty form.
 
-A residual forms the volume term over element blocks, then the advective
-surface flux over all faces.  The viscous terms follow in three passes:
-the BR1 lifting jump over all faces; one element-block loop that forms the
-lifted gradients Q, the viscous flux F^v, its contravariant form and
-divergence, and its face traces; and the viscous penalty over all faces.
-So no (3, 5, K, n1, n1, n1) array of Q or F^v is ever whole.  The block
-arrays of both loops live in one workspace that the solver keeps.
+A residual runs in phases, one after the other in one workspace that the
+solver keeps.  The volume term runs over element blocks.  The advective
+face phase runs over chunks of owner faces: each chunk's own and outside
+traces, the surface flux F* with all its intermediates, then F* s_hat on
+the owner faces; after the last chunk F* s_hat goes to both sides of every
+link and is lifted into the volume.  The viscous terms follow in three
+passes: the BR1 lifting jump over all faces; one element-block loop that
+forms the lifted gradients Q, the viscous flux F^v, its contravariant form
+and divergence, and its face traces; and the viscous penalty over all
+faces.  So no (3, 5, K, n1, n1, n1) array of Q or F^v and no whole-face
+array is ever allocated afresh: a warm residual allocates its result, the
+volume flux's prepared state, the ghost states and a few scratch rows per
+block.
 """
 
 import functools
@@ -40,7 +46,9 @@ from splitdg import fluxes, geometry, physics, spectral
 # Byte budget of one float64 row of an element block: the (pairs, n, n)
 # row of a pair array in split_divergence, the (n, n, n) row of a nodal
 # field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
-# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop.  A byte
+# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop.  The face
+# chunks of the advective face phase follow the same rule with the (n, n)
+# row of one face: 8,192 face nodes, 128 faces at N=7 and 512 at N=3.  A byte
 # budget, not an element count, because the per-element rows grow like N^4
 # and N^3: it keeps the block arrays cache-sized at every degree and the
 # memory flat in K, while blocks of many low-degree elements keep the Python
@@ -126,17 +134,19 @@ class SolutionField:
 
 
 class Workspace:
-    """Reusable flat float buffers of the volume kernel and the viscous path.
+    """Reusable flat float buffers of the residual's phases.
 
     ``reserve(*sizes)`` returns one flat buffer per size, carved in order
     from one kept allocation, which is replaced only when the sizes
-    outgrow it.  The kernel and the viscous block loop run one after the
-    other in a residual, so they share that memory, and the block arrays of
-    every element block, axis and residual live in the same pages from call
-    to call.  Fresh per-block arrays would be freed at the end of each
-    block, trimmed by glibc and faulted back in as new pages by the next
-    block, at a few microseconds per page.  ``sizes`` is the last request.
-    The object is not thread-safe: one caller at a time may use it.
+    outgrow it.  The volume kernel, the advective face phase and the
+    viscous path run one after the other in a residual and each reserves
+    its own layout, so they share that memory, the largest phase sets its
+    size, and the arrays of every block, chunk and residual live in the
+    same pages from call to call.  Fresh per-block arrays would be freed
+    at the end of each block, trimmed by glibc and faulted back in as new
+    pages by the next block, at a few microseconds per page.  ``sizes`` is
+    the last request.  The object is not thread-safe: one caller at a time
+    may use it.
     """
 
     def __init__(self):
@@ -283,19 +293,21 @@ class DGSolver:
     sides of all mesh links (elements ``l_elem``) followed by all Dirichlet
     faces (elements ``b_elem``); a Dirichlet face is a one-sided link whose
     exterior trace is the ghost state.  Owner-face arrays have shape
-    (C..., nf, n, n).  ``_exterior`` supplies the outside trace of every
-    owner face (the neighbour's values permuted onto the owner grid, then
-    the ghost values of the Dirichlet faces).  Each numerical flux is
-    evaluated once per owner face with the owner's normal and surface
-    element, and ``_to_faces`` writes it to the owner side and,
+    (C..., nf, n, n).  ``_traces`` gathers the own and the outside trace
+    of any slice of the owner faces (the neighbour's values permuted onto
+    the owner grid, then the ghost values of the Dirichlet faces).  Each
+    numerical flux is evaluated once per owner face with the owner's normal
+    and surface element, and ``_to_faces`` writes it to the owner side and,
     sign-flipped and permuted onto the neighbour grid, to the neighbour
     side, so conservation telescopes bitwise across links.
 
     The solver owns one ``Workspace``, ``_work``.  In every residual the
-    volume kernel's pair arrays and then the viscous path's arrays (the
+    volume kernel's pair arrays, then the advective face phase's arrays
+    (each chunk's traces and surface-flux rows, F* s_hat on both sides of
+    every face and its lift) and then the viscous path's arrays (the
     entropy variables, the lifting jump and n . F^v traces on all faces,
-    and two block buffers) are views of its memory, so a warm residual
-    allocates none of them afresh.
+    two block buffers and the penalty's face arrays) are views of its
+    memory, so a warm residual allocates none of them afresh.
 
     Args:
         mesh: MeshTopology (its curl-form metrics give the discrete
@@ -331,22 +343,18 @@ class DGSolver:
         self.w0 = mesh.basis.weights[0]  # = weights[-1]; surface lifting scale
         self.l_elem, self.b_elem = mesh.l_elem, mesh.b_elem
         self._own, self._nbr = mesh.own, mesh.nbr
-        # The same faces as flat node indices, for one-index gathers: into
-        # the trailing (6, K, n, n) axes of a face array, the neighbour node
-        # of every link node and the owner-face node that every face node
-        # copies (its own on the owner side, the link's on the neighbour
-        # side, negated by ``_flip`` where the copy changes sign); into the
-        # trailing (K, n, n, n) axes of a volume array, the node of every
-        # owner-face node and of every link's neighbour node.
+        # The same faces as flat node indices, for one-index gathers.  Into
+        # the trailing (K, n, n, n) axes of a volume array: the node of every
+        # owner-face node and of every link's neighbour node.  Into a
+        # two-sided face array (see ``_to_faces``): the entry that every
+        # (6, K, n, n) face node copies, its own on the owner side, the
+        # link's neighbour-side entry on the neighbour side.
         n1, num_elements = self.n1, self.num_elements
         nodes = np.arange(6 * num_elements * n1**2).reshape(6, num_elements, n1, n1)
-        own_nodes = nodes[self._own].ravel()
-        self._nbr_nodes = nodes[self._nbr].ravel()
+        own_nodes, nbr_nodes = nodes[self._own].ravel(), nodes[self._nbr].ravel()
         self._from_own = np.empty(nodes.size, dtype=np.intp)
         self._from_own[own_nodes] = np.arange(own_nodes.size)
-        self._from_own[self._nbr_nodes] = np.arange(self._nbr_nodes.size)
-        self._flip = np.ones(nodes.size)
-        self._flip[self._nbr_nodes] = -1.0
+        self._from_own[nbr_nodes] = own_nodes.size + np.arange(nbr_nodes.size)
         volume_nodes = geometry.face_stack(
             np.arange(num_elements * n1**3).reshape(num_elements, n1, n1, n1))
         self._own_volume = volume_nodes[self._own].ravel()
@@ -372,6 +380,15 @@ class DGSolver:
     def _work(self):
         return Workspace()
 
+    # The (6, K, n, n) face node of every two-sided entry, the inverse of
+    # ``_from_own``: only the viscous penalty gathers by it, so only a viscous
+    # solver builds it, on its first residual.
+    @functools.cached_property
+    def _face_nodes(self):
+        nodes = np.empty_like(self._from_own)
+        nodes[self._from_own] = np.arange(nodes.size)
+        return nodes
+
     def _ghost(self, t):
         """Exterior conservative states on all Dirichlet faces (5, nb, n, n)."""
         u_ext = np.empty((5, len(self.b_elem), self.n1, self.n1))
@@ -379,54 +396,43 @@ class DGSolver:
             u_ext[:, sel] = state(x, t)
         return u_ext
 
-    def _exterior(self, values, nodes, ghost):
-        """Outside traces (C..., nf, n, n) of the owner faces.
+    def _traces(self, vol, ghost, faces, own, ext):
+        """Own and outside traces of the owner faces ``faces`` (a slice).
 
-        Links take the neighbour's values, permuted onto the owner grid:
-        ``values`` at the flat indices ``nodes`` of its trailing axes,
-        ``_nbr_nodes`` for a (C..., 6, K, n, n) face array and
-        ``_nbr_volume`` for a (C..., K, n, n, n) volume array.  Dirichlet
-        faces take ``ghost`` (C..., nb, n, n).
+        ``vol`` is a (C, K, n, n, n) volume array; the traces go to ``own``
+        and ``ext``, C-contiguous (C, count, n, n).  Links take the
+        neighbour's values, permuted onto the owner grid; Dirichlet faces
+        take ``ghost`` (C, nb, n, n).  One component row at a time, so every
+        ``take`` writes a contiguous row.
         """
-        lead = values.shape[:-4]
-        out = np.empty(lead + self._s_own.shape)
-        flat = out.reshape(lead + (-1,))
-        values.reshape(lead + (-1,)).take(nodes, axis=-1, out=flat[..., :nodes.size], mode="clip")
-        out[..., len(self.l_elem):, :, :] = ghost
-        return out
+        start, stop, _ = faces.indices(len(self._s_own))
+        links, n2 = len(self.l_elem), self.n1**2
+        inside = max(0, min(stop, links) - start)  # link faces of the slice
+        for row, own_row, ext_row in zip(vol.reshape(len(vol), -1), own.reshape(len(own), -1),
+                                         ext.reshape(len(ext), -1)):
+            row.take(self._own_volume[start * n2:stop * n2], out=own_row, mode="clip")
+            row.take(self._nbr_volume[start * n2:(start + inside) * n2],
+                     out=ext_row[:inside * n2], mode="clip")
+        ext[:, inside:] = ghost[:, max(start, links) - links:max(stop, links) - links]
 
-    def _traces(self, vol, ghost):
-        """Own and outside traces (C..., nf, n, n) of the owner faces of a volume array."""
-        lead = vol.shape[:-4]
-        own = vol.reshape(lead + (-1,)).take(self._own_volume, axis=-1)
-        return own.reshape(lead + self._s_own.shape), self._exterior(vol, self._nbr_volume, ghost)
+    def _to_faces(self, two, sign, out):
+        """Face values (C, 6, K, n, n) from a two-sided owner array, into ``out``.
 
-    def _to_faces(self, own, sign, out=None):
-        """Owner-face values (C..., nf, n, n) in the (C..., 6, K, n, n) layout.
-
-        The owner side gets ``own``; the neighbour side of every link gets
-        ``sign`` (+1 or -1) times the owner value, permuted onto the
-        neighbour grid.  Every (element, face) is one of the two exactly
-        once.  The result goes to ``out`` (C-contiguous) when given.
+        ``two`` is (C, 6 K n n): the owner faces' values, (C, nf, n, n)
+        flattened, then room for the neighbour side of every link in the
+        owner's order.  This fills that room with ``sign`` (+1 or -1) times
+        the link's owner value, and the gather by ``_from_own`` puts every
+        (element, face) node's own entry in place, permuted onto the
+        neighbour grid on the neighbour side.  Every (element, face) is an
+        owner or a neighbour side exactly once.
         """
-        lead = own.shape[:-3]
-        if out is None:
-            out = np.empty(lead + (6, self.num_elements, self.n1, self.n1))
-        flat = out.reshape(lead + (-1,))
-        own.reshape(lead + (-1,)).take(self._from_own, axis=-1, out=flat, mode="clip")
+        owners, links = self._own_volume.size, self._nbr_volume.size
         if sign < 0:
-            flat *= self._flip
+            np.negative(two[:, :links], out=two[:, owners:])
+        else:
+            two[:, owners:] = two[:, :links]
+        two.take(self._from_own, axis=1, out=out.reshape(len(two), -1), mode="clip")
         return out
-
-    def _surface_penalty(self, flux_star):
-        """lift(F* s_hat) as a (C, K, n, n, n) volume array.
-
-        ``flux_star`` (C, nf, n, n) is the numerical normal flux on the owner
-        faces: the advective term next to the zero-diagonal split operator.
-        """
-        star = self._to_faces(flux_star * self._s_own, -1.0)
-        star /= self.w0
-        return geometry.fold_faces(star)
 
     # -- BR1 viscous terms ----------------------------------------------------
 
@@ -441,48 +447,59 @@ class DGSolver:
         Returns:
             the viscous block size in elements; W (5, K, n, n, n); the jump
             (5, 6, K, n, n); a (4, 6, K, n, n) face array for the n . F^v
-            s_hat traces; and two flat block buffers of 3 * 5 rows each.
+            s_hat traces; and the flat scratch region, which holds the two
+            block buffers of 3 * 5 rows each and the penalty's two-sided
+            face array.
         """
         n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
         step = _block_elements(num_elements, n**3)
         faces = (nv, 6, num_elements, n, n)
-        w, jump, traces, *blocks = self._work.reserve(
-            u.size, math.prod(faces), math.prod(faces[1:]) * (nv - 1), 3 * nv * step * n**3,
-            3 * nv * step * n**3)
+        face_size = self._from_own.size
+        w, jump, traces, region = self._work.reserve(
+            u.size, nv * face_size, (nv - 1) * face_size,
+            max(2 * 3 * nv * step * n**3, nv * face_size))
         w = w.reshape(u.shape)
-        # Block by block, so the primitive-variable temporaries stay small.
+        # Block by block, each block's primitives in the scratch region.
         for block in _blocks(num_elements, step):
             try:
-                physics.entropy_variables(u[:, block], self.gas, w[:, block])
+                prim = physics.primitive_from_conservative(
+                    u[:, block], self.gas, out=_view(region, u[:, block].shape))
             except physics.PositivityError:
                 physics.entropy_variables(u, self.gas)  # names the global element
                 raise
-        w_own, diff = self._traces(w, physics.entropy_variables(ghost, self.gas))
-        diff -= w_own
-        diff[..., :len(self.l_elem), :, :] *= 0.5
-        jump = self._to_faces(diff, -1.0, jump.reshape(faces))
+            physics.entropy_variables_from_primitive(*prim, self.gas, out=w[:, block])
+        # The own traces sit in the jump's memory until the jump is formed.
+        shape = (nv,) + self._s_own.shape
+        two = _view(region, (nv, face_size))
+        own, diff = _view(jump, shape), two[:, :self._own_volume.size].reshape(shape)
+        self._traces(w, physics.entropy_variables(ghost, self.gas), slice(None), own, diff)
+        diff -= own
+        diff[:, :len(self.l_elem)] *= 0.5
+        jump = self._to_faces(two, -1.0, jump.reshape(faces))
         jump *= _FACE_SIGN / self.w0
-        return step, w, jump, traces.reshape((nv - 1,) + faces[1:]), blocks
+        return step, w, jump, traces.reshape((nv - 1,) + faces[1:]), region
 
-    def _lifted_blocks(self, w, jump, step, buffers):
+    def _lifted_blocks(self, w, jump, step, region):
         """Lifted gradients Q, one element block of ``step`` elements at a time.
 
         Yields (block, q): the block's slice of the element axis and its Q,
-        (3, 5, count, n, n, n) in the second block buffer, valid until the
-        next block.  The BR1 auxiliary equation in strong collocation form is
+        (3, 5, count, n, n, n) in the second block buffer of ``region``,
+        valid until the next block; the reference gradient is spent in the
+        first.  The BR1 auxiliary equation in strong collocation form is
         J Q_d = sum_l Ja^l_d D_l W + lift((W* - W) n_d s_hat).  At the face
         nodes n s_hat = FACE_SIGN Ja^l, l the face's normal axis, so the
         lifting adds the jump to D_l W on the face before the metric
         contraction.  Every operation acts element by element, so Q is
         bitwise independent of ``step``.
         """
+        second = 3 * physics.NVAR * step * self.n1**3
         for block in _blocks(self.num_elements, step):
             shape = (3,) + w[:, block].shape
-            g = spectral.tensor_gradient(self.basis, w[:, block], out=_view(buffers[0], shape))
+            g = spectral.tensor_gradient(self.basis, w[:, block], out=_view(region, shape))
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 g[axis][geometry.face_slice(face)] += jump[:, face, block]
             q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g,
-                          out=_view(buffers[1], shape))
+                          out=_view(region, shape, second))
             q /= self.j[block]
             yield block, q
 
@@ -497,9 +514,9 @@ class DGSolver:
         Returns:
             Q with shape (3, 5, K, n, n, n); Q[d] approximates dW/dx_d.
         """
-        step, w, jump, _, buffers = self._br1_faces(u, self._ghost(t))
+        step, w, jump, _, region = self._br1_faces(u, self._ghost(t))
         q = np.empty((3,) + u.shape)
-        for block, q_block in self._lifted_blocks(w, jump, step, buffers):
+        for block, q_block in self._lifted_blocks(w, jump, step, region):
             q[:, :, block] = q_block
         return q
 
@@ -517,26 +534,33 @@ class DGSolver:
         side with its own outward normal, and zero on a Dirichlet face,
         whose exterior F^v is the interior one.
         """
-        gas = self.gas
-        step, w, jump, traces, buffers = self._br1_faces(u, ghost)
-        for block, q in self._lifted_blocks(w, jump, step, buffers):
-            # The reference gradient is spent: F^v goes to its buffer, and
-            # F~v to Q's once F^v is formed.
+        gas, nv = self.gas, physics.NVAR
+        step, w, jump, traces, region = self._br1_faces(u, ghost)
+        second = 3 * nv * step * self.n1**3
+        for block, q in self._lifted_blocks(w, jump, step, region):
+            # Q becomes the primitive gradients in place, F^v goes to the
+            # spent reference gradient's buffer, F~v to Q's and the
+            # divergence to F^v's once each is spent.
             fv = physics.viscous_flux_from_entropy_gradients(
-                u[:, block], q, gas, out=_view(buffers[0], q.shape))[:, 1:]
+                u[:, block], q, gas, out=_view(region, q.shape))[:, 1:]
             flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv,
-                             out=_view(buffers[1], fv.shape))
+                             out=_view(region, fv.shape, second))
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 traces[:, face, block] = flux[axis][geometry.face_slice(face)]
-            div = spectral.tensor_divergence(self.basis, flux)
+            div = spectral.tensor_divergence(self.basis, flux, region[:second])
             div /= gas.reynolds
             rhs[1:, block] += div
         traces *= _FACE_SIGN
-        links = len(self.l_elem)
-        penalty = self._exterior(traces, self._nbr_nodes, 0.0)
-        penalty[..., :links, :, :] += traces[self._own][..., :links, :, :]
+        # Owner traces, then the neighbour traces of the links, in the
+        # two-sided layout of ``_to_faces``.
+        two = _view(region, (nv - 1, self._from_own.size))
+        traces.reshape(nv - 1, -1).take(self._face_nodes, axis=1, out=two, mode="clip")
+        owners, links = self._own_volume.size, self._nbr_volume.size
+        penalty = two[:, :owners]
+        penalty[:, :links] += two[:, owners:]
+        penalty[:, links:] = 0.0
         penalty *= -0.5 / (self.w0 * gas.reynolds)
-        penalty = self._to_faces(penalty, 1.0, jump[1:])
+        penalty = self._to_faces(two, 1.0, jump[1:])
         for face in range(6):
             rhs[1:][geometry.face_slice(face)] += penalty[:, face]
 
@@ -557,34 +581,54 @@ class DGSolver:
 
     def _advective(self, u, ghost):
         """-(S.F# + lift(F*_n s_hat)), not yet divided by J."""
-        gas = self.gas
+        gas, n, nv = self.gas, self.n1, physics.NVAR
         # The volume term first: its positivity check names (element, i, j, k).
         div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas, self._work)
-        fstar = fluxes.surface_flux_advective(
-            *self._traces(u, ghost), self._n_own, gas, self.surface_dissipation)
-        # Sums in place: every fresh volume temporary costs page faults.
-        rhs = self._surface_penalty(fstar)
-        rhs += div
-        np.negative(rhs, out=rhs)
-        return rhs
+        # F* s_hat in the two-sided layout of ``_to_faces``, then room for a
+        # chunk's two traces and the surface flux's four arrays, which the
+        # star and the lift reuse after the last chunk.
+        num_faces, face_size = len(self._s_own), self._from_own.size
+        step = _block_elements(num_faces, n * n)
+        chunk = nv * step * n * n
+        two, rest = self._work.reserve(nv * face_size, max(6 * chunk, nv * face_size + u.size))
+        two = two.reshape(nv, face_size)
+        f_s = two[:, :self._own_volume.size].reshape((nv,) + self._s_own.shape)
+        for faces in _blocks(num_faces, step):
+            shape = (nv,) + self._s_own[faces].shape
+            size = math.prod(shape)
+            own, ext = _view(rest, shape), _view(rest, shape, size)
+            self._traces(u, ghost, faces, own, ext)
+            fstar = fluxes.surface_flux_advective(own, ext, self._n_own[:, faces], gas,
+                                                  self.surface_dissipation, rest[2 * size:6 * size])
+            np.multiply(fstar, self._s_own[faces], out=f_s[:, faces])
+        star = self._to_faces(two, -1.0, _view(rest, (nv, 6, self.num_elements, n, n)))
+        star /= self.w0
+        # The lift folds into the workspace after the star; the kernel's
+        # fresh output becomes the residual.
+        div += geometry.fold_faces(star, _view(rest, u.shape, star.size))
+        return np.negative(div, out=div)
 
     # -- monitors and time stepping -------------------------------------------
 
+    # J w_i w_j w_k of every node, ravelled: the quadrature weights that the
+    # monitors reduce against, one matmul each; built on first use.
+    @functools.cached_property
+    def _jw(self):
+        w = self.basis.weights
+        return (self.j * np.multiply.outer(np.multiply.outer(w, w), w)).ravel()
+
     def totals(self, u):
         """Conserved totals sum_k <J U, 1>_N, one value per component."""
-        w = self.basis.weights
-        return np.einsum("cKijk,Kijk,i,j,k->c", u, self.j, w, w, w)
+        return u.reshape(physics.NVAR, -1) @ self._jw
 
     def total_entropy(self, u):
-        s = physics.entropy(u, self.gas)
-        w = self.basis.weights
-        return float(np.einsum("Kijk,Kijk,i,j,k->", s, self.j, w, w, w))
+        return float(physics.entropy(u, self.gas).ravel() @ self._jw)
 
     def entropy_rate(self, u, rhs):
         """sum_k <J du/dt, W>_N: semi-discrete d/dt of the total entropy."""
-        w_vars = physics.entropy_variables(u, self.gas)
-        w = self.basis.weights
-        return float(np.einsum("cKijk,cKijk,Kijk,i,j,k->", w_vars, rhs, self.j, w, w, w))
+        product = physics.entropy_variables(u, self.gas)
+        product *= rhs
+        return float((product.reshape(physics.NVAR, -1) @ self._jw).sum())
 
     def timestep_estimate(self, u, cfl):
         """dt = CFL * min over nodes/directions of J / (lam_i |Ja^i|) / (N+1)^2.

@@ -9,6 +9,8 @@ axes (state components, elements) are carried through untouched.
 A ``NodalBasis`` is immutable after construction and can be shared freely.
 """
 
+import math
+
 import numpy as np
 
 MAX_DEGREE = 30
@@ -256,14 +258,19 @@ def tensor_gradient(basis, field, out=None):
     return out
 
 
-def tensor_divergence(basis, flux):
+def tensor_divergence(basis, flux, work=None):
     """Reference-space divergence of a vector field.
 
     ``flux`` has a leading axis of length 3 (the xi/eta/zeta components);
-    the last three axes are (i, j, k).
+    the last three axes are (i, j, k).  ``work``, an optional flat float
+    buffer with room for two arrays of the result's shape, holds the result
+    and one scratch array; the returned divergence is then a view into it.
     """
-    out = apply_along(basis.D, flux[0], 0)
-    part = np.empty(out.shape)
+    shape = flux.shape[1:]
+    size = math.prod(shape)
+    out, part = (np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
+                 for i in range(2))
+    apply_along(basis.D, flux[0], 0, out)
     out += apply_along(basis.D, flux[1], 1, part)
     out += apply_along(basis.D, flux[2], 2, part)
     return out

@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from flux_triple import cartesian_triple
-from splitdg import cases, cli, fluxes, geometry, mesh as mesh_mod, physics, solver, spectral, verify
+from splitdg import (cases, cli, config, fluxes, geometry, mesh as mesh_mod, physics, runner, solver,
+                     spectral, verify)
 
 DEGREE = 3
 VISCOSITY = (None, 100.0)
@@ -350,12 +351,12 @@ def test_split_divergence_is_bitwise_independent_of_block_size(monkeypatch, degr
     # Default blocks, one block of all elements, one element per block.
     for budget in (solver.PAIR_BLOCK_BYTES, 1 << 40, 1):
         monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
-        results.append((solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas),
-                        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work),
-                        dg.residual(u, 0.0)))
+        call_local = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas)
+        in_workspace = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
         # The solver's workspace follows the budget: its flux rows hold one block.
         block = min(dg.num_elements, max(1, budget // (8 * element_pairs)))
         assert dg._work.sizes[-1] == physics.NVAR * block * element_pairs
+        results.append((call_local, in_workspace, dg.residual(u, 0.0)))
     div, res = results[0][0], results[0][2]
     for call_local, in_workspace, residual in results:
         assert np.array_equal(call_local, div) and np.array_equal(in_workspace, div)
@@ -477,6 +478,61 @@ def test_warm_viscous_residual_allocates_no_whole_gradient_arrays(warped_n7_4):
             tracemalloc.stop()
     # A whole (3, 5, K, n, n, n) array of Q, F^v or Ja . F^v alone is 3 u.nbytes.
     assert peaks[100.0] - peaks[None] < 3 * u.nbytes
+
+
+# -- memory of a warm residual -------------------------------------------------
+
+# The benchmark's three run configurations (nominal case and mesh
+# parameters) and the bound on a warm residual's traced peak, in u.nbytes.
+WORKLOAD_CONFIGS = {
+    "euler_n4": ({"case": "density_wave", "degree": 4,
+                  "mesh": {"builtin": "warped_box", "cells": [4, 4, 4], "amplitude": 0.05}}, 3.0),
+    "ns_n3_dirichlet": ({"case": "manufactured", "degree": 3, "boundary": "dirichlet",
+                         "gas": {"reynolds": 100.0},
+                         "mesh": {"builtin": "warped_box", "cells": [6, 6, 6], "amplitude": 0.05}}, 4.0),
+    "euler_n7_short": ({"case": "density_wave", "degree": 7,
+                        "mesh": {"builtin": "warped_box", "cells": [3, 3, 3], "amplitude": 0.05}}, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_warm_residual_traced_peak(name):
+    """Traced peak of a warm residual above the memory live before it.
+
+    The result, the volume flux's prepared state and a few scratch rows per
+    block or face chunk are fresh; every whole-face array of the face phase
+    lives in the solver's workspace.
+    """
+    raw, bound = WORKLOAD_CONFIGS[name]
+    dg, case, gas = runner.build_solver(config.RunConfig.from_dict(raw))
+    u = cases.initial_condition(case, dg, gas)
+    dg.residual(u, 0.01)
+    tracemalloc.start()
+    try:
+        dg.residual(u, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * u.nbytes
+    if gas.viscous:
+        # The viscous path, the last phase to reserve, still sets the size.
+        assert dg._work.flat.size == sum(dg._work.sizes)
+
+
+@pytest.mark.parametrize("reynolds", VISCOSITY)
+def test_successive_residuals_are_independent_arrays(reynolds):
+    gas = physics.GasModel(reynolds=reynolds)
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
+    case = cases.DensityWave()
+    dg = solver.DGSolver(mesh, gas, "ec", "llf",
+                         boundary_states={"dirichlet": lambda x, t: case.state(x, t, gas)})
+    u_a, u_b = perturbed_wave(mesh.x, gas, seed=1), perturbed_wave(mesh.x, gas, seed=2)
+    first = dg.residual(u_a, 0.1)
+    kept = first.copy()
+    second = dg.residual(u_b, 0.1)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
 
 
 def test_rk_step_in_place_is_bitwise_the_out_of_place_formula():
