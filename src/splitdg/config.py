@@ -26,10 +26,6 @@ def _is_list_of(value, length, item_ok):
     return isinstance(value, (list, tuple)) and len(value) == length and all(map(item_ok, value))
 
 
-def _is_interval(value):
-    return _is_list_of(value, 2, _is_finite_number) and value[0] < value[1]
-
-
 @dataclass
 class RunConfig:
     case: str = "density_wave"
@@ -53,16 +49,19 @@ class RunConfig:
                 raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
         if not isinstance(self.mesh, dict):
             raise ConfigError(f"mesh: must be an object, got {self.mesh!r}")
-        # The built-in mesh keys.  A zero width (0/0) or a non-finite amplitude
-        # would surface only as a NaN Jacobian, and a fractional period as
-        # periodic partner faces that do not match.
+        # The keys of the built-in mesh, mesh.warped_box_mesh.  A non-finite
+        # amplitude would surface only as a NaN Jacobian.
         mesh_keys = (
+            ("builtin", "warped_box", lambda v: v == "warped_box", "'warped_box'"),
             ("cells", [4, 4, 4], lambda v: _is_list_of(v, 3, _is_count), "three integers >= 1"),
-            ("bounds", [[0.0, 1.0]] * 3, lambda v: _is_list_of(v, 3, _is_interval),
-             "three [lo, hi] pairs of finite numbers with lo < hi"),
             ("amplitude", 0.05, _is_finite_number, "a finite number"),
-            ("periods", [1, 1, 1], lambda v: _is_list_of(v, 3, _is_count), "three integers >= 1"),
         )
+        # A mesh file defines the whole mesh, so no built-in key may sit next to it.
+        builtin_keys = sorted(key for key, *_ in mesh_keys)
+        extra = sorted(set(self.mesh) - ({"path"} if "path" in self.mesh else set(builtin_keys)))
+        if extra:
+            raise ConfigError(f"mesh.{extra[0]}: not allowed here; a mesh is 'path' alone "
+                              f"or any of the built-in keys {builtin_keys}")
         for key, default, ok, what in mesh_keys:
             value = self.mesh.get(key, default)
             if not ok(value):
@@ -131,27 +130,15 @@ class RunConfig:
             raise ConfigError(f"case_params: {err}") from err
 
     def build_mesh(self, cells_override=None):
-        spec = dict(self.mesh)
-        periodic = self.boundary == "periodic"
-        if "path" in spec:
-            return mesh_mod.read_mesh_file(spec["path"], degree=self.degree)
-        builtin = spec.pop("builtin", "warped_box")
-        cells = spec.pop("cells", (4, 4, 4))
-        cells = tuple(cells if cells_override is None else cells_override)
-        bounds = tuple(tuple(b) for b in spec.pop("bounds", ((0.0, 1.0),) * 3))
-        if builtin == "cartesian":
-            if spec:
-                raise ConfigError(f"mesh: unknown cartesian options {sorted(spec)}")
-            return mesh_mod.box_mesh(self.degree, cells, bounds, periodic=periodic)
-        if builtin == "warped_box":
-            amplitude = spec.pop("amplitude", 0.05)
-            periods = tuple(spec.pop("periods", (1, 1, 1)))
-            if spec:
-                raise ConfigError(f"mesh: unknown warped_box options {sorted(spec)}")
-            try:
-                return mesh_mod.warped_box_mesh(self.degree, cells, amplitude, periods, bounds,
-                                                periodic=periodic)
-            except geometry.GeometryError as err:
-                raise ConfigError(f"mesh.amplitude: {amplitude!r} folds the box: {err}") from err
-        raise ConfigError(f"mesh.builtin: unknown value '{builtin}'; "
-                          "valid options: ['cartesian', 'warped_box']")
+        if "path" in self.mesh:
+            if cells_override is not None:
+                raise ConfigError("mesh.path: a mesh file has one resolution; "
+                                  "a convergence study needs the built-in mesh.cells")
+            return mesh_mod.read_mesh_file(self.mesh["path"], degree=self.degree)
+        cells = self.mesh.get("cells", (4, 4, 4)) if cells_override is None else cells_override
+        amplitude = self.mesh.get("amplitude", 0.05)
+        try:
+            return mesh_mod.warped_box_mesh(self.degree, tuple(cells), amplitude,
+                                            periodic=self.boundary == "periodic")
+        except geometry.GeometryError as err:
+            raise ConfigError(f"mesh.amplitude: {amplitude!r} folds the box: {err}") from err

@@ -202,45 +202,33 @@ def box_mesh(n, cells=(2, 2, 2), bounds=((0.0, 1.0),) * 3, warp=None, periodic=T
     return MeshTopology(basis, x, links, boundary)
 
 
-def sine_warp(amplitude=0.05, periods=(1, 1, 1), bounds=((0.0, 1.0),) * 3):
-    """The built-in displacement field for curved periodic box meshes.
+def sine_warp(amplitude=0.05):
+    """The built-in displacement field for curved periodic unit-cube meshes.
 
     Each coordinate is displaced by ``amplitude`` times the product of sines
-    of the two transverse box coordinates, so the displacement vanishes on
-    the box boundary in its own direction and is continuous across every
+    of the two transverse coordinates, so the displacement vanishes on the
+    cube boundary in its own direction and is continuous across every
     periodic wrap.
     """
-    lo = np.array([b[0] for b in bounds])
-    widths = np.array([b[1] - b[0] for b in bounds])
-    k = np.asarray(periods, dtype=float)
 
     def warp(box):
-        trail = (1,) * (np.ndim(box) - 1)
-        t = (box - lo.reshape((3,) + trail)) / widths.reshape((3,) + trail)
-        s = np.sin(k.reshape((3,) + trail) * np.pi * t)
-        disp = amplitude * np.stack([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        return box + disp
+        s = np.sin(np.pi * box)
+        return box + amplitude * np.stack([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
 
     return warp
 
 
-def warped_box_mesh(n, cells=(4, 4, 4), amplitude=0.05, periods=(1, 1, 1),
-                    bounds=((0.0, 1.0),) * 3, periodic=True):
-    """Sinusoidally warped, fully periodic box: the standard curved test mesh.
+def warped_box_mesh(n, cells=(4, 4, 4), amplitude=0.05, periodic=True):
+    """Sinusoidally warped unit cube, periodic by default: the standard curved test mesh.
 
-    A large amplitude folds the box, and no simple bound on it is exact, so
-    the Jacobian check decides: such a map raises GeometryError.  The map
-    may overflow on the way, which the check reports as a non-finite
-    Jacobian, so numpy's floating-point warnings are off while it is built.
+    Amplitude 0 gives the affine box bit for bit.  A large amplitude folds
+    the box, and no simple bound on it is exact, so the Jacobian check
+    decides: such a map raises GeometryError.  The map may overflow on the
+    way, which the check reports as a non-finite Jacobian, so numpy's
+    floating-point warnings are off while it is built.
     """
-    warp = sine_warp(amplitude, periods, bounds)
     with np.errstate(over="ignore", invalid="ignore"):
-        return box_mesh(n, cells, bounds, warp, periodic)
-
-
-def self_periodic_cube(n, warp=None):
-    """Single unit-cube element periodically glued to itself in all three directions."""
-    return box_mesh(n, (1, 1, 1), warp=warp, periodic=True)
+        return box_mesh(n, cells, warp=sine_warp(amplitude), periodic=periodic)
 
 
 # ----------------------------------------------------------------------------

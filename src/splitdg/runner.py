@@ -66,13 +66,16 @@ def integrate(dg, state, config):
 def run_case(config, output_dir=None):
     """Execute the configured time loop; write monitor CSV and final state.
 
-    Returns a summary dict (also written as <case_name>_summary.json is left
-    to the CLI); raises PositivityError on a positivity abort.  The summary
-    reports the run's cost: ``residual_evals`` (counted by the solver, 5S + 1
-    for S steps), ``loop_wall_s`` (the wall time of the time loop, monitors
-    and final residual included) and ``pid_us``, loop_wall_s in µs per DOF
-    and residual evaluation (the PID of Krais et al., FLEXI, CAMWA 2021).
+    Returns a summary dict (printed by the CLI); raises PositivityError on a
+    positivity abort.  The summary reports the run's cost: ``residual_evals``
+    (counted by the solver, 5S + 1 for S steps), ``loop_wall_s`` (the wall
+    time of the time loop, monitors and final residual included), ``pid_us``,
+    loop_wall_s in µs per DOF and residual evaluation (the PID of Krais et
+    al., FLEXI, CAMWA 2021), ``wall_time_s`` (the whole call) and ``phases``:
+    the wall times of set-up (mesh, solver, initial condition), the loop,
+    the output files and the error norms, which sum to at most wall_time_s.
     """
+    start = time.perf_counter()
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     dg, case, gas = build_solver(config)
@@ -108,7 +111,8 @@ def run_case(config, output_dir=None):
             f"positivity failure in the final state after step {step} "
             f"at t = {state.t:.6g}: {err}") from err
     monitor(state, dt, rhs)
-    loop_wall_s = time.perf_counter() - loop_start
+    output_start = time.perf_counter()
+    loop_wall_s = output_start - loop_start
 
     monitor_path = os.path.join(out_dir, f"{config.case_name}_monitor.csv")
     with open(monitor_path, "w") as fh:
@@ -116,6 +120,7 @@ def run_case(config, output_dir=None):
     state_path = os.path.join(out_dir, f"{config.case_name}_final.state")
     write_state_file(state_path, dg, state)
 
+    error_start = time.perf_counter()
     summary = {
         "case": config.case_name,
         "steps": step,
@@ -133,6 +138,10 @@ def run_case(config, output_dir=None):
     l2, linf = cases.error_norms(dg, state.u, case, gas, state.t)
     summary["l2_error"] = l2.tolist()
     summary["linf_error"] = linf.tolist()
+    end = time.perf_counter()
+    summary["wall_time_s"] = end - start
+    summary["phases"] = {"setup_s": loop_start - start, "loop_s": loop_wall_s,
+                         "output_s": error_start - output_start, "error_norms_s": end - error_start}
     return summary
 
 

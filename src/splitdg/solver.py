@@ -53,9 +53,13 @@ from splitdg import fluxes, geometry, physics, spectral
 # and N^3: it keeps the block arrays cache-sized at every degree and the
 # memory flat in K, while blocks of many low-degree elements keep the Python
 # loop overhead small.  Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3
-# boxes with the workspace in place: 16-32 KiB are slower everywhere;
-# 128 KiB is up to 10-30 % faster at N = 4 and 7, but the workspace, about
-# 18 pair arrays, doubles with it (+1.1-1.5 MiB peak RSS at 4^3).  Re=100
+# boxes with the workspace in place: 16-32 KiB are slower everywhere.
+# Larger blocks gain nothing that holds up: on the three benchmark
+# workloads (euler_n4, euler_n7_short, ns_n3_dirichlet; 60 interleaved warm
+# residuals per size, 2-core x86-64, one BLAS thread) 128 KiB moved the
+# median residual by -3 / +2 / +4 % and won 38 / 21 / 21 of 60 pairs,
+# 256 KiB by -3 / +6 / +2 %, while a full run's peak RSS rose by
+# 1.0 / 0.6 / 1.3 MiB at 128 KiB, as the workspace grows with the block.  Re=100
 # residuals at N=3 on 6^3, N=4 on 4^3 and N=7 on 3^3 elements (medians of
 # 15 interleaved warm calls): the viscous loop's 128, 65 and 16 elements
 # are within 5 % of one block of all elements, blocks of 4 elements are

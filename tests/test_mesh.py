@@ -18,6 +18,19 @@ def warped(request):
     return mesh_mod.warped_box_mesh(3, (2, 2, 2), amplitude=0.05, periodic=request.param)
 
 
+@pytest.mark.parametrize("n", (2, 4, 7))
+@pytest.mark.parametrize("periodic", (True, False), ids=["periodic", "dirichlet"])
+def test_warped_box_at_amplitude_0_is_the_affine_box_bit_for_bit(n, periodic):
+    cells = (2, 3, 1)
+    warped = mesh_mod.warped_box_mesh(n, cells, amplitude=0.0, periodic=periodic)
+    box = mesh_mod.box_mesh(n, cells, periodic=periodic)
+    for name in GEOMETRY:
+        a, b = getattr(warped, name), getattr(box, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert warped.links == box.links
+    assert warped.boundary == box.boundary
+
+
 def test_mesh_file_round_trip(warped, tmp_path):
     path = tmp_path / "warped.mesh"
     mesh_mod.write_mesh_file(path, warped)

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 import splitdg
-from splitdg import cases, cli, runner, solver, verify
+from splitdg import cases, cli, mesh as mesh_mod, runner, solver, verify
 from splitdg.config import RunConfig
 
 
@@ -186,9 +186,13 @@ def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, 
     ("mesh.periods", {"periods": [1.5, 1, 1]}),
     ("mesh.periods", {"periods": [0, 1, 1]}),
     ("mesh.periods", {"periods": [1, 1]}),
+    ("mesh.bounds", {"bounds": [[0, 1], [0, 1], [0, 1]]}),
+    ("mesh.periods", {"periods": [1, 1, 1]}),
+    ("mesh.builtin", {"builtin": "cartesian"}),
 ], ids=("bounds-zero-width", "bounds-half-zero-width", "bounds-reversed", "bounds-inf",
         "bounds-two", "bounds-triple", "amplitude-nan", "amplitude-inf", "amplitude-string",
-        "periods-1.5", "periods-0", "periods-two"))
+        "periods-1.5", "periods-0", "periods-two", "bounds-unit", "periods-one",
+        "builtin-cartesian"))
 def test_builtin_mesh_key_exits_2_naming_the_key(tmp_path, capsys, key, mesh):
     config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1], **mesh},
               "output_dir": str(tmp_path / "out")}
@@ -197,7 +201,49 @@ def test_builtin_mesh_key_exits_2_naming_the_key(tmp_path, capsys, key, mesh):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error: {key}: must be ")
+    # The built-in mesh is the unit cube: bounds and periods are not keys, whatever their value.
+    removed = key in ("mesh.bounds", "mesh.periods")
+    assert capsys.readouterr().err.startswith(
+        f"error: {key}: " + ("not allowed here" if removed else "must be "))
+
+
+@pytest.mark.parametrize("key, mesh", [
+    ("mesh.cells", {"path": "box.mesh", "cells": [2, 2, 2]}),
+    ("mesh.amplitude", {"path": "box.mesh", "amplitude": 0.05}),
+    ("mesh.builtin", {"path": "box.mesh", "builtin": "warped_box"}),
+], ids=("cells", "amplitude", "builtin"))
+def test_builtin_mesh_key_next_to_a_mesh_file_exits_2_naming_the_key(tmp_path, capsys, key, mesh):
+    mesh_mod.write_mesh_file(tmp_path / "box.mesh", mesh_mod.warped_box_mesh(1, (1, 1, 1)))
+    config = {"degree": 2, "final_time": 0.001, "mesh": mesh, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {key}: not allowed here")
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_on_a_mesh_file_exits_2_naming_the_key(tmp_path, capsys):
+    mesh_mod.write_mesh_file(tmp_path / "box.mesh", mesh_mod.warped_box_mesh(2, (2, 2, 2)))
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"degree": 2, "mesh": {"path": "box.mesh"},
+                                "dt": 0.01, "final_time": 0.02}))
+    assert cli.main(["converge", str(path), "--levels", "2", "3"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mesh.path: a mesh file has one resolution")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--seed", "1"],
+    ["verify", "all", "--report", "x.txt"],
+    ["converge", "wave.json", "--levels", "2", "3", "--report", "x.txt"],
+    ["mesh", "write", "m.txt", "--builtin", "cartesian"],
+], ids=("verify-seed", "verify-report", "converge-report", "mesh-write-builtin"))
+def test_removed_cli_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mesh", [{"cells": [1, 1, 1], "amplitude": 1e308}],
@@ -353,6 +399,15 @@ def test_run_reports_its_own_cost(tmp_path):
     dofs = 8 * 3**3  # 2^3 elements of degree 2
     assert summary["pid_us"] == pytest.approx(
         summary["loop_wall_s"] * 1e6 / (dofs * summary["residual_evals"]), rel=1e-12)
+
+
+def test_run_reports_its_phases(tmp_path):
+    summary = runner.run_case(wave_config(tmp_path, 1))
+    phases = summary["phases"]
+    assert sorted(phases) == ["error_norms_s", "loop_s", "output_s", "setup_s"]
+    assert all(t >= 0.0 for t in phases.values())
+    assert phases["loop_s"] == summary["loop_wall_s"]
+    assert sum(phases.values()) <= summary["wall_time_s"]
 
 
 # -- convergence on the warped mesh ---------------------------------------------

@@ -55,7 +55,7 @@ def perturbed_wave(x, gas, seed=7):
 
 @pytest.fixture(scope="module")
 def single():
-    return mesh_mod.self_periodic_cube(DEGREE, warp=mesh_mod.sine_warp(0.04))
+    return mesh_mod.warped_box_mesh(DEGREE, (1, 1, 1), amplitude=0.04)
 
 
 @pytest.fixture(scope="module", params=sorted(XI_LINK_CODES))
