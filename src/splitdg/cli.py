@@ -5,9 +5,12 @@ Subcommands:
     verify <suite>                       run invariant batteries (exit 0 iff all pass)
     converge <config.json> --levels L..  refinement study over the built-in mesh's cells
     mesh audit <path>                    per-element J range and metric residuals
-    mesh write <out> [--amplitude A] ..  write the sine-warped unit cube as a mesh file
+    mesh write <out> [--cells C C C] ..  write the sine-warped unit cube as a mesh file
 
-Every report goes to stdout; `--amplitude 0` writes the affine box.
+Every report goes to stdout.  `mesh write` takes `--degree N`, `--cells`
+(three counts, each at least 1) and `--amplitude A`; `--amplitude 0` writes
+the affine box.  A config's `boundary` belongs to the built-in mesh: a mesh
+file (`mesh.path`) tags its own faces.
 Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 runtime abort
 (positivity loss).
 """
@@ -58,6 +61,8 @@ def _cmd_mesh_audit(args):
 
 
 def _cmd_mesh_write(args):
+    if min(args.cells) < 1:
+        raise ConfigError(f"--cells: must be three integers >= 1, got {args.cells}")
     try:
         mesh = mesh_mod.warped_box_mesh(args.degree, tuple(args.cells), args.amplitude)
     except geometry.GeometryError as err:

@@ -41,7 +41,7 @@ class RunConfig:
     monitor_interval: int = 1
     output_dir: str = "."
     case_name: str | None = None
-    boundary: str = "periodic"
+    boundary: str | None = None  # the built-in mesh's; None is periodic
 
     def __post_init__(self):
         for key in ("degree", "monitor_interval"):
@@ -84,8 +84,11 @@ class RunConfig:
         if self.case not in cases.CASES:
             raise ConfigError(
                 f"case: unknown value '{self.case}'; valid options: {sorted(cases.CASES)}")
-        if self.boundary not in ("periodic", "dirichlet"):
+        if self.boundary not in (None, "periodic", "dirichlet"):
             raise ConfigError(f"boundary: must be 'periodic' or 'dirichlet', got '{self.boundary}'")
+        if self.boundary is not None and "path" in self.mesh:
+            raise ConfigError("boundary: not allowed next to mesh.path; "
+                              "a mesh file sets the boundary of each face")
         if "path" in self.mesh and not os.path.exists(self.mesh["path"]):
             raise ConfigError(f"mesh.path: file does not exist: {self.mesh['path']}")
         if self.case_name is None:
@@ -139,6 +142,6 @@ class RunConfig:
         amplitude = self.mesh.get("amplitude", 0.05)
         try:
             return mesh_mod.warped_box_mesh(self.degree, tuple(cells), amplitude,
-                                            periodic=self.boundary == "periodic")
+                                            periodic=self.boundary != "dirichlet")
         except geometry.GeometryError as err:
             raise ConfigError(f"mesh.amplitude: {amplitude!r} folds the box: {err}") from err

@@ -12,8 +12,18 @@ Conventions (all on the reference cube [-1,1]^3 with coordinates
 
 Face point grids are arrays of shape (3, N+1, N+1), the two trailing axes
 ordered as in the parameterizations above (always the two reference
-coordinates in cyclic-ascending order).  Nodal 3D fields follow the
-(i, j, k) <-> (xi, eta, zeta) layout of :mod:`splitdg.spectral`.
+coordinates in ascending order).  Nodal 3D fields follow the
+(i, j, k) <-> (xi, eta, zeta) layout of :mod:`splitdg.spectral`, so face f
+of a nodal grid is its slice ``face_slice(f)``.
+
+A curved hexahedron is given by its six faces.  :class:`FaceDefinition`
+writes them into the boundary planes of one nodal (3, N+1, N+1, N+1) grid,
+which every consumer reads: the corners index it, the watertightness check
+compares each face with it, and :func:`transfinite_map` (Gordon & Hall's
+transfinite interpolation with linear blending) is the Boolean sum of one
+1-D linear-blend projector per axis applied to it at the nodes, then
+Lagrange-interpolated, which is exact for a map of degree N in each
+coordinate.
 
 The metric terms are computed for a whole mesh at once from the stacked
 nodal coordinates x, shape (3, K, n, n, n) with K elements and n = N+1:
@@ -62,7 +72,17 @@ def fold_faces(faces, out=None):
 
 
 class FaceDefinition:
-    """Six degree-N tensor-Lagrange face surfaces bounding one hexahedron."""
+    """Six degree-N tensor-Lagrange face surfaces bounding one hexahedron, on one nodal grid.
+
+    ``faces`` keeps the six (3, N+1, N+1) grids as given.  ``grid`` is a
+    (3, N+1, N+1, N+1) nodal array into whose boundary planes they are
+    written, ``grid[face_slice(f)] = faces[f]`` in face order, with zero
+    interior nodes; every consumer reads the faces through it.  A node
+    shared by several faces (an edge or a corner node) holds the last
+    face's value, so ``edge_mismatch``, which compares every face with the
+    grid, reads the gap between two faces on an edge, and at a corner of
+    three faces at least half of their largest pairwise gap.
+    """
 
     def __init__(self, faces):
         faces = [np.asarray(f, dtype=float) for f in faces]
@@ -73,81 +93,58 @@ class FaceDefinition:
             raise ValueError("faces must share shape (3, N+1, N+1)")
         self.faces = faces
         self.n = shape[1] - 1
+        self.grid = np.zeros((3,) + (self.n + 1,) * 3)
+        for f, face in enumerate(faces):
+            self.grid[face_slice(f)] = face
 
     def corners(self):
-        """The eight hexahedron corners x_1..x_8 (standard numbering)."""
-        g3, g5 = self.faces[4], self.faces[5]
-        return np.stack([
-            g3[:, 0, 0], g3[:, -1, 0], g3[:, -1, -1], g3[:, 0, -1],
-            g5[:, 0, 0], g5[:, -1, 0], g5[:, -1, -1], g5[:, 0, -1],
-        ])
+        """The eight hexahedron corners x_1..x_8 (standard numbering), shape (8, 3)."""
+        return self.grid[(slice(None),) + CORNER_NODES].T
 
     def edge_mismatch(self):
-        """Largest disagreement of shared edges between adjacent faces."""
-        f = self.faces
-        pairs = [
-            # (face A, slice A, face B, slice B): twelve edges
-            (f[2][:, :, 0], f[4][:, :, 0]),    # eta=-1 & zeta=-1
-            (f[2][:, :, -1], f[5][:, :, 0]),   # eta=-1 & zeta=+1
-            (f[3][:, :, 0], f[4][:, :, -1]),   # eta=+1 & zeta=-1
-            (f[3][:, :, -1], f[5][:, :, -1]),  # eta=+1 & zeta=+1
-            (f[0][:, :, 0], f[4][:, 0, :]),    # xi=-1 & zeta=-1
-            (f[0][:, :, -1], f[5][:, 0, :]),   # xi=-1 & zeta=+1
-            (f[1][:, :, 0], f[4][:, -1, :]),   # xi=+1 & zeta=-1
-            (f[1][:, :, -1], f[5][:, -1, :]),  # xi=+1 & zeta=+1
-            (f[0][:, 0, :], f[2][:, 0, :]),    # xi=-1 & eta=-1
-            (f[0][:, -1, :], f[3][:, 0, :]),   # xi=-1 & eta=+1
-            (f[1][:, 0, :], f[2][:, -1, :]),   # xi=+1 & eta=-1
-            (f[1][:, -1, :], f[3][:, -1, :]),  # xi=+1 & eta=+1
-        ]
-        return max(np.abs(a - b).max() for a, b in pairs)
+        """Largest gap between a face and the grid; NaN anywhere gives NaN."""
+        return np.max([np.abs(face - self.grid[face_slice(f)]).max()
+                       for f, face in enumerate(self.faces)])
 
     def validate_watertight(self, tol=1.0e-12):
         gap = self.edge_mismatch()
         if not gap <= tol:  # NaN fails too
             raise GeometryError(f"faces are not watertight: edge mismatch {gap:.3e} > {tol:.1e}")
 
-
-def faces_from_corners(corners, n):
-    """Bilinear face grids of the straight-sided hex with the given corners."""
-    basis = spectral.build_basis(n)
-    x = basis.nodes
-    a, b = np.meshgrid(x, x, indexing="ij")
-    c = np.asarray(corners, dtype=float)
-
-    def bilin(p00, p10, p11, p01):
-        return (
-            np.multiply.outer(p00, (1 - a) * (1 - b)) + np.multiply.outer(p10, (1 + a) * (1 - b))
-            + np.multiply.outer(p11, (1 + a) * (1 + b)) + np.multiply.outer(p01, (1 - a) * (1 + b))
-        ) / 4.0
-
-    # corner order x1..x8: (-,-,-) (+,-,-) (+,+,-) (-,+,-) and zeta=+1 copies
-    return FaceDefinition([
-        bilin(c[0], c[3], c[7], c[4]),  # xi=-1,  (eta, zeta)
-        bilin(c[1], c[2], c[6], c[5]),  # xi=+1,  (eta, zeta)
-        bilin(c[0], c[1], c[5], c[4]),  # eta=-1, (xi, zeta)
-        bilin(c[3], c[2], c[6], c[7]),  # eta=+1, (xi, zeta)
-        bilin(c[0], c[1], c[2], c[3]),  # zeta=-1,(xi, eta)
-        bilin(c[4], c[5], c[6], c[7]),  # zeta=+1,(xi, eta)
-    ])
+    def nodal_map(self):
+        """The transfinite map at the nodes, (3, N+1, N+1, N+1); see ``transfinite_map``."""
+        nodes = spectral.build_basis(self.n).nodes
+        blend = np.zeros((self.n + 1,) * 2)
+        blend[:, 0], blend[:, -1] = (1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0
+        nodal = 0.0
+        for axis in range(3):  # T <- T + P_a (X - T)
+            nodal = nodal + spectral.apply_along(blend, self.grid - nodal, axis)
+        return nodal
 
 
 def faces_from_mapping(mapping, n):
-    """Sample an analytic map x = mapping(xi) (vectorized) onto the six faces."""
-    basis = spectral.build_basis(n)
-    x = basis.nodes
-    a, b = np.meshgrid(x, x, indexing="ij")
-    lo, hi = np.full_like(a, -1.0), np.full_like(a, 1.0)
-    grids = [
-        (lo, a, b), (hi, a, b),
-        (a, lo, b), (a, hi, b),
-        (a, b, lo), (a, b, hi),
-    ]
-    return FaceDefinition([np.asarray(mapping(np.stack(g))) for g in grids])
+    """The six face grids of an analytic map x = mapping(xi) (vectorized) on the LGL^3 grid."""
+    grid = sample_map_on_grid(mapping, spectral.build_basis(n))
+    return FaceDefinition([grid[face_slice(f)] for f in range(6)])
+
+
+def faces_from_corners(corners, n):
+    """Trilinear face grids of the straight-sided hex with the given corners."""
+    return faces_from_mapping(lambda xi: hex_corner_map(corners, xi), n)
 
 
 def transfinite_map(faces, xi):
     """Evaluate the transfinite interpolation with linear blending at xi.
+
+    The map is the Boolean sum P1 + P2 + P3 - P1 P2 - P2 P3 - P1 P3 + P1 P2 P3
+    = I - (I - P3)(I - P2)(I - P1) of the linear-blend projector P_a along
+    reference axis a, which replaces a field by the linear blend of its
+    values on the two faces normal to that axis; it reads only the boundary
+    planes of ``faces.grid`` and reproduces every face.  It is formed at the
+    nodes (``FaceDefinition.nodal_map``) and Lagrange-interpolated to
+    ``xi``.  That is exact: each term is linear in its blended coordinates
+    and of degree N in the others, so the map has degree N in each
+    coordinate.
 
     Args:
         faces: a FaceDefinition.
@@ -156,87 +153,39 @@ def transfinite_map(faces, xi):
     Returns:
         Physical points with the same trailing shape as xi.
     """
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    pts = xi.reshape(3, -1)
     basis = spectral.build_basis(faces.n)
-    lx = spectral.lagrange_values(basis, pts[0])  # (P, N+1)
-    ly = spectral.lagrange_values(basis, pts[1])
-    lz = spectral.lagrange_values(basis, pts[2])
+    lx, ly, lz = (spectral.lagrange_values(basis, c) for c in np.asarray(xi, dtype=float))
+    return np.einsum("...k,...j,...i,cijk->c...", lz, ly, lx, faces.nodal_map())
 
-    f = faces.faces
 
-    def face_eval(grid, la, lb):
-        return np.einsum("cab,pa,pb->cp", grid, la, lb)
-
-    def edge_eval(curve, la):
-        return np.einsum("ca,pa->cp", curve, la)
-
-    one = np.ones_like(pts[0])
-    bx = np.stack([one - pts[0], one + pts[0]])
-    by = np.stack([one - pts[1], one + pts[1]])
-    bz = np.stack([one - pts[2], one + pts[2]])
-
-    sigma = 0.5 * (
-        bx[0] * face_eval(f[0], ly, lz) + bx[1] * face_eval(f[1], ly, lz)
-        + by[0] * face_eval(f[2], lx, lz) + by[1] * face_eval(f[3], lx, lz)
-        + bz[0] * face_eval(f[4], lx, ly) + bz[1] * face_eval(f[5], lx, ly)
-    )
-
-    # Edge corrections: restrictions of the face grids to their +-1 borders.
-    c_xi = 0.25 * (
-        bx[0] * (by[0] * edge_eval(f[2][:, 0, :], lz) + by[1] * edge_eval(f[3][:, 0, :], lz)
-                 + bz[0] * edge_eval(f[4][:, 0, :], ly) + bz[1] * edge_eval(f[5][:, 0, :], ly))
-        + bx[1] * (by[0] * edge_eval(f[2][:, -1, :], lz) + by[1] * edge_eval(f[3][:, -1, :], lz)
-                   + bz[0] * edge_eval(f[4][:, -1, :], ly) + bz[1] * edge_eval(f[5][:, -1, :], ly))
-    )
-    c_eta = 0.25 * (
-        by[0] * (bx[0] * edge_eval(f[0][:, 0, :], lz) + bx[1] * edge_eval(f[1][:, 0, :], lz)
-                 + bz[0] * edge_eval(f[4][:, :, 0], lx) + bz[1] * edge_eval(f[5][:, :, 0], lx))
-        + by[1] * (bx[0] * edge_eval(f[0][:, -1, :], lz) + bx[1] * edge_eval(f[1][:, -1, :], lz)
-                   + bz[0] * edge_eval(f[4][:, :, -1], lx) + bz[1] * edge_eval(f[5][:, :, -1], lx))
-    )
-    c_zeta = 0.25 * (
-        bz[0] * (by[0] * edge_eval(f[2][:, :, 0], lx) + by[1] * edge_eval(f[3][:, :, 0], lx)
-                 + bx[0] * edge_eval(f[0][:, :, 0], ly) + bx[1] * edge_eval(f[1][:, :, 0], ly))
-        + bz[1] * (by[0] * edge_eval(f[2][:, :, -1], lx) + by[1] * edge_eval(f[3][:, :, -1], lx)
-                   + bx[0] * edge_eval(f[0][:, :, -1], ly) + bx[1] * edge_eval(f[1][:, :, -1], ly))
-    )
-
-    corners = faces.corners()
-    blend = np.stack([
-        bx[0] * by[0] * bz[0], bx[1] * by[0] * bz[0],
-        bx[1] * by[1] * bz[0], bx[0] * by[1] * bz[0],
-        bx[0] * by[0] * bz[1], bx[1] * by[0] * bz[1],
-        bx[1] * by[1] * bz[1], bx[0] * by[1] * bz[1],
-    ])
-    x_h = np.einsum("vc,vp->cp", corners, blend) / 8.0
-
-    out = sigma - 0.5 * (c_xi + c_eta + c_zeta) + x_h
-    return out[:, 0] if scalar else out.reshape((3,) + xi.shape[1:])
+# The grid ends (0 at -1, -1 at +1) along xi, eta and zeta of the corners
+# x_1..x_8: (-,-,-) (+,-,-) (+,+,-) (-,+,-), then the same at zeta = +1.
+CORNER_NODES = ((0, -1, -1, 0) * 2, (0, 0, -1, -1) * 2, (0,) * 4 + (-1,) * 4)
 
 
 def hex_corner_map(corners, xi):
     """Trilinear map of the reference cube to a straight-sided hex."""
     xi = np.asarray(xi, dtype=float)
-    b = lambda t: np.stack([1.0 - t, 1.0 + t])
-    bx, by, bz = b(xi[0]), b(xi[1]), b(xi[2])
-    weights = np.stack([
-        bx[0] * by[0] * bz[0], bx[1] * by[0] * bz[0],
-        bx[1] * by[1] * bz[0], bx[0] * by[1] * bz[0],
-        bx[0] * by[0] * bz[1], bx[1] * by[0] * bz[1],
-        bx[1] * by[1] * bz[1], bx[0] * by[1] * bz[1],
-    ])
+    weights = 1.0
+    for t, ends in zip(xi, CORNER_NODES):
+        side = np.where(np.array(ends) < 0, 1.0, -1.0)  # each corner's end of this axis
+        weights = weights * (1.0 + np.multiply.outer(side, t))
     return np.einsum("vc,v...->c...", np.asarray(corners, dtype=float), weights) / 8.0
 
 
 def sample_map_on_grid(faces_or_fn, basis):
-    """Nodal map values X on the LGL^3 grid, shape (3, N+1, N+1, N+1)."""
+    """Nodal map values X on the LGL^3 grid, shape (3, N+1, N+1, N+1).
+
+    A FaceDefinition's transfinite map is interpolated one axis at a time.
+    """
     x = basis.nodes
-    grid = np.stack(np.meshgrid(x, x, x, indexing="ij"))
     if isinstance(faces_or_fn, FaceDefinition):
-        return transfinite_map(faces_or_fn, grid)
-    return np.asarray(faces_or_fn(grid), dtype=float)
+        to_grid = spectral.lagrange_values(spectral.build_basis(faces_or_fn.n), x)
+        nodal = faces_or_fn.nodal_map()
+        for axis in range(3):
+            nodal = spectral.apply_along(to_grid, nodal, axis)
+        return nodal
+    return np.asarray(faces_or_fn(np.stack(np.meshgrid(x, x, x, indexing="ij"))), dtype=float)
 
 
 def _cross(a, b):

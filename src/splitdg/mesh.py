@@ -247,12 +247,11 @@ def write_mesh_file(path, mesh):
     """
     n1 = mesh.basis.n + 1
     lines = [MESH_MAGIC, f"degree {mesh.basis.n}", f"elements {mesh.num_elements}"]
-    corner_index = [(0, 0, 0), (-1, 0, 0), (-1, -1, 0), (0, -1, 0),
-                    (0, 0, -1), (-1, 0, -1), (-1, -1, -1), (0, -1, -1)]
+    corners = mesh.x[(slice(None), slice(None)) + geometry.CORNER_NODES]  # (3, K, 8)
     fmt = lambda p: " ".join(repr(float(v)) for v in p)
     for e in range(mesh.num_elements):
-        for ci, (i, j, k) in enumerate(corner_index):
-            lines.append(f"corner {e} {ci} {fmt(mesh.x[:, e, i, j, k])}")
+        for ci in range(8):
+            lines.append(f"corner {e} {ci} {fmt(corners[:, e, ci])}")
     xf = geometry.face_stack(mesh.x)
     for e in range(mesh.num_elements):
         for f in range(N_FACES):
@@ -280,8 +279,9 @@ RECORD_FIELDS = {"corner": 6, "curved": 3, "link": 6, "periodic": 6, "dirichlet"
 def read_mesh_file(path, degree=None):
     """Read a mesh file; optionally re-interpolate the geometry to ``degree``.
 
-    Re-interpolation of the face grids is exact when the requested degree is
-    at least the degree stored in the file.
+    Each element is the transfinite map of its file-degree faces, sampled
+    at the nodes of the run degree: exact when that degree is at least the
+    degree stored in the file.
     """
     with open(path) as fh:
         numbered = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln and not ln.startswith("#")]
@@ -360,13 +360,7 @@ def read_mesh_file(path, degree=None):
         else:
             boundary.append(BoundaryFace(*numbers(int, parts[1:3], line), parts[3]))
 
-    run_n = file_n if degree is None else degree
-    basis = spectral.build_basis(run_n)
-    file_basis = spectral.build_basis(file_n)
-    resample = None
-    if run_n != file_n:
-        resample = spectral.lagrange_values(file_basis, basis.nodes)
-
+    basis = spectral.build_basis(file_n if degree is None else degree)
     x = np.empty((3, num_elements) + (basis.n + 1,) * 3)
     for e in range(num_elements):
         fd = geometry.faces_from_corners(corners[e], file_n)
@@ -384,9 +378,6 @@ def read_mesh_file(path, degree=None):
             raise MeshFileError(
                 f"{path}: corner {c} of element {e} is at {corners[e, c].tolist()}, but its "
                 f"faces meet at {face_corners[c].tolist()}")
-        if resample is not None:
-            face_def = geometry.FaceDefinition(
-                [np.einsum("am,bn,cmn->cab", resample, resample, g) for g in grids])
         x[:, e] = geometry.sample_map_on_grid(face_def, basis)
     return MeshTopology(basis, x, links, boundary)
 

@@ -17,18 +17,12 @@ def build_solver(config, mesh=None):
     case = config.flow_case()
     if mesh is None:
         mesh = config.build_mesh()
-    boundary_states = {}
-    if mesh.boundary:
-        tags = {bf.tag for bf in mesh.boundary}
-        boundary_states = {tag: (lambda x, t: case.state(x, t, gas)) for tag in tags}
-    source = getattr(case, "source", None)
-    src = (lambda x, t, g: case.source(x, t, g)) if callable(source) else None
     dg = solver_mod.DGSolver(
         mesh, gas,
         volume_flux=config.volume_flux,
         surface_dissipation=config.surface_dissipation,
-        boundary_states=boundary_states,
-        source=src,
+        boundary_state=case.state,
+        source=getattr(case, "source", None),
     )
     return dg, case, gas
 

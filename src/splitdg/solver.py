@@ -310,7 +310,7 @@ class DGSolver:
     (each chunk's traces and surface-flux rows, F* s_hat on both sides of
     every face and its lift) and then the viscous path's arrays (the
     entropy variables, the lifting jump and n . F^v traces on all faces,
-    two block buffers and the penalty's face arrays) are views of its
+    two block buffers; the penalty reuses the spent jump) are views of its
     memory, so a warm residual allocates none of them afresh.
 
     Args:
@@ -319,14 +319,16 @@ class DGSolver:
         gas: GasModel; ``gas.reynolds is None`` disables all viscous terms.
         volume_flux: "ec" or "central".
         surface_dissipation: "none" or "llf".
-        boundary_states: dict tag -> callable(x, t) -> exterior conservative
-            state for Dirichlet faces; x has shape (3, ...).
+        boundary_state: callable(x, t, gas) -> (5, ...) exterior conservative
+            state of every Dirichlet face, whatever its tag; x has shape
+            (3, ...).  Called only when the mesh has Dirichlet faces, and
+            then required.
         source: optional callable(x, t, gas) -> (5, ...) forcing added to
             du/dt (manufactured-solution machinery).
     """
 
     def __init__(self, mesh, gas, volume_flux="ec", surface_dissipation="llf",
-                 boundary_states=None, source=None):
+                 boundary_state=None, source=None):
         self.mesh = mesh
         self.basis = mesh.basis
         self.gas = gas
@@ -366,15 +368,10 @@ class DGSolver:
         self._n_own = self.normal[self._own]
         self._s_own = self.s_hat[self._own]
 
-        x_b = geometry.face_stack(self.x)[:, mesh.b_face, self.b_elem]
-        tags = [bf.tag for bf in mesh.boundary]
-        boundary_states = boundary_states or {}
-        self._ghosts = []
-        for tag in sorted(set(tags)):
-            if tag not in boundary_states:
-                raise ValueError(f"mesh has Dirichlet faces tagged '{tag}' but no boundary state was registered")
-            sel = np.array([bt == tag for bt in tags])
-            self._ghosts.append((boundary_states[tag], sel, x_b[:, sel]))
+        if len(self.b_elem) and boundary_state is None:
+            raise ValueError("mesh has Dirichlet faces but no boundary state was given")
+        self.boundary_state = boundary_state
+        self._x_b = geometry.face_stack(self.x)[:, mesh.b_face, self.b_elem]
 
     # -- face helpers --------------------------------------------------------
 
@@ -384,21 +381,23 @@ class DGSolver:
     def _work(self):
         return Workspace()
 
-    # The (6, K, n, n) face node of every two-sided entry, the inverse of
-    # ``_from_own``: only the viscous penalty gathers by it, so only a viscous
-    # solver builds it, on its first residual.
+    # Every (6, K, n, n) face node's node across its link, flat; a Dirichlet
+    # face node is its own.  Only the viscous penalty gathers by it, so only
+    # a viscous solver builds it, on its first residual.
     @functools.cached_property
-    def _face_nodes(self):
-        nodes = np.empty_like(self._from_own)
-        nodes[self._from_own] = np.arange(nodes.size)
-        return nodes
+    def _partner(self):
+        nodes = np.arange(6 * self.num_elements * self.n1**2).reshape(6, self.num_elements,
+                                                                       self.n1, self.n1)
+        own, nbr = nodes[self._own][:len(self.l_elem)].ravel(), nodes[self._nbr].ravel()
+        partner = nodes.ravel()
+        partner[own], partner[nbr] = nbr, own
+        return partner
 
     def _ghost(self, t):
         """Exterior conservative states on all Dirichlet faces (5, nb, n, n)."""
-        u_ext = np.empty((5, len(self.b_elem), self.n1, self.n1))
-        for state, sel, x in self._ghosts:
-            u_ext[:, sel] = state(x, t)
-        return u_ext
+        if not len(self.b_elem):
+            return np.empty((5, 0, self.n1, self.n1))
+        return self.boundary_state(self._x_b, t, self.gas)
 
     def _traces(self, vol, ghost, faces, own, ext):
         """Own and outside traces of the owner faces ``faces`` (a slice).
@@ -419,22 +418,19 @@ class DGSolver:
                      out=ext_row[:inside * n2], mode="clip")
         ext[:, inside:] = ghost[:, max(start, links) - links:max(stop, links) - links]
 
-    def _to_faces(self, two, sign, out):
+    def _to_faces(self, two, out):
         """Face values (C, 6, K, n, n) from a two-sided owner array, into ``out``.
 
         ``two`` is (C, 6 K n n): the owner faces' values, (C, nf, n, n)
         flattened, then room for the neighbour side of every link in the
-        owner's order.  This fills that room with ``sign`` (+1 or -1) times
-        the link's owner value, and the gather by ``_from_own`` puts every
-        (element, face) node's own entry in place, permuted onto the
-        neighbour grid on the neighbour side.  Every (element, face) is an
-        owner or a neighbour side exactly once.
+        owner's order.  This fills that room with minus the link's owner
+        value, and the gather by ``_from_own`` puts every (element, face)
+        node's own entry in place, permuted onto the neighbour grid on the
+        neighbour side.  Every (element, face) is an owner or a neighbour
+        side exactly once.
         """
         owners, links = self._own_volume.size, self._nbr_volume.size
-        if sign < 0:
-            np.negative(two[:, :links], out=two[:, owners:])
-        else:
-            two[:, owners:] = two[:, :links]
+        np.negative(two[:, :links], out=two[:, owners:])
         two.take(self._from_own, axis=1, out=out.reshape(len(two), -1), mode="clip")
         return out
 
@@ -452,8 +448,8 @@ class DGSolver:
             the viscous block size in elements; W (5, K, n, n, n); the jump
             (5, 6, K, n, n); a (4, 6, K, n, n) face array for the n . F^v
             s_hat traces; and the flat scratch region, which holds the two
-            block buffers of 3 * 5 rows each and the penalty's two-sided
-            face array.
+            block buffers of 3 * 5 rows each and, before them, the jump's
+            two-sided face array.
         """
         n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
         step = _block_elements(num_elements, n**3)
@@ -479,7 +475,7 @@ class DGSolver:
         self._traces(w, physics.entropy_variables(ghost, self.gas), slice(None), own, diff)
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
-        jump = self._to_faces(two, -1.0, jump.reshape(faces))
+        jump = self._to_faces(two, jump.reshape(faces))
         jump *= _FACE_SIGN / self.w0
         return step, w, jump, traces.reshape((nv - 1,) + faces[1:]), region
 
@@ -536,7 +532,9 @@ class DGSolver:
         mean and the two sides' outward normals opposite, it is
         -(F_own + F_ext) . n s_hat / (2 w0) on both sides of a link, each
         side with its own outward normal, and zero on a Dirichlet face,
-        whose exterior F^v is the interior one.
+        whose exterior F^v is the interior one.  Each face node adds its
+        ``_partner``'s trace to its own, so the two sides of a link hold the
+        same sum bit for bit (a + b = b + a).
         """
         gas, nv = self.gas, physics.NVAR
         step, w, jump, traces, region = self._br1_faces(u, ghost)
@@ -555,16 +553,13 @@ class DGSolver:
             div /= gas.reynolds
             rhs[1:, block] += div
         traces *= _FACE_SIGN
-        # Owner traces, then the neighbour traces of the links, in the
-        # two-sided layout of ``_to_faces``.
-        two = _view(region, (nv - 1, self._from_own.size))
-        traces.reshape(nv - 1, -1).take(self._face_nodes, axis=1, out=two, mode="clip")
-        owners, links = self._own_volume.size, self._nbr_volume.size
-        penalty = two[:, :owners]
-        penalty[:, :links] += two[:, owners:]
-        penalty[:, links:] = 0.0
+        # Each face node's trace plus its partner's, in the spent jump.
+        penalty = jump[1:]
+        traces.reshape(nv - 1, -1).take(self._partner, axis=1, mode="clip",
+                                        out=penalty.reshape(nv - 1, -1))
+        penalty += traces
+        penalty[:, self.mesh.b_face, self.b_elem] = 0.0
         penalty *= -0.5 / (self.w0 * gas.reynolds)
-        penalty = self._to_faces(two, 1.0, jump[1:])
         for face in range(6):
             rhs[1:][geometry.face_slice(face)] += penalty[:, face]
 
@@ -605,7 +600,7 @@ class DGSolver:
             fstar = fluxes.surface_flux_advective(own, ext, self._n_own[:, faces], gas,
                                                   self.surface_dissipation, rest[2 * size:6 * size])
             np.multiply(fstar, self._s_own[faces], out=f_s[:, faces])
-        star = self._to_faces(two, -1.0, _view(rest, (nv, 6, self.num_elements, n, n)))
+        star = self._to_faces(two, _view(rest, (nv, 6, self.num_elements, n, n)))
         star /= self.w0
         # The lift folds into the workspace after the star; the kernel's
         # fresh output becomes the residual.

@@ -63,20 +63,33 @@ class TestTransfiniteMap:
         gamma3 = np.einsum("cab,pa,pb->cp", fd.faces[4], la, lb)
         assert np.abs(got - gamma3).max() < 1e-13
 
-    def test_watertight_validation_catches_gaps(self):
+    # Every face: a shared node of the grid holds the last face written, so
+    # a gap in face 5 is read against the other faces, not against itself.
+    @pytest.mark.parametrize("face", range(6))
+    def test_watertight_validation_catches_gaps(self, face):
         fd = ge.faces_from_corners(UNIT_CORNERS, 3)
         broken = [f.copy() for f in fd.faces]
-        broken[0][0, 0, 0] += 1e-6
+        broken[face][0, 0, 0] += 1e-6
         bad = ge.FaceDefinition(broken)
+        assert bad.edge_mismatch() == pytest.approx(1e-6)
         with pytest.raises(ge.GeometryError, match="watertight"):
             bad.validate_watertight()
 
-    def test_watertight_validation_catches_nan(self):
+    @pytest.mark.parametrize("face", range(6))
+    def test_watertight_validation_catches_nan(self, face):
         fd = ge.faces_from_corners(UNIT_CORNERS, 3)
         broken = [f.copy() for f in fd.faces]
-        broken[2][1, 0, 0] = np.nan
+        broken[face][1, 0, 0] = np.nan
         with pytest.raises(ge.GeometryError, match="edge mismatch nan"):
             ge.FaceDefinition(broken).validate_watertight()
+
+    def test_affine_map_reproduced_inside(self):
+        affine = lambda xi: np.stack([0.5 * xi[0] + 0.1 * xi[1] - 0.2 * xi[2] + 0.3,
+                                      0.05 * xi[0] + 0.7 * xi[1] + 0.2 * xi[2] - 1.0,
+                                      0.1 * xi[0] - 0.15 * xi[1] + 0.9 * xi[2] + 2.0])
+        fd = ge.faces_from_mapping(affine, 3)
+        pts = np.random.default_rng(6).uniform(-1, 1, (3, 50))
+        assert np.abs(ge.transfinite_map(fd, pts) - affine(pts)).max() < 1e-13
 
     def test_face_shape_validation(self):
         with pytest.raises(ValueError):

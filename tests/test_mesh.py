@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,6 +55,22 @@ def test_mesh_file_reinterpolated_to_higher_degree(warped, tmp_path):
     assert s_gap <= 1e-10 and n_gap <= 1e-10
 
 
+def test_corner_only_mesh_file_reads_to_the_box(tmp_path):
+    # No curved records: every face is the bilinear face of its element's corners.
+    box = mesh_mod.box_mesh(3, (2, 1, 1), periodic=False)
+    unit = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    lines = [mesh_mod.MESH_MAGIC, "degree 3", "elements 2"]
+    lines += [f"corner {e} {c} {(e + x) / 2} {y} {z}" for e in range(2) for c, (x, y, z) in enumerate(unit)]
+    lines += [f"link {k.left} {k.left_face} {k.right} {k.right_face} {k.orient}" for k in box.links]
+    lines += [f"dirichlet {b.element} {b.face} {b.tag}" for b in box.boundary]
+    path = tmp_path / "corners.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    back = mesh_mod.read_mesh_file(path)
+    assert back.links == box.links and back.boundary == box.boundary
+    for name in ("x", "ja"):
+        assert np.abs(getattr(back, name) - getattr(box, name)).max() <= 1e-14, name
+
+
 def test_mesh_file_with_open_faces_rejected(tmp_path):
     mesh = mesh_mod.warped_box_mesh(2, (1, 1, 1), amplitude=0.05)
     path = tmp_path / "open.mesh"
@@ -89,6 +106,16 @@ def test_cli_mesh_write_and_audit(tmp_path, capsys):
     assert out[0] == "element,j_min,j_max,metric_residual,cross_residual"
     assert [ln.split(",")[0] for ln in out[1:3]] == ["0", "1"]
     assert "# elements: 2" in out
+
+
+@pytest.mark.parametrize("cells", (["0", "1", "1"], ["1", "-2", "1"]), ids=("zero", "negative"))
+def test_cli_mesh_write_rejects_non_positive_cells(tmp_path, capsys, cells):
+    path = tmp_path / "box.mesh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # checked before any division
+        assert cli.main(["mesh", "write", str(path), "--cells", *cells]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --cells: must be three integers >= 1")
+    assert not path.exists()
 
 
 def test_cli_mesh_audit_rejects_wrong_magic(tmp_path, capsys):

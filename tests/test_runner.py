@@ -222,6 +222,21 @@ def test_builtin_mesh_key_next_to_a_mesh_file_exits_2_naming_the_key(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("boundary", ("periodic", "dirichlet"))
+def test_boundary_next_to_a_mesh_file_exits_2(tmp_path, capsys, boundary):
+    mesh_mod.write_mesh_file(tmp_path / "box.mesh", mesh_mod.warped_box_mesh(1, (2, 2, 2)))
+    config = {"degree": 1, "final_time": 0.001, "mesh": {"path": "box.mesh"},
+              "boundary": boundary, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: boundary: not allowed next to mesh.path; ")
+    assert not (tmp_path / "out").exists()
+    del config["boundary"]  # the file's own boundary, periodic here, runs
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+
+
 def test_converge_on_a_mesh_file_exits_2_naming_the_key(tmp_path, capsys):
     mesh_mod.write_mesh_file(tmp_path / "box.mesh", mesh_mod.warped_box_mesh(2, (2, 2, 2)))
     path = tmp_path / "wave.json"

@@ -183,10 +183,15 @@ def test_dirichlet_box_free_stream(reynolds):
     gas = physics.GasModel(reynolds=reynolds)
     mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
     case = cases.FreeStream()
-    dg = solver.DGSolver(mesh, gas, "ec", "llf",
-                         boundary_states={"dirichlet": lambda x, t: case.state(x, t, gas)})
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=case.state)
     u = cases.initial_condition(case, dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
+
+
+def test_dirichlet_mesh_without_a_boundary_state_is_rejected():
+    mesh = mesh_mod.warped_box_mesh(2, (1, 1, 1), amplitude=0.05, periodic=False)
+    with pytest.raises(ValueError, match="Dirichlet faces but no boundary state"):
+        solver.DGSolver(mesh, physics.GasModel())
 
 
 # -- the viscous face terms against stacked 15-component traces ----------------
@@ -204,7 +209,7 @@ def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
     nc = lambda n, f: np.einsum("d...,dc...->c...", n, f)
     ghost = np.empty((5, 0) + mesh.s_hat.shape[-2:])
     if boundary_state is not None:
-        ghost = boundary_state(geometry.face_stack(mesh.x)[:, mesh.b_face, mesh.b_elem], t)
+        ghost = boundary_state(geometry.face_stack(mesh.x)[:, mesh.b_face, mesh.b_elem], t, gas)
 
     def exterior(faces, ghost):
         return np.concatenate([faces[nbr], ghost], axis=-3)
@@ -244,8 +249,7 @@ def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
 
 def assert_matches_stacked_traces(mesh, u, boundary_state=None):
     gas = physics.GasModel(reynolds=100.0)
-    states = {"dirichlet": boundary_state} if boundary_state else None
-    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_states=states)
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
     ref = stacked_trace_residual(mesh, gas, u, boundary_state, 0.1)
     assert np.abs(dg.residual(u, 0.1) - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -266,8 +270,7 @@ def test_viscous_faces_match_stacked_traces_dirichlet_box():
     gas = physics.GasModel()
     mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
     case = cases.DensityWave()
-    assert_matches_stacked_traces(mesh, perturbed_wave(mesh.x, gas),
-                                  lambda x, t: case.state(x, t, gas))
+    assert_matches_stacked_traces(mesh, perturbed_wave(mesh.x, gas), case.state)
 
 
 # -- BR1 neutral stability on the solver's own residual -----------------------
@@ -429,8 +432,7 @@ def test_split_divergence_positivity_error_names_global_element(warped_n7_4):
 def assert_viscous_path_block_independent(monkeypatch, mesh, u, boundary_state=None):
     """Re=100 residual and lifted gradients: equal at blocks of 1, 3 and all elements."""
     gas = physics.GasModel(reynolds=100.0)
-    states = {"dirichlet": boundary_state} if boundary_state else None
-    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_states=states)
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
     results = []
     for budget in (1, 3 * 8 * dg.n1**3, 1 << 40):
         monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
@@ -444,7 +446,7 @@ def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeyp
     mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
     case = cases.DensityWave()
     assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
-                                          lambda x, t: case.state(x, t, gas))
+                                          case.state)
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
@@ -524,8 +526,7 @@ def test_successive_residuals_are_independent_arrays(reynolds):
     gas = physics.GasModel(reynolds=reynolds)
     mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
     case = cases.DensityWave()
-    dg = solver.DGSolver(mesh, gas, "ec", "llf",
-                         boundary_states={"dirichlet": lambda x, t: case.state(x, t, gas)})
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=case.state)
     u_a, u_b = perturbed_wave(mesh.x, gas, seed=1), perturbed_wave(mesh.x, gas, seed=2)
     first = dg.residual(u_a, 0.1)
     kept = first.copy()
