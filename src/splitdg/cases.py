@@ -82,24 +82,18 @@ class ManufacturedWave:
         With constant velocity v0 and rho = p = 1 + a s(phase), phase
         = 2 pi (x+y+z-t): all fields depend on the single scalar phase, so
         d/dt = -2 pi a c and each d/dx_d = 2 pi a c with c = cos(phase).
+        Every row is then a constant times ds = 2 pi a c, with vs = sum v0:
+        mass rho_t + vs rho_x = (vs - 1) ds; momentum v_d times the mass
+        row plus p_x; energy, with rho E = p/(g-1) + rho |v0|^2/2 = e p,
+        e_t + vs (e + 1) p_x = (vs (e + 1) - e) ds.  One (5, ...) array is
+        allocated besides ds.
         """
-        a = self.amplitude
-        c = np.cos(self._phase(x, t))
-        ds = 2.0 * np.pi * a * c  # spatial derivative of rho and p per direction
-        dt = -ds  # temporal derivative
+        ds = 2.0 * np.pi * self.amplitude * np.cos(self._phase(x, t))
         v = self.velocity
         vs = float(np.sum(v))
-        vsq = float(np.sum(v * v))
-        src = np.empty((5,) + x.shape[1:])
-        # mass: rho_t + div(rho v) = rho_t + (v1+v2+v3) rho_x
-        src[0] = dt + vs * ds
-        # momentum d: (rho v_d)_t + div(rho v v_d) + p_xd
-        for d in range(3):
-            src[1 + d] = v[d] * (dt + vs * ds) + ds
-        # energy: (rho E)_t + div((rho E + p) v); rho E = p/(g-1) + rho vsq/2
-        e_factor = 1.0 / (gas.gamma - 1.0) + 0.5 * vsq
-        src[4] = e_factor * dt + vs * (e_factor + 1.0) * ds
-        return src
+        e_factor = 1.0 / (gas.gamma - 1.0) + 0.5 * float(np.sum(v * v))
+        coef = np.concatenate([[vs - 1.0], v * (vs - 1.0) + 1.0, [vs * (e_factor + 1.0) - e_factor]])
+        return np.multiply.outer(coef, ds)
 
 
 CASES = {

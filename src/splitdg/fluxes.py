@@ -18,7 +18,7 @@ returns it.  The arithmetic is the same with and without ``out``, so the
 two give bitwise equal results; ``out`` must not overlap the inputs.  The
 volume kernel passes its own pair-array buffer, so a call allocates only a
 few scratch arrays of one pair-array each; the surface flux passes rows of
-the flat ``work`` buffer that holds all its intermediates.
+its flat ``work`` buffer.
 """
 
 import math
@@ -141,9 +141,13 @@ class EntropyConservativeFlux:
 
 
 def _ec_state(rho, v, p, out=None):
-    """The entropy-conservative flux's prepared state (rho, v, beta = rho / 2p), beta into ``out``."""
-    beta = np.multiply(0.5, rho, out=out)
-    beta /= p
+    """The entropy-conservative flux's prepared state (rho, v, beta = rho / 2p), beta into ``out``.
+
+    ``out`` may be ``p``.  Halving is exact, so rho / p halved is bitwise
+    0.5 rho divided by p.
+    """
+    beta = np.divide(rho, p, out=out)
+    beta *= 0.5
     return rho, v, beta
 
 
@@ -173,12 +177,13 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
     node, so its entropy contribution is provably non-positive.  Each side
     is converted to (rho, v, p) once; beta, c and w all derive from that.
 
-    F* and every intermediate (both sides' primitives and beta, the
-    entropy-variable jump, the wave speeds) are rows of ``work``, a flat
-    float buffer with room for four (5, ...) arrays of the states' broadcast
-    shape; the returned F* is a view into it, and only ``evaluate``'s three
-    scratch rows are allocated.  With ``work=None`` the four arrays are
-    allocated separately.
+    F* and the entropy-variable jump are rows of ``work``, a flat float
+    buffer with room for two (5, ...) arrays of the states' broadcast shape,
+    and each side's primitives, then its beta, replace its state in place:
+    a call with ``work`` overwrites ``u_left`` and ``u_right``.  The
+    returned F* is a view into ``work``, and only a few scratch rows are
+    allocated.  With ``work=None`` the states are left unchanged and every
+    array is allocated.
     """
     if dissipation not in DISSIPATION_MODES:
         raise ValueError(
@@ -186,12 +191,11 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
         )
     shape = (physics.NVAR,) + np.broadcast_shapes(u_left.shape[1:], u_right.shape[1:], normal.shape[1:])
     size = math.prod(shape)
-    fstar, prim_l, prim_r, diss = (
-        np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
-        for i in range(4))
-    # Each side's primitives (beta, v, p) in the rows of its buffer.
-    left = physics.primitive_from_conservative(u_left, gas, out=prim_l)
-    right = physics.primitive_from_conservative(u_right, gas, out=prim_r)
+    fstar, diss = (np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
+                   for i in range(2))
+    # Each side's (rho, v, p), in place of its state when ``work`` is given.
+    left, right = (physics.primitive_from_conservative(side, gas, out=None if work is None else side)
+                   for side in (u_left, u_right))
     if dissipation == "llf":
         # (lambda_max/2) jump(w) first, w_L and lambda_max in F*'s rows.
         physics.entropy_variables_from_primitive(*right, gas, out=diss)
@@ -199,8 +203,8 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
         half_lam = physics.max_wave_speed(left, right, normal, gas, out=fstar[:3])
         diss *= np.multiply(0.5, half_lam, out=half_lam)
     ec = VOLUME_FLUXES["ec"]
-    ec.evaluate(_ec_state(*left, out=prim_l[0, ...]), _ec_state(*right, out=prim_r[0, ...]),
-                normal, gas, out=fstar)
+    # beta replaces p, spent by now.
+    ec.evaluate(_ec_state(*left, out=left[2]), _ec_state(*right, out=right[2]), normal, gas, out=fstar)
     if dissipation == "llf":
         fstar -= diss
     return fstar

@@ -71,7 +71,9 @@ def primitive_from_conservative(u, gas, out=None):
 
     ``out``, an optional (5, ...) float buffer, receives v in out[1:4] and p
     in out[4]; out[0] is scratch.  Without it, v, p and one scratch row are
-    separate arrays, so a caller that keeps only v holds three rows.
+    separate arrays, so a caller that keeps only v holds three rows.  ``out``
+    may be ``u`` itself: v and p then replace its momentum and energy rows,
+    and the scratch and the kinetic energy take two fresh rows.
 
     Returns:
         rho: density array (a view of u[0]), v: velocity array with leading
@@ -85,8 +87,11 @@ def primitive_from_conservative(u, gas, out=None):
         scratch, v, p = np.empty(np.shape(rho)), np.empty((3,) + np.shape(rho)), np.empty(np.shape(rho))
     else:
         scratch, v, p = out[0, ...], out[1:4], out[4, ...]
+    kinetic = p
+    if out is u:  # rho and the energy row must outlive the kinetic energy
+        scratch, kinetic = np.empty(np.shape(rho)), np.empty(np.shape(rho))
     np.divide(u[1:4], rho, out=v)
-    kinetic = _dot(v, v, p, scratch)
+    kinetic = _dot(v, v, kinetic, scratch)
     kinetic *= np.multiply(0.5, rho, out=scratch)
     p = np.subtract(u[4], kinetic, out=p)
     p *= gas.gamma - 1.0
@@ -192,7 +197,7 @@ def viscous_flux(u, grad_v, grad_t, gas, out=None):
         grad_t: temperature gradient, grad_t[d] = d T / d x_d, shape (3, ...).
         out: optional (3, 5, ...) array for the result, not overlapping the
             gradients.  Its rows hold the intermediates, so the call then
-            allocates one scratch row at a time.
+            allocates only the (3, ...) heat flux lam grad T.
 
     Returns:
         f^v with shape (3, 5, ...); the mass component is zero.
@@ -205,16 +210,12 @@ def viscous_flux(u, grad_v, grad_t, gas, out=None):
     div_v = np.add(grad_v[0, 0], grad_v[1, 1], out=f[2, 4, ...])
     div_v += grad_v[2, 2]
     div_v *= (2.0 / 3.0) * mu
-    tau = f[:, 1:4]  # the viscous stress, in place
-    for i in range(3):
-        for j in range(3):
-            np.add(grad_v[i, j], grad_v[j, i], out=tau[i, j, ...])
-            tau[i, j, ...] *= mu
-        tau[i, i, ...] -= div_v
-    lam = gas.heat_conduction
+    tau = np.add(grad_v, grad_v.swapaxes(0, 1), out=f[:, 1:4])  # the viscous stress, in place
+    tau *= mu
+    np.einsum("ii...->i...", tau)[...] -= div_v  # the diagonal, a view
     for d in range(3):
-        energy = np.einsum("m...,m...->...", v, tau[d], out=f[d, 4, ...])
-        energy += lam * grad_t[d]
+        np.einsum("m...,m...->...", v, tau[d], out=f[d, 4, ...])
+    f[:, 4] += gas.heat_conduction * grad_t
     f[:, 0] = 0.0
     return f
 
@@ -228,7 +229,8 @@ def gradients_from_entropy_gradients(u, q, gas, out=None):
         d T  / d x_d = gamma Ma^2 (p / rho)^2 q[d, 4].
     The gradients are the rows out[:, 1:4] and out[:, 4] of ``out``, a
     (3, 5, ...) array that may be ``q`` itself; its mass rows out[:, 0] are
-    scratch.  Beyond ``out`` the call allocates two scratch rows.
+    scratch.  Beyond ``out`` the call allocates two scratch rows and the
+    (3, 3, ...) products v_m q[d, 4].
     """
     g = np.empty(np.shape(q)) if out is None else out
     rho = u[0]
@@ -240,10 +242,7 @@ def gradients_from_entropy_gradients(u, q, gas, out=None):
     p *= gas.gamma - 1.0
     p_over_rho = np.divide(p, rho, out=p_over_rho)
     # Each row of q is read before its own gradient row is written.
-    for d in range(3):
-        for m in range(3):
-            np.add(np.multiply(v[m], q[d, 4], out=scratch), q[d, 1 + m], out=g[d, 1 + m, ...])
-    grad_v = g[:, 1:4]
+    grad_v = np.add(q[:, 1:4], np.multiply(v, q[:, 4:5]), out=g[:, 1:4])
     grad_v *= p_over_rho
     coef = np.square(p_over_rho, out=scratch)
     coef *= gas.gamma * gas.mach**2

@@ -23,16 +23,23 @@ strong/penalty form.
 A residual runs in phases, one after the other in one workspace that the
 solver keeps.  The volume term runs over element blocks.  The advective
 face phase runs over chunks of owner faces: each chunk's own and outside
-traces, the surface flux F* with all its intermediates, then F* s_hat on
-the owner faces; after the last chunk F* s_hat goes to both sides of every
-link and is lifted into the volume.  The viscous terms follow in three
-passes: the BR1 lifting jump over all faces; one element-block loop that
-forms the lifted gradients Q, the viscous flux F^v, its contravariant form
-and divergence, and its face traces; and the viscous penalty over all
-faces.  So no (3, 5, K, n1, n1, n1) array of Q or F^v and no whole-face
-array is ever allocated afresh: a warm residual allocates its result, the
-volume flux's prepared state, the ghost states and a few scratch rows per
-block.
+traces, which the surface flux F* turns into primitives in place, F* and
+its dissipation, then F* s_hat on the owner faces; after the last chunk
+F* s_hat goes to both sides of every link and is lifted, face by face,
+into the volume term's output.  The viscous terms follow in three passes:
+the BR1 lifting jump over all faces; one element-block loop that forms the
+lifted gradients Q, the viscous flux F^v, its contravariant form and
+divergence, and its face traces; and the viscous penalty over all faces.
+So no (3, 5, K, n1, n1, n1) array of Q or F^v and no whole-face array is
+ever allocated afresh: a warm residual allocates its result, the volume
+flux's prepared state, the ghost states and a few scratch rows per block.
+
+Every phase fits in the memory that the largest one needs anyway.  The
+face chunks are sized from what the workspace already holds, at least the
+volume kernel's reservation, so on an inviscid mesh the kernel sets the
+workspace's size.  The viscous blocks are capped at K // n1 elements, so
+that their two block buffers fit in the two-sided face array of the
+lifting jump that they follow.
 """
 
 import functools
@@ -46,9 +53,12 @@ from splitdg import fluxes, geometry, physics, spectral
 # Byte budget of one float64 row of an element block: the (pairs, n, n)
 # row of a pair array in split_divergence, the (n, n, n) row of a nodal
 # field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
-# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop.  The face
-# chunks of the advective face phase follow the same rule with the (n, n)
-# row of one face: 8,192 face nodes, 128 faces at N=7 and 512 at N=3.  A byte
+# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop, which caps
+# them at K // n elements (54 on a 6^3 box at N=3) to fit in its face
+# region.  The face chunks of the advective face phase follow the same rule
+# with the (n, n) row of one face, 8,192 face nodes, 128 faces at N=7 and
+# 512 at N=3, capped at what the workspace holds after the kernel: 192 faces
+# (all) on 4^3 elements at N=4, 60 of 81 on 3^3 at N=7.  A byte
 # budget, not an element count, because the per-element rows grow like N^4
 # and N^3: it keeps the block arrays cache-sized at every degree and the
 # memory flat in K, while blocks of many low-degree elements keep the Python
@@ -308,10 +318,11 @@ class DGSolver:
     The solver owns one ``Workspace``, ``_work``.  In every residual the
     volume kernel's pair arrays, then the advective face phase's arrays
     (each chunk's traces and surface-flux rows, F* s_hat on both sides of
-    every face and its lift) and then the viscous path's arrays (the
-    entropy variables, the lifting jump and n . F^v traces on all faces,
-    two block buffers; the penalty reuses the spent jump) are views of its
-    memory, so a warm residual allocates none of them afresh.
+    every face) and then the viscous path's arrays (the entropy variables,
+    the lifting jump and n . F^v traces on all faces, two block buffers in
+    the jump's spent two-sided array; the penalty reuses the spent jump)
+    are views of its memory, so a warm residual allocates none of them
+    afresh.
 
     Args:
         mesh: MeshTopology (its curl-form metrics give the discrete
@@ -445,22 +456,25 @@ class DGSolver:
         Dirichlet face W* is the ghost value of ``ghost`` (5, nb, n, n).
 
         Returns:
-            the viscous block size in elements; W (5, K, n, n, n); the jump
-            (5, 6, K, n, n); a (4, 6, K, n, n) face array for the n . F^v
-            s_hat traces; and the flat scratch region, which holds the two
-            block buffers of 3 * 5 rows each and, before them, the jump's
-            two-sided face array.
+            the viscous block size in elements, at most K // n, so that the
+            two block buffers fit in the jump's two-sided face array; W
+            (5, K, n, n, n); the jump (5, 6, K, n, n); a (4, 6, K, n, n)
+            face array for the n . F^v s_hat traces; and the flat scratch
+            region, which holds the two-sided array and then the two block
+            buffers of 3 * 5 rows each.
         """
         n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
-        step = _block_elements(num_elements, n**3)
         faces = (nv, 6, num_elements, n, n)
         face_size = self._from_own.size
+        # Five rows of 6 K n^2 face nodes hold 2 * 15 block rows of K // n elements.
+        step = min(_block_elements(num_elements, n**3), max(1, face_size // (6 * n**3)))
         w, jump, traces, region = self._work.reserve(
             u.size, nv * face_size, (nv - 1) * face_size,
             max(2 * 3 * nv * step * n**3, nv * face_size))
         w = w.reshape(u.shape)
-        # Block by block, each block's primitives in the scratch region.
-        for block in _blocks(num_elements, step):
+        # Block by block, each block's primitives in the scratch region, as
+        # many elements as it holds.
+        for block in _blocks(num_elements, max(1, region.size // (nv * n**3))):
             try:
                 prim = physics.primitive_from_conservative(
                     u[:, block], self.gas, out=_view(region, u[:, block].shape))
@@ -584,12 +598,16 @@ class DGSolver:
         # The volume term first: its positivity check names (element, i, j, k).
         div = split_divergence(u, self.ja, self.basis, self.volume_flux, gas, self._work)
         # F* s_hat in the two-sided layout of ``_to_faces``, then room for a
-        # chunk's two traces and the surface flux's four arrays, which the
-        # star and the lift reuse after the last chunk.
+        # chunk's two traces, which the surface flux turns into primitives
+        # in place, and its two arrays; the star reuses the room after the
+        # last chunk.  A chunk takes the room that the workspace already
+        # holds beyond F* s_hat (after the kernel, at least its reservation),
+        # up to the block rule's faces, so the workspace grows only when it
+        # cannot hold F* s_hat and the star.
         num_faces, face_size = len(self._s_own), self._from_own.size
-        step = _block_elements(num_faces, n * n)
-        chunk = nv * step * n * n
-        two, rest = self._work.reserve(nv * face_size, max(6 * chunk, nv * face_size + u.size))
+        room = max(self._work.flat.size - nv * face_size, nv * face_size)
+        step = min(_block_elements(num_faces, n * n), max(1, room // (4 * nv * n * n)))
+        two, rest = self._work.reserve(nv * face_size, max(4 * nv * step * n * n, nv * face_size))
         two = two.reshape(nv, face_size)
         f_s = two[:, :self._own_volume.size].reshape((nv,) + self._s_own.shape)
         for faces in _blocks(num_faces, step):
@@ -598,13 +616,14 @@ class DGSolver:
             own, ext = _view(rest, shape), _view(rest, shape, size)
             self._traces(u, ghost, faces, own, ext)
             fstar = fluxes.surface_flux_advective(own, ext, self._n_own[:, faces], gas,
-                                                  self.surface_dissipation, rest[2 * size:6 * size])
+                                                  self.surface_dissipation, rest[2 * size:4 * size])
             np.multiply(fstar, self._s_own[faces], out=f_s[:, faces])
         star = self._to_faces(two, _view(rest, (nv, 6, self.num_elements, n, n)))
         star /= self.w0
-        # The lift folds into the workspace after the star; the kernel's
-        # fresh output becomes the residual.
-        div += geometry.fold_faces(star, _view(rest, u.shape, star.size))
+        # The lift, face by face into the kernel's fresh output, which
+        # becomes the residual.
+        for face in range(6):
+            div[geometry.face_slice(face)] += star[:, face]
         return np.negative(div, out=div)
 
     # -- monitors and time stepping -------------------------------------------

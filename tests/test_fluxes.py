@@ -331,6 +331,19 @@ class TestSurfaceFlux:
                - 0.5 * lam * (ph.entropy_variables(ub, GAS) - ph.entropy_variables(ua, GAS)))
         assert np.array_equal(fl.surface_flux_advective(ua, ub, n, GAS, "llf"), ref)
 
+    @pytest.mark.parametrize("mode", fl.DISSIPATION_MODES)
+    def test_work_buffer_is_bitwise_the_allocating_call(self, mode):
+        # With ``work`` the states become primitives in place.
+        rng = np.random.default_rng(15)
+        ua, ub = random_states(rng, 200), random_states(rng, 200)
+        n = rng.normal(size=(3, 200))
+        n /= np.sqrt(np.sum(n * n, axis=0))
+        ref = fl.surface_flux_advective(ua, ub, n, GAS, mode)
+        la, lb, work = ua.copy(), ub.copy(), np.full(2 * ua.size, np.nan)
+        fstar = fl.surface_flux_advective(la, lb, n, GAS, mode, work)
+        assert np.array_equal(fstar, ref) and np.shares_memory(fstar, work)
+        assert np.array_equal(la[0], ua[0]) and not np.array_equal(la[1:], ua[1:])
+
     def test_unknown_mode_rejected(self):
         u = random_states(np.random.default_rng(12), 4)
         with pytest.raises(ValueError, match="llf"):

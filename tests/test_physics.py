@@ -69,6 +69,15 @@ class TestConversions:
         u2 = ph.conservative_from_primitive(rho, v, p, GAS)
         assert np.abs(u2 - u).max() < 1e-14
 
+    def test_in_place_is_bitwise_the_allocating_call(self):
+        u = random_states(np.random.default_rng(1), 1000)
+        ref = ph.primitive_from_conservative(u, GAS)
+        work = u.copy()
+        rho, v, p = ph.primitive_from_conservative(work, GAS, out=work)
+        assert np.shares_memory(v, work[1:4]) and np.shares_memory(p, work[4])
+        for got, want in zip((rho, v, p), ref):
+            assert np.array_equal(got, want)
+
     def test_zero_internal_energy_rejected(self):
         u = make_state(1.0, (2.0, 0.0, 0.0), 1.0)
         u[4] = 0.5 * u[1] ** 2 / u[0]  # p = 0 exactly
@@ -246,6 +255,55 @@ class TestViscousFlux:
         dt = (temperature(up, gas) - temperature(um, gas)) / (2 * eps)
         assert np.abs(gv[0] - dv).max() < 1e-6
         assert np.abs(gt[0] - dt).max() < 1e-6
+
+
+def loop_viscous_flux(u, grad_v, grad_t, gas):
+    """Reference: the viscous stress and energy flux one component at a time."""
+    v = u[1:4] / u[0]
+    div_v = (grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]) * ((2.0 / 3.0) * gas.mu)
+    f = np.zeros((3, 5) + u.shape[1:])
+    for i in range(3):
+        for j in range(3):
+            f[i, 1 + j] = (grad_v[i, j] + grad_v[j, i]) * gas.mu
+        f[i, 1 + i] -= div_v
+    for d in range(3):
+        f[d, 4] = np.einsum("m...,m...->...", v, f[d, 1:4]) + gas.heat_conduction * grad_t[d]
+    return f
+
+
+def loop_velocity_gradients(u, q, gas):
+    """Reference: d v_m / d x_d = (q[d, 1+m] + v_m q[d, 4]) p / rho, one (d, m) at a time."""
+    v = u[1:4] / u[0]
+    kinetic = v[0] * v[0]
+    kinetic += v[1] * v[1]
+    kinetic += v[2] * v[2]
+    p_over_rho = (u[4] - kinetic * (0.5 * u[0])) * (gas.gamma - 1.0) / u[0]
+    grad_v = np.empty((3, 3) + u.shape[1:])
+    for d in range(3):
+        for m in range(3):
+            grad_v[d, m] = (v[m] * q[d, 4] + q[d, 1 + m]) * p_over_rho
+    return grad_v
+
+
+class TestViscousFluxAgainstLoops:
+    GAS = ph.GasModel(reynolds=10.0, mu=0.3, prandtl=0.9, mach=1.7)
+
+    def test_viscous_flux_is_bitwise_the_component_loops(self):
+        rng = np.random.default_rng(16)
+        u = random_states(rng, 300)
+        grad_v, grad_t = rng.normal(size=(3, 3, 300)), rng.normal(size=(3, 300))
+        ref = loop_viscous_flux(u, grad_v, grad_t, self.GAS)
+        assert np.array_equal(ph.viscous_flux(u, grad_v, grad_t, self.GAS), ref)
+
+    def test_velocity_gradients_are_bitwise_the_component_loops(self):
+        rng = np.random.default_rng(17)
+        u = random_states(rng, 300)
+        q = rng.normal(size=(3, 5, 300))
+        ref = loop_velocity_gradients(u, q, self.GAS)
+        assert np.array_equal(ph.gradients_from_entropy_gradients(u, q, self.GAS)[0], ref)
+        # In place, as the solver's block loop calls it.
+        work = q.copy()
+        assert np.array_equal(ph.gradients_from_entropy_gradients(u, work, self.GAS, work)[0], ref)
 
 
 class TestWaveSpeed:

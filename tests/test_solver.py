@@ -15,9 +15,11 @@ The volume kernel runs over element blocks; its output must not depend on
 the block size, its memory must not grow with the element count, a warm
 call in the solver's workspace must allocate no pair arrays, and its
 positivity errors must name global elements.  The viscous path runs over
-element blocks too: the Re=100 residual and the lifted gradients must not
-depend on the block size, and a warm viscous residual must allocate no
-whole gradient or flux array.
+element blocks too, of at most K // n elements: the Re=100 residual and the
+lifted gradients must not depend on the block size, and a warm viscous
+residual must allocate no whole gradient or flux array.  On the benchmark's
+configurations the face phase must fit in the volume kernel's reservation
+and the Re=100 workspace within its bound.
 """
 
 import re
@@ -430,23 +432,31 @@ def test_split_divergence_positivity_error_names_global_element(warped_n7_4):
 # -- element blocks of the viscous path ----------------------------------------
 
 def assert_viscous_path_block_independent(monkeypatch, mesh, u, boundary_state=None):
-    """Re=100 residual and lifted gradients: equal at blocks of 1, 3 and all elements."""
+    """Re=100 residual and lifted gradients: equal at budgets of 1, 3 and all elements.
+
+    Returns the viscous block size of each budget, which the cap of
+    ``_br1_faces`` (K // n elements) may lower.
+    """
     gas = physics.GasModel(reynolds=100.0)
     dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
-    results = []
+    results, steps = [], []
     for budget in (1, 3 * 8 * dg.n1**3, 1 << 40):
         monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
         results.append((dg.residual(u, 0.1), dg.lift_gradients(u, 0.1)))
+        steps.append(dg._br1_faces(u, dg._ghost(0.1))[0])
     for residual, q in results[1:]:
         assert np.array_equal(residual, results[0][0]) and np.array_equal(q, results[0][1])
+    return steps
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeypatch):
     gas = physics.GasModel()
-    mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (3, 3, 3), amplitude=0.05, periodic=False)
     case = cases.DensityWave()
-    assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
-                                          case.state)
+    steps = assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
+                                                  case.state)
+    # One element, three, and the cap of 27 // 4 elements (blocks 6, 6, 6, 6, 3).
+    assert steps == [1, 3, 6]
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
@@ -485,40 +495,58 @@ def test_warm_viscous_residual_allocates_no_whole_gradient_arrays(warped_n7_4):
 # -- memory of a warm residual -------------------------------------------------
 
 # The benchmark's three run configurations (nominal case and mesh
-# parameters) and the bound on a warm residual's traced peak, in u.nbytes.
+# parameters), the bound on a warm residual's traced peak and the bound on
+# the solver's workspace, in u.nbytes.  A workspace bound of None means the
+# volume kernel's own reservation: the face phase fits in it.
 WORKLOAD_CONFIGS = {
     "euler_n4": ({"case": "density_wave", "degree": 4,
-                  "mesh": {"builtin": "warped_box", "cells": [4, 4, 4], "amplitude": 0.05}}, 3.0),
+                  "mesh": {"builtin": "warped_box", "cells": [4, 4, 4], "amplitude": 0.05}},
+                 3.0, None),
+    # Measured: peak 2.46, workspace 5.20.
     "ns_n3_dirichlet": ({"case": "manufactured", "degree": 3, "boundary": "dirichlet",
                          "gas": {"reynolds": 100.0},
-                         "mesh": {"builtin": "warped_box", "cells": [6, 6, 6], "amplitude": 0.05}}, 4.0),
+                         "mesh": {"builtin": "warped_box", "cells": [6, 6, 6], "amplitude": 0.05}},
+                        2.75, 5.25),
     "euler_n7_short": ({"case": "density_wave", "degree": 7,
-                        "mesh": {"builtin": "warped_box", "cells": [3, 3, 3], "amplitude": 0.05}}, 3.0),
+                        "mesh": {"builtin": "warped_box", "cells": [3, 3, 3], "amplitude": 0.05}},
+                       3.0, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
 def test_warm_residual_traced_peak(name):
-    """Traced peak of a warm residual above the memory live before it.
+    """Traced peak of a warm residual above the memory live before it, and the workspace.
 
     The result, the volume flux's prepared state and a few scratch rows per
     block or face chunk are fresh; every whole-face array of the face phase
-    lives in the solver's workspace.
+    lives in the solver's workspace.  The face chunks follow the workspace's
+    size, which the first residual may still grow, so the first and the
+    warm residual must agree bitwise.
     """
-    raw, bound = WORKLOAD_CONFIGS[name]
+    raw, bound, work_bound = WORKLOAD_CONFIGS[name]
     dg, case, gas = runner.build_solver(config.RunConfig.from_dict(raw))
     u = cases.initial_condition(case, dg, gas)
-    dg.residual(u, 0.01)
+    first = dg.residual(u, 0.01)
     tracemalloc.start()
     try:
-        dg.residual(u, 0.01)
+        warm = dg.residual(u, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound * u.nbytes
+    assert np.array_equal(warm, first)
+    if work_bound is None:
+        kernel = solver.Workspace()
+        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, kernel)
+        assert dg._work.flat.size == kernel.flat.size
+    else:
+        assert dg._work.flat.nbytes <= work_bound * u.nbytes
     if gas.viscous:
-        # The viscous path, the last phase to reserve, still sets the size.
+        # The viscous path, the last phase to reserve, still sets the size,
+        # with blocks of K // n elements: its two block buffers fill the
+        # two-sided face region.
         assert dg._work.flat.size == sum(dg._work.sizes)
+        assert dg._br1_faces(u, dg._ghost(0.01))[0] == dg.num_elements // dg.n1 == 54
 
 
 @pytest.mark.parametrize("reynolds", VISCOSITY)
