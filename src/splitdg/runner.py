@@ -57,21 +57,14 @@ def integrate(dg, state, config):
         yield state, dt
 
 
-def run_case(config, output_dir=None):
-    """Execute the configured time loop; write monitor CSV and final state.
+def _time_loop(config, rows, rates):
+    """The solver's part of ``run_case``: set-up, the time loop, the final residual.
 
-    Returns a summary dict (printed by the CLI); raises PositivityError on a
-    positivity abort.  The summary reports the run's cost: ``residual_evals``
-    (counted by the solver, 5S + 1 for S steps), ``loop_wall_s`` (the wall
-    time of the time loop, monitors and final residual included), ``pid_us``,
-    loop_wall_s in µs per DOF and residual evaluation (the PID of Krais et
-    al., FLEXI, CAMWA 2021), ``wall_time_s`` (the whole call) and ``phases``:
-    the wall times of set-up (mesh, solver, initial condition), the loop,
-    the output files and the error norms, which sum to at most wall_time_s.
+    Appends the monitor rows and entropy rates.  Returns the final state,
+    its largest residual, the step and residual counts, the mesh, case and
+    gas, and the loop's start and end times.  The solver, its workspace and
+    the final residual are released when this returns.
     """
-    start = time.perf_counter()
-    out_dir = output_dir if output_dir is not None else config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     dg, case, gas = build_solver(config)
     # The initial state is not kept: it is sampled again for the summary's
     # deviation, since initial_condition is a pure function of the nodes.
@@ -79,8 +72,6 @@ def run_case(config, output_dir=None):
         state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
     except physics.PositivityError as err:
         raise physics.PositivityError(f"positivity failure in the initial condition: {err}") from err
-
-    rows, rates = [MONITOR_HEADER], []
 
     def monitor(field, dt, rhs):
         row, rate = _monitor_row(dg, field, dt, rhs)
@@ -105,31 +96,57 @@ def run_case(config, output_dir=None):
             f"positivity failure in the final state after step {step} "
             f"at t = {state.t:.6g}: {err}") from err
     monitor(state, dt, rhs)
-    output_start = time.perf_counter()
+    return (state, float(np.abs(rhs).max()), step, dg.residual_evals, dg.mesh, case, gas,
+            loop_start, time.perf_counter())
+
+
+def run_case(config, output_dir=None):
+    """Execute the configured time loop; write monitor CSV and final state.
+
+    Returns a summary dict (printed by the CLI); raises PositivityError on a
+    positivity abort.  The summary reports the run's cost: ``residual_evals``
+    (counted by the solver, 5S + 1 for S steps), ``loop_wall_s`` (the wall
+    time of the time loop, monitors and final residual included), ``pid_us``,
+    loop_wall_s in µs per DOF and residual evaluation (the PID of Krais et
+    al., FLEXI, CAMWA 2021), ``wall_time_s`` (the whole call) and ``phases``:
+    the wall times of set-up (mesh, solver, initial condition), the loop,
+    the output files and the error norms, which sum to at most wall_time_s.
+
+    The solver lives only for set-up and the loop.  The epilogue (the
+    state file, the deviation from the initial condition and the error
+    norms) runs on the mesh once the solver, its workspace and the final
+    residual are released, so the time loop sets the run's peak memory.
+    """
+    start = time.perf_counter()
+    out_dir = output_dir if output_dir is not None else config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
+    rows, rates = [MONITOR_HEADER], []
+    (state, max_residual, step, residual_evals, mesh, case, gas,
+     loop_start, output_start) = _time_loop(config, rows, rates)
     loop_wall_s = output_start - loop_start
 
     monitor_path = os.path.join(out_dir, f"{config.case_name}_monitor.csv")
     with open(monitor_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     state_path = os.path.join(out_dir, f"{config.case_name}_final.state")
-    write_state_file(state_path, dg, state)
+    write_state_file(state_path, mesh, state)
 
     error_start = time.perf_counter()
     summary = {
         "case": config.case_name,
         "steps": step,
-        "residual_evals": dg.residual_evals,
+        "residual_evals": residual_evals,
         "loop_wall_s": loop_wall_s,
-        "pid_us": loop_wall_s * 1e6 / (dg.num_elements * dg.n1**3 * dg.residual_evals),
+        "pid_us": loop_wall_s * 1e6 / (mesh.num_elements * (mesh.basis.n + 1)**3 * residual_evals),
         "final_time": state.t,
-        "final_max_residual": float(np.abs(rhs).max()),
+        "final_max_residual": max_residual,
         "max_deviation_from_initial": float(
-            np.abs(state.u - cases.initial_condition(case, dg, gas)).max()),
+            np.abs(state.u - cases.initial_condition(case, mesh, gas)).max()),
         "max_entropy_rate": float(max(rates)),
         "monitor_csv": monitor_path,
         "final_state": state_path,
     }
-    l2, linf = cases.error_norms(dg, state.u, case, gas, state.t)
+    l2, linf = cases.error_norms(mesh, state.u, case, gas, state.t)
     summary["l2_error"] = l2.tolist()
     summary["linf_error"] = linf.tolist()
     end = time.perf_counter()
@@ -139,23 +156,24 @@ def run_case(config, output_dir=None):
     return summary
 
 
-def write_state_file(path, dg, state):
+def write_state_file(path, mesh, state):
     """Self-describing text dump of the final nodal solution.
 
-    Streams one element at a time, so the text of the whole file is never
-    held in memory.
+    ``mesh`` gives the degree and element count (``basis``,
+    ``num_elements``; a DGSolver has them too).  Streams one element at a
+    time, so the text of the whole file is never held in memory.
     """
     header = [
         STATE_MAGIC,
-        f"degree {dg.basis.n}",
-        f"elements {dg.num_elements}",
+        f"degree {mesh.basis.n}",
+        f"elements {mesh.num_elements}",
         f"time {state.t!r}",
         "ordering element-major; nodes (i,j,k) row-major; "
         "components rho rhov1 rhov2 rhov3 rhoE",
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for e in range(dg.num_elements):
+        for e in range(mesh.num_elements):
             rows = state.u[:, e].reshape(5, -1).T.tolist()  # (n1^3, 5)
             fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows))
 

@@ -1,6 +1,7 @@
 """Time loop and command-line round trips."""
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -333,6 +334,20 @@ def test_run_exits_0_where_mpmath_cannot_be_imported(tmp_path):
     assert result.returncode == cli.EXIT_OK, result.stderr
 
 
+def test_importing_the_cli_leaves_the_verify_battery_unloaded():
+    result = run_fresh_python("import sys, splitdg.cli\n"
+                              "print(sorted({'splitdg.verify', 'decimal'} & set(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_unknown_verify_suite_exits_2_naming_the_suites(capsys):
+    assert cli.main(["verify", "nosuch"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown suite 'nosuch'" in err
+    assert all(f"'{name}'" in err for name in [*verify.SUITES, "all"])
+
+
 def parser_commands(parser, prefix=()):
     """Every runnable subcommand of an argparse parser, as "mesh audit" style strings."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -411,6 +426,28 @@ def test_run_reports_its_own_cost(tmp_path):
     summary = runner.run_case(wave_config(tmp_path, 1))
     assert summary["residual_evals"] == 5 * STEPS + 1
     assert summary["loop_wall_s"] > 0.0
+    dofs = 8 * 3**3  # 2^3 elements of degree 2
+    assert summary["pid_us"] == pytest.approx(
+        summary["loop_wall_s"] * 1e6 / (dofs * summary["residual_evals"]), rel=1e-12)
+
+
+def test_error_norms_run_after_the_solver_is_released(tmp_path, monkeypatch):
+    config = wave_config(tmp_path, 1)
+    expected = runner.run_case(config)
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, (solver.DGSolver, solver.Workspace))}
+    error_norms, alive = cases.error_norms, []
+
+    def checked(*args):
+        alive.extend(o for o in gc.get_objects()
+                     if isinstance(o, (solver.DGSolver, solver.Workspace)) and id(o) not in before)
+        return error_norms(*args)
+
+    monkeypatch.setattr(cases, "error_norms", checked)
+    summary = runner.run_case(config)
+    assert alive == []
+    for key in ("final_max_residual", "l2_error", "linf_error", "residual_evals"):
+        assert summary[key] == expected[key]
     dofs = 8 * 3**3  # 2^3 elements of degree 2
     assert summary["pid_us"] == pytest.approx(
         summary["loop_wall_s"] * 1e6 / (dofs * summary["residual_evals"]), rel=1e-12)

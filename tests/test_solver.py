@@ -18,8 +18,9 @@ positivity errors must name global elements.  The viscous path runs over
 element blocks too, of at most K // n elements: the Re=100 residual and the
 lifted gradients must not depend on the block size, and a warm viscous
 residual must allocate no whole gradient or flux array.  On the benchmark's
-configurations the face phase must fit in the volume kernel's reservation
-and the Re=100 workspace within its bound.
+configurations the face phase must fit in the volume kernel's reservation,
+the Re=100 workspace within its bound, and a warm RK step within the state,
+its register and two stage residuals plus one residual's fresh arrays.
 """
 
 import re
@@ -549,6 +550,28 @@ def test_warm_residual_traced_peak(name):
         assert dg._br1_faces(u, dg._ghost(0.01))[0] == dg.num_elements // dg.n1 == 54
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_warm_step_traced_peak(name):
+    """Traced peak of a warm RK step above the memory live before it.
+
+    A step holds the new state, the RK register, the first stage's residual
+    (the input field's ``rhs``, which it must leave intact), one later
+    stage's residual and that residual's own fresh arrays.
+    """
+    dg, case, gas = runner.build_solver(config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0]))
+    state = solver.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
+    dt = dg.timestep_estimate(state.u, 0.4)
+    state = dg.step(state, dt)
+    tracemalloc.start()
+    try:
+        dg.step(state, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.6 * state.u.nbytes
+    assert np.array_equal(state.rhs, dg.residual(state.u, state.t))
+
+
 @pytest.mark.parametrize("reynolds", VISCOSITY)
 def test_successive_residuals_are_independent_arrays(reynolds):
     gas = physics.GasModel(reynolds=reynolds)
@@ -581,6 +604,13 @@ def test_rk_step_in_place_is_bitwise_the_out_of_place_formula():
     u = u0.copy()
     assert np.array_equal(solver.rk_step(u, 0.3, 0.01, rhs), reference(u0, 0.3, 0.01, rhs))
     assert np.array_equal(u, u0)
+    # Only the later stages' residuals are overwritten: a right-hand side
+    # that keeps what it returns still holds the first stage's residual.
+    kept = []
+    keeping = lambda u, t: kept.append(rhs(u, t)) or kept[-1]
+    assert np.array_equal(solver.rk_step(u, 0.3, 0.01, keeping), reference(u0, 0.3, 0.01, rhs))
+    assert len(kept) == len(solver.RK_A)
+    assert np.array_equal(kept[0], rhs(u0, 0.3))
     # verify's RK rows step 0-d arrays.
     y, decay = np.array(1.0), lambda v, t: -v
     assert solver.rk_step(y, 0.0, 0.1, decay) == reference(np.array(1.0), 0.0, 0.1, decay)
