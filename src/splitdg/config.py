@@ -3,7 +3,6 @@
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 from splitdg import cases, fluxes, geometry, mesh as mesh_mod, physics
 
@@ -26,24 +25,25 @@ def _is_list_of(value, length, item_ok):
     return isinstance(value, (list, tuple)) and len(value) == length and all(map(item_ok, value))
 
 
-@dataclass
 class RunConfig:
-    case: str = "density_wave"
-    case_params: dict = field(default_factory=dict)
-    mesh: dict = field(default_factory=lambda: {"builtin": "warped_box", "cells": [4, 4, 4]})
-    degree: int = 4
-    gas: dict = field(default_factory=dict)
-    volume_flux: str = "ec"
-    surface_dissipation: str = "llf"
-    cfl: float | None = 0.4
-    dt: float | None = None
-    final_time: float = 0.25
-    monitor_interval: int = 1
-    output_dir: str = "."
-    case_name: str | None = None
-    boundary: str | None = None  # the built-in mesh's; None is periodic
+    """A validated run configuration; its fields are the keys of a config file.
 
-    def __post_init__(self):
+    Takes the fields as keywords; each instance gets fresh default dicts.
+    ``boundary`` is the built-in mesh's (None is periodic).
+    """
+
+    FIELDS = ("case", "case_params", "mesh", "degree", "gas", "volume_flux", "surface_dissipation",
+              "cfl", "dt", "final_time", "monitor_interval", "output_dir", "case_name", "boundary")
+
+    def __init__(self, **fields):
+        unknown = sorted(set(fields) - set(self.FIELDS))
+        if unknown:
+            raise TypeError(f"RunConfig.__init__() got an unexpected keyword argument '{unknown[0]}'")
+        vars(self).update(
+            case="density_wave", case_params={}, mesh={"builtin": "warped_box", "cells": [4, 4, 4]},
+            degree=4, gas={}, volume_flux="ec", surface_dissipation="llf", cfl=0.4, dt=None,
+            final_time=0.25, monitor_interval=1, output_dir=".", case_name=None, boundary=None)
+        vars(self).update(fields)
         for key in ("degree", "monitor_interval"):
             if not _is_count(getattr(self, key)):
                 raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
@@ -107,8 +107,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw, base_dir=None):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if base_dir and "mesh" in raw and "path" in raw["mesh"]:

@@ -235,16 +235,19 @@ def metrics_cross_product(covariant):
     return ja, j
 
 
-def metrics_curl_form(basis, x):
+def metrics_curl_form(basis, x, dx=None):
     """Contravariant vectors in curl form; discretely divergence-free.
 
     Implements, with discrete derivatives and nodal products,
         Ja^i_d = d_c( X_e,b * X_g ) - d_b( X_e,c * X_g )
     for (i, b, c) cyclic in the reference directions and (d, e, g) cyclic in
     the physical components.  ``x`` has shape (3, K, n, n, n); the result
-    has shape (3, 3, K, n, n, n).
+    has shape (3, 3, K, n, n, n).  ``dx`` is the covariant gradient
+    ``spectral.tensor_gradient(basis, x)``, dx[b, e] = d X_e / d xi^b, if
+    the caller has it already (as for J); it is computed when None.
     """
-    dx = spectral.tensor_gradient(basis, x)  # dx[b, e] = d X_e / d xi^b
+    if dx is None:
+        dx = spectral.tensor_gradient(basis, x)
     ja = np.empty((3,) + x.shape)
     for i in range(3):
         b, c = (i + 1) % 3, (i + 2) % 3

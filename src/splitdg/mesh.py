@@ -15,8 +15,9 @@ face-neighbour table with orientation codes and explicitly listed periodic
 pairs.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,28 +26,19 @@ from splitdg import geometry, spectral
 N_FACES = 6
 
 
-def orientation_indices(code, n1):
-    """Index arrays (A, B) with neighbour node = (A[a, b], B[a, b])."""
-    a, b = np.meshgrid(np.arange(n1), np.arange(n1), indexing="ij")
+def orientation_table(n1):
+    """Index arrays of the eight orientation codes, shape (8, 2, n1, n1).
+
+    Under code c the owner's node (a, b) meets the neighbour's node
+    (table[c, 0, a, b], table[c, 1, a, b]).
+    """
+    a, b = np.indices((n1, n1))
     r = n1 - 1
-    table = {
-        0: (a, b),
-        1: (b, a),
-        2: (r - a, b),
-        3: (b, r - a),
-        4: (r - a, r - b),
-        5: (r - b, r - a),
-        6: (a, r - b),
-        7: (r - b, a),
-    }
-    try:
-        return table[code]
-    except KeyError:
-        raise ValueError(f"orientation code must be 0..7, got {code}") from None
+    return np.array([(a, b), (b, a), (r - a, b), (b, r - a),  # codes 0..3
+                     (r - a, r - b), (r - b, r - a), (a, r - b), (r - b, a)])  # codes 4..7
 
 
-@dataclass(frozen=True)
-class FaceLink:
+class FaceLink(NamedTuple):
     """One shared face: ``left`` owns it; ``orient`` maps left grid to right."""
 
     left: int
@@ -57,8 +49,7 @@ class FaceLink:
     periodic: bool = False
 
 
-@dataclass(frozen=True)
-class BoundaryFace:
+class BoundaryFace(NamedTuple):
     element: int
     face: int
     tag: str
@@ -74,7 +65,10 @@ class MeshTopology:
         boundary: BoundaryFace records (Dirichlet faces).
 
     Raises GeometryError for a non-positive Jacobian or a degenerate face,
-    naming the element.  The geometry arrays are read-only.
+    naming the element, and ValueError for a bad record, naming the first.
+    The geometry arrays are read-only.  The records are converted to one
+    integer array per kind once; the validation and the face index arrays
+    (``own``, ``nbr``, ``l_elem``, ``b_elem``, ``b_face``) read those.
     """
 
     def __init__(self, basis, x, links, boundary=()):
@@ -86,52 +80,70 @@ class MeshTopology:
         self.links = list(links)
         self.boundary = list(boundary)
         self.num_elements = x.shape[1]
-        self._validate()
+        # (left, left_face, right, right_face, orient, periodic) per link,
+        # (element, face) per Dirichlet face.
+        flat = lambda rows, m: np.fromiter(itertools.chain.from_iterable(rows), np.intp).reshape(-1, m)
+        try:
+            link, wall = flat(self.links, 6), flat((bf[:2] for bf in self.boundary), 2)
+        except OverflowError as err:  # beyond the machine integers, so beyond any mesh
+            raise ValueError(f"face record out of range: {err}") from None
+        self._validate(link, wall)
 
         self.x = x
-        self.j = geometry.jacobian(spectral.tensor_gradient(basis, x))
+        dx = spectral.tensor_gradient(basis, x)
+        self.j = geometry.jacobian(dx)
         geometry.check_jacobian(self.j)  # before the costlier curl-form metrics
-        self.ja = geometry.metrics_curl_form(basis, x)
+        self.ja = geometry.metrics_curl_form(basis, x, dx)
+        del dx
         self.s_hat, self.normal = geometry.face_geometry(self.ja)
         for a in (self.x, self.ja, self.j, self.s_hat, self.normal):
             a.setflags(write=False)
 
         # Owner faces: link left sides, then Dirichlet faces.
-        intp = lambda v: np.array(v, dtype=np.intp)
-        l_face = intp([ln.left_face for ln in self.links])
-        self.l_elem = intp([ln.left for ln in self.links])
-        self.b_elem = intp([bf.element for bf in self.boundary])
-        self.b_face = intp([bf.face for bf in self.boundary])
-        self.own = (Ellipsis, np.concatenate([l_face, self.b_face]),
+        self.l_elem = link[:, 0]
+        self.b_elem, self.b_face = wall.T
+        self.own = (Ellipsis, np.concatenate([link[:, 1], self.b_face]),
                     np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
         # Neighbour side of every link, indexed on the owner's face grid.
-        table = np.array([orientation_indices(code, n1) for code in range(8)], dtype=np.intp)
-        perm = table[intp([ln.orient for ln in self.links])]
-        r_elem = intp([ln.right for ln in self.links])[:, None, None]
-        r_face = intp([ln.right_face for ln in self.links])[:, None, None]
-        self.nbr = (Ellipsis, r_face, r_elem, perm[:, 0], perm[:, 1])
+        perm = orientation_table(n1)[link[:, 4]]
+        self.nbr = (Ellipsis, link[:, 3, None, None], link[:, 2, None, None], perm[:, 0], perm[:, 1])
 
-    def _validate(self):
-        seen = set()
-
-        def claim(elem, face):
-            if not (0 <= elem < self.num_elements and 0 <= face < N_FACES):
-                raise ValueError(f"face reference out of range: element {elem} face {face}")
-            key = (elem, face)
-            if key in seen:
-                raise ValueError(f"element {elem} face {face} referenced more than once")
-            seen.add(key)
-
-        for link in self.links:
-            claim(link.left, link.left_face)
-            claim(link.right, link.right_face)
-            if not 0 <= link.orient < 8:
-                raise ValueError(f"orientation code must be 0..7, got {link.orient} in {link}")
-        for bf in self.boundary:
-            claim(bf.element, bf.face)
-        missing = self.num_elements * N_FACES - len(seen)
+    def _validate(self, link, wall):
+        # Every face claim in record order: each link's left then right side,
+        # then the Dirichlet faces.  A valid mesh passes on reductions and one
+        # bincount; the per-claim integer comparisons, which page in numpy
+        # code that nothing else on the run path uses, run only on a failure.
+        elem, face = np.concatenate([link[:, :4].reshape(-1, 2), wall]).T
+        orient, slots = link[:, 4], self.num_elements * N_FACES
+        in_range = (min(elem.min(initial=0), face.min(initial=0), orient.min(initial=0)) >= 0
+                    and elem.max(initial=-1) < self.num_elements
+                    and face.max(initial=-1) < N_FACES and orient.max(initial=-1) < 8)
+        if not (in_range and np.bincount(elem * N_FACES + face).max(initial=0) <= 1):
+            self._raise_first_failure(elem, face, link)
+        missing = slots - len(elem)
         if missing:
             raise ValueError(f"{missing} element faces have no neighbour or boundary tag")
+
+    def _raise_first_failure(self, elem, face, link):
+        # Per claim the checks run in the order range, duplicate, then (on a
+        # link's right side) its orientation, so the first failure is the
+        # first True of ``fails`` in row-major order.
+        claims, slots = np.arange(len(elem)), self.num_elements * N_FACES
+        fails = np.zeros((len(elem), 3), dtype=bool)
+        fails[:, 0] = (elem < 0) | (elem >= self.num_elements) | (face < 0) | (face >= N_FACES)
+        # The first claim of each element face; out-of-range claims share one extra slot.
+        key = np.where(fails[:, 0], slots, elem * N_FACES + face)
+        first = np.full(slots + 1, len(elem))
+        np.minimum.at(first, key, claims)
+        fails[:, 1] = first[key] < claims
+        fails[1:2 * len(link):2, 2] = (link[:, 4] < 0) | (link[:, 4] >= 8)
+        claim, check = divmod(int(np.flatnonzero(fails)[0]), 3)
+        e, f = int(elem[claim]), int(face[claim])
+        if check == 2:
+            ln = self.links[claim // 2]
+            raise ValueError(f"orientation code must be 0..7, got {ln.orient} in {ln}")
+        raise ValueError(f"face reference out of range: element {e} face {f}" if check == 0
+                         else f"element {e} face {f} referenced more than once")
 
     def face_mismatch(self):
         """Largest surface-element and normal disagreement across all links.
@@ -146,31 +158,31 @@ class MeshTopology:
 
 
 def _box_links(cells, periodic_dirs):
-    """Face connectivity of a structured box; identity orientation throughout."""
-    mx, my, mz = cells
-    eid = lambda ix, iy, iz: (ix * my + iy) * mz + iz
-    links, boundary = [], []
-    plus_face = {0: 1, 1: 3, 2: 5}
-    minus_face = {0: 0, 1: 2, 2: 4}
-    for ix in range(mx):
-        for iy in range(my):
-            for iz in range(mz):
-                e = eid(ix, iy, iz)
-                idx = (ix, iy, iz)
-                for d, m in ((0, mx), (1, my), (2, mz)):
-                    nxt = list(idx)
-                    nxt[d] += 1
-                    wraps = nxt[d] == m
-                    if wraps and d not in periodic_dirs:
-                        boundary.append(BoundaryFace(e, plus_face[d], "dirichlet"))
-                        if idx[d] == 0:
-                            boundary.append(BoundaryFace(e, minus_face[d], "dirichlet"))
-                        continue
-                    if idx[d] == 0 and d not in periodic_dirs:
-                        boundary.append(BoundaryFace(e, minus_face[d], "dirichlet"))
-                    nxt[d] %= m
-                    links.append(FaceLink(e, plus_face[d], eid(*nxt), minus_face[d], 0, wraps))
-    return links, boundary
+    """Face connectivity of a structured box; identity orientation throughout.
+
+    The records come in the order of a loop over the elements, then over
+    the directions 0, 1, 2 of each: a face that wraps on a periodic axis
+    is a link (``periodic`` set), and on another axis a Dirichlet face, the
+    plus face before the minus face where one cell spans the axis.  They
+    are built from ``np.indices`` for all elements and directions at once.
+    """
+    # (K, 3): element-major, then direction.  Float cell indices are exact,
+    # and their comparisons run the float loops that the solver pages in.
+    idx = np.indices(cells, dtype=float).reshape(3, -1).T
+    elem = np.arange(len(idx))[:, None]
+    m, stride = np.array(cells), np.array([cells[1] * cells[2], cells[2], 1])
+    wraps = idx == m - 1
+    periodic = np.array([d in periodic_dirs for d in range(3)])
+    plus, minus = np.arange(1, 6, 2), np.arange(0, 6, 2)  # the faces of each direction
+    nxt = elem + stride * (1 - m * wraps)  # the next cell along each axis, wrapping at its end
+    cols = (elem, plus, nxt, minus, 0, wraps)
+    is_link = periodic | ~wraps
+    links = list(map(FaceLink, *(np.broadcast_to(c, idx.shape)[is_link].tolist() for c in cols)))
+    # Per element and direction: the plus face, then the minus face.
+    is_wall = np.stack([wraps, idx == 0], axis=-1) & ~periodic[:, None]
+    walls = (np.broadcast_to(c, is_wall.shape)[is_wall].tolist()
+             for c in (elem[..., None], np.stack([plus, minus], axis=-1)))
+    return links, list(map(BoundaryFace, *walls, itertools.repeat("dirichlet")))
 
 
 def box_mesh(n, cells=(2, 2, 2), bounds=((0.0, 1.0),) * 3, warp=None, periodic=True):

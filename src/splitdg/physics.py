@@ -9,7 +9,6 @@ coefficient is lam = mu / ((gamma-1) Pr Ma^2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,32 +19,34 @@ class PositivityError(ValueError):
     """Density or pressure lost positivity; the message gives the array index."""
 
 
-@dataclass(frozen=True)
 class GasModel:
     """Ideal-gas parameters; immutable and shareable across threads.
 
     mu is the constant dynamic viscosity; reynolds is the Reynolds number
     multiplying the inverse viscous scaling.  ``reynolds=None`` means
-    inviscid (the solver skips all viscous terms).
+    inviscid (the solver skips all viscous terms).  The attributes are set
+    once, when the model is validated; assigning or deleting one raises
+    AttributeError.
     """
 
-    gamma: float = 1.4
-    mach: float = 1.0
-    prandtl: float = 0.72
-    reynolds: float | None = None
-    mu: float = 1.0
+    __slots__ = ("gamma", "mach", "prandtl", "reynolds", "mu")
 
-    def __post_init__(self):
-        for name in ("gamma", "mach", "prandtl", "reynolds", "mu"):
-            value = getattr(self, name)
+    def __init__(self, gamma=1.4, mach=1.0, prandtl=0.72, reynolds=None, mu=1.0):
+        for name, value in zip(self.__slots__, (gamma, mach, prandtl, reynolds, mu)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
         if self.mach <= 0 or self.prandtl <= 0 or self.mu < 0:
             raise ValueError("gas parameters must be positive")
         if self.reynolds is not None and self.reynolds <= 0:
             raise ValueError("Reynolds number must be positive")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field '{name}': GasModel is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def viscous(self):

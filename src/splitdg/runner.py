@@ -215,6 +215,19 @@ def read_state_file(path):
     return degree, u, t
 
 
+def _integrate_level(config, level):
+    """One level of ``convergence_study``: the mesh, final state, case and gas.
+
+    The solver lives only for the build and the time loop, so it is freed
+    before the level's error norms and the next level's build.
+    """
+    dg, case, gas = build_solver(config, mesh=config.build_mesh(cells_override=(level,) * 3))
+    state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
+    for state, _ in integrate(dg, state, config):
+        pass
+    return dg.mesh, state, case, gas
+
+
 def convergence_study(config, levels):
     """Mesh-refinement study against the registered exact solution.
 
@@ -233,11 +246,8 @@ def convergence_study(config, levels):
         raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):
-        dg, case, gas = build_solver(config, mesh=config.build_mesh(cells_override=(level,) * 3))
-        state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-        for state, _ in integrate(dg, state, config):
-            pass
-        l2, linf = cases.error_norms(dg, state.u, case, gas, state.t)
+        mesh, state, case, gas = _integrate_level(config, level)
+        l2, linf = cases.error_norms(mesh, state.u, case, gas, state.t)
         rows.append({"resolution": level, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []
     for a, b in zip(rows, rows[1:]):

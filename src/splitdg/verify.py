@@ -5,7 +5,7 @@ pass/fail).  All randomized batteries use the fixed SEED, so reports are
 deterministic and reruns byte-identical.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Context, Decimal
 
 import numpy as np
@@ -292,7 +292,8 @@ def br1_dissipation_gap(mesh, gas, u, surface_dissipation="llf"):
     inviscid twin.
     """
     viscous = solver.DGSolver(mesh, gas, "ec", surface_dissipation)
-    inviscid = solver.DGSolver(mesh, replace(gas, reynolds=None), "ec", surface_dissipation)
+    inviscid_gas = physics.GasModel(gas.gamma, gas.mach, gas.prandtl, None, gas.mu)
+    inviscid = solver.DGSolver(mesh, inviscid_gas, "ec", surface_dissipation)
     q = viscous.lift_gradients(u)
     fv = physics.viscous_flux_from_entropy_gradients(u, q, gas)
     w = mesh.basis.weights

@@ -183,6 +183,13 @@ class TestMetrics:
         assert ge.metric_identity_residual(b, element_mesh(b, trig_warp()).ja).max() < 1e-12
         assert ge.metric_identity_residual(b, ja_cross).max() > 1e-6
 
+    def test_curl_form_from_a_given_gradient_is_bitwise_the_same(self):
+        mesh = me.warped_box_mesh(3, (2, 1, 2), amplitude=0.05)
+        dx = sp.tensor_gradient(mesh.basis, mesh.x)
+        ja = ge.metrics_curl_form(mesh.basis, mesh.x, dx)
+        assert ja.tobytes() == ge.metrics_curl_form(mesh.basis, mesh.x).tobytes()
+        assert ja.tobytes() == mesh.ja.tobytes()
+
     def test_identity_residual_zero(self):
         b = sp.build_basis(3)
         assert ge.metric_identity_residual(b, element_mesh(b, lambda xi: xi).ja).max() < 1e-13

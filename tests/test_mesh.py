@@ -1,6 +1,6 @@
 """Mesh and state file round trips, and the `mesh` CLI subcommands."""
 
-import dataclasses
+import hashlib
 import json
 import re
 import warnings
@@ -342,7 +342,7 @@ def test_state_file_with_bare_header_line_rejected(tmp_path):
 
 def test_orientation_code_out_of_range_rejected(tmp_path, capsys):
     mesh = mesh_mod.box_mesh(1, (1, 1, 1))
-    links = [dataclasses.replace(mesh.links[0], orient=8)] + mesh.links[1:]
+    links = [mesh.links[0]._replace(orient=8)] + mesh.links[1:]
     with pytest.raises(ValueError, match=r"must be 0\.\.7, got 8 in FaceLink\(left=0, left_face=1"):
         mesh_mod.MeshTopology(mesh.basis, mesh.x, links, mesh.boundary)
     path = tmp_path / "box.mesh"
@@ -374,3 +374,125 @@ def test_state_file_with_non_numeric_field_rejected(tmp_path, case):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=f"final.state: expected .* values, got '{re.escape(text)}'"):
         runner.read_state_file(path)
+
+
+def box_links_loop(cells, periodic_dirs):
+    """The reference record order of a box: a loop over elements, then directions 0, 1, 2."""
+    mx, my, mz = cells
+    eid = lambda ix, iy, iz: (ix * my + iy) * mz + iz
+    links, boundary = [], []
+    plus_face, minus_face = {0: 1, 1: 3, 2: 5}, {0: 0, 1: 2, 2: 4}
+    for ix in range(mx):
+        for iy in range(my):
+            for iz in range(mz):
+                e, idx = eid(ix, iy, iz), (ix, iy, iz)
+                for d, m in ((0, mx), (1, my), (2, mz)):
+                    nxt = list(idx)
+                    nxt[d] += 1
+                    wraps = nxt[d] == m
+                    if wraps and d not in periodic_dirs:
+                        boundary.append(mesh_mod.BoundaryFace(e, plus_face[d], "dirichlet"))
+                        if idx[d] == 0:
+                            boundary.append(mesh_mod.BoundaryFace(e, minus_face[d], "dirichlet"))
+                        continue
+                    if idx[d] == 0 and d not in periodic_dirs:
+                        boundary.append(mesh_mod.BoundaryFace(e, minus_face[d], "dirichlet"))
+                    nxt[d] %= m
+                    links.append(mesh_mod.FaceLink(e, plus_face[d], eid(*nxt), minus_face[d], 0, wraps))
+    return links, boundary
+
+
+@pytest.mark.parametrize("periodic_dirs", [(0, 1, 2), (), (0,), (1, 2)], ids=str)
+@pytest.mark.parametrize("cells", [(1, 1, 1), (2, 1, 3), (3, 3, 3), (1, 4, 2)], ids=str)
+def test_box_links_match_the_reference_loop_record_for_record(cells, periodic_dirs):
+    links, boundary = mesh_mod._box_links(cells, periodic_dirs)
+    ref_links, ref_boundary = box_links_loop(cells, periodic_dirs)
+    # repr compares the field types too: plain ints and bools, not numpy scalars.
+    assert repr(links) == repr(ref_links)
+    assert repr(boundary) == repr(ref_boundary)
+    assert all(type(r) is mesh_mod.FaceLink for r in links)
+    assert all(type(r) is mesh_mod.BoundaryFace for r in boundary)
+
+
+# The Dirichlet 2x1x1 box: one link and ten wall faces, in the order box_mesh gives them.
+LINK = (0, 1, 1, 0, 0, False)
+WALLS = ((0, 0), (0, 3), (0, 2), (0, 5), (0, 4), (1, 1), (1, 3), (1, 2), (1, 5), (1, 4))
+
+# name: (links, walls, message); each names the first offending record in record order.
+BAD_RECORDS = {
+    "element out of range": (
+        [LINK, (2, 3, 1, 2, 0, False)], WALLS + ((7, 0),), "face reference out of range: element 2 face 3"),
+    "face out of range": (
+        [(0, 1, 1, 6, 0, False), (2, 3, 1, 2, 0, False)], WALLS, "face reference out of range: element 1 face 6"),
+    "negative element in the right side before its orientation": (
+        [(0, 1, -1, 0, 9, False)], WALLS, "face reference out of range: element -1 face 0"),
+    "wall face out of range": ([LINK], WALLS[:4] + ((1, -1),), "face reference out of range: element 1 face -1"),
+    "face referenced twice": (
+        [LINK], WALLS[:3] + ((1, 0),) + WALLS[4:6] + ((0, 0),) + WALLS[7:],
+        "element 1 face 0 referenced more than once"),
+    "both sides of a link on one face": (
+        [(0, 1, 0, 1, 0, False)], WALLS, "element 0 face 1 referenced more than once"),
+    "duplicate before an out-of-range wall": (
+        [LINK], WALLS[:2] + ((0, 0), (9, 9)) + WALLS[2:], "element 0 face 0 referenced more than once"),
+    "orientation before a later out-of-range link": (
+        [(0, 1, 1, 0, 9, False), (5, 0, 1, 1, 0, False)], WALLS,
+        "orientation code must be 0..7, got 9 in FaceLink(left=0, left_face=1, right=1, "
+        "right_face=0, orient=9, periodic=False)"),
+    "negative orientation": (
+        [(0, 1, 1, 0, -1, True)], WALLS, "orientation code must be 0..7, got -1 in FaceLink(left=0"),
+    "missing faces": ([LINK], WALLS[:-2], "2 element faces have no neighbour or boundary tag"),
+    "missing link": ([], WALLS, "2 element faces have no neighbour or boundary tag"),
+}
+
+
+def test_record_beyond_the_machine_integers_rejected(tmp_path, capsys):
+    box = mesh_mod.box_mesh(1, (2, 1, 1), periodic=False)
+    links = [mesh_mod.FaceLink(0, 1, 10**30, 0)]
+    with pytest.raises(ValueError, match="face record out of range: "):
+        mesh_mod.MeshTopology(box.basis, box.x, links, box.boundary)
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, box)
+    path.write_text(path.read_text().replace("link 0 1 1 0 0", f"link 0 1 {10**30} 0 0"))
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
+    assert "face record out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RECORDS))
+def test_mesh_topology_rejects_bad_records_naming_the_first(name):
+    links, walls, message = BAD_RECORDS[name]
+    box = mesh_mod.box_mesh(1, (2, 1, 1), periodic=False)
+    assert box.links == [mesh_mod.FaceLink(*LINK)]
+    assert box.boundary == [mesh_mod.BoundaryFace(e, f, "dirichlet") for e, f in WALLS]
+    records = [mesh_mod.FaceLink(*r) for r in links], [mesh_mod.BoundaryFace(e, f, "wall") for e, f in walls]
+    with pytest.raises(ValueError) as err:
+        mesh_mod.MeshTopology(box.basis, box.x, *records)
+    assert str(err.value).startswith(message)
+
+
+# SHA-256 of the warped box at N=2 with cells (2, 1, 3) as written by write_mesh_file:
+# of the coordinates (mesh.x.tobytes()), of the whole file and of its record lines.
+WARPED_FILE_DIGESTS = {
+    "periodic": ("07cb900ce21dde24dc04c752be293e3477a2d8056c6cebc92744b6b135cee61b",
+                 "14d898d6fa5913e63b63ba94514eb67750604b99228be8c582f3a0891baa62a2",
+                 "f74e251906842f4b1750aed97c22ae16d55f730c54df7e0a3a9d2bfd09cb810b"),
+    "dirichlet": ("07cb900ce21dde24dc04c752be293e3477a2d8056c6cebc92744b6b135cee61b",
+                  "e5802de60fa5d203feef9c280cfe6a0fd33a287195b3351b762f4554af1dfa0e",
+                  "2a286b473f1eba673ca30b51a29c297128b6e9e8fc2bb1338069ce04042a4774"),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(WARPED_FILE_DIGESTS))
+def test_warped_box_mesh_file_bytes_are_pinned(boundary, tmp_path):
+    mesh = mesh_mod.warped_box_mesh(2, (2, 1, 3), periodic=boundary == "periodic")
+    path = tmp_path / "warped.mesh"
+    mesh_mod.write_mesh_file(path, mesh)
+    text = path.read_bytes()
+    records = b"".join(ln for ln in text.splitlines(keepends=True)
+                       if ln.split(b" ", 1)[0] in (b"link", b"periodic", b"dirichlet"))
+    digest = lambda b: hashlib.sha256(b).hexdigest()
+    x_digest, file_digest, record_digest = WARPED_FILE_DIGESTS[boundary]
+    assert digest(records) == record_digest
+    # The coordinates go through np.sin, whose last bit may differ between numpy
+    # builds; on coordinates equal to the reference the file must be too.
+    if digest(mesh.x.tobytes()) == x_digest:
+        assert digest(text) == file_digest

@@ -56,6 +56,24 @@ class TestGasModel:
         assert not GAS.viscous
         assert ph.GasModel(reynolds=10.0).viscous
 
+    def test_keyword_and_positional_construction_and_defaults(self):
+        gas = ph.GasModel(1.3, 0.5, 0.7, 20.0, 0.9)
+        assert (gas.gamma, gas.mach, gas.prandtl, gas.reynolds, gas.mu) == (1.3, 0.5, 0.7, 20.0, 0.9)
+        assert (GAS.gamma, GAS.mach, GAS.prandtl, GAS.reynolds, GAS.mu) == (1.4, 1.0, 0.72, None, 1.0)
+        with pytest.raises(ValueError, match="mach must be finite, got nan"):
+            ph.GasModel(mach=float("nan"))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'viscosity'"):
+            ph.GasModel(viscosity=1.0)
+
+    def test_is_immutable(self):
+        gas = ph.GasModel(reynolds=10.0)
+        for name, value in (("reynolds", None), ("gamma", 1.2), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(gas, name, value)
+        with pytest.raises(AttributeError):
+            del gas.mu
+        assert gas.reynolds == 10.0 and gas.gamma == 1.4 and gas.mu == 1.0 and not hasattr(gas, "extra")
+
 
 class TestConversions:
     def test_rest_state_energy(self):

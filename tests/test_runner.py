@@ -10,12 +10,13 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import pytest
 
 import splitdg
 from splitdg import cases, cli, mesh as mesh_mod, runner, solver, verify
-from splitdg.config import RunConfig
+from splitdg.config import ConfigError, RunConfig
 
 
 class _ConstantClock:
@@ -335,8 +336,9 @@ def test_run_exits_0_where_mpmath_cannot_be_imported(tmp_path):
 
 
 def test_importing_the_cli_leaves_the_verify_battery_unloaded():
+    # dataclasses too: no class on the run path is built by its decorator.
     result = run_fresh_python("import sys, splitdg.cli\n"
-                              "print(sorted({'splitdg.verify', 'decimal'} & set(sys.modules)))")
+                              "print(sorted({'splitdg.verify', 'decimal', 'dataclasses'} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -483,3 +485,43 @@ def test_warped_mesh_density_converges_at_order_n_plus_one(case, boundary, gas):
     })
     report = runner.convergence_study(config, [2, 4])
     assert report["orders"][0][0] >= 3.5
+
+
+def test_convergence_study_holds_one_solver_at_a_time(monkeypatch):
+    config = RunConfig(mesh={"builtin": "warped_box", "cells": [1, 1, 1], "amplitude": 0.05},
+                       degree=2, dt=0.01, final_time=0.02)
+    expected = runner.convergence_study(config, [1, 2, 3])
+    live, building, norming = weakref.WeakSet(), [], []
+    init, error_norms = solver.DGSolver.__init__, cases.error_norms
+
+    def counted_init(self, *args, **kwargs):
+        live.add(self)
+        gc.collect()
+        building.append(len(live))
+        init(self, *args, **kwargs)
+
+    def counted_norms(*args):
+        gc.collect()
+        norming.append(len(live))
+        return error_norms(*args)
+
+    monkeypatch.setattr(solver.DGSolver, "__init__", counted_init)
+    monkeypatch.setattr(cases, "error_norms", counted_norms)
+    report = runner.convergence_study(config, [1, 2, 3])
+    assert building == [1, 1, 1]  # the one being built
+    assert norming == [0, 0, 0]
+    assert report == expected
+
+
+def test_run_config_fields_defaults_and_unknown_keys():
+    a, b = RunConfig(), RunConfig(degree=3)
+    assert sorted(vars(a)) == sorted(RunConfig.FIELDS)
+    assert a.mesh == {"builtin": "warped_box", "cells": [4, 4, 4]} and a.case_name == "density_wave"
+    a.mesh["cells"][0], a.gas["reynolds"], a.case_params["amplitude"] = 2, 10.0, 0.1
+    assert b.mesh["cells"] == [4, 4, 4] and b.gas == {} and b.case_params == {}  # fresh per instance
+    with pytest.raises(TypeError, match="unexpected keyword argument 'cells'"):
+        RunConfig(cells=[2, 2, 2])
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['cells', 'resolution'\]"):
+        RunConfig.from_dict({"degree": 3, "cells": [2, 2, 2], "resolution": 1})
+    with pytest.raises(ConfigError, match="mesh: must be an object, got None"):
+        RunConfig.from_dict({"mesh": None})
