@@ -367,10 +367,13 @@ def read_mesh_file(path, degree=None):
                     grid[:, a, b] = numbers(float, vals, text)
             curved[(e, f)] = grid
         elif key in ("link", "periodic"):
-            e, f, e2, f2, orient = numbers(int, parts[1:], line)
+            e, e2 = (index(parts[i], num_elements, "element", line) for i in (1, 3))
+            f, f2 = (index(parts[i], N_FACES, "face", line) for i in (2, 4))
+            orient = index(parts[5], 8, "orientation", line)
             links.append(FaceLink(e, f, e2, f2, orient, key == "periodic"))
         else:
-            boundary.append(BoundaryFace(*numbers(int, parts[1:3], line), parts[3]))
+            e, f = index(parts[1], num_elements, "element", line), index(parts[2], N_FACES, "face", line)
+            boundary.append(BoundaryFace(e, f, parts[3]))
 
     basis = spectral.build_basis(file_n if degree is None else degree)
     x = np.empty((3, num_elements) + (basis.n + 1,) * 3)

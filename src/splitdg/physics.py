@@ -145,10 +145,7 @@ def entropy(u, gas):
 
 def entropy_flux(u, gas):
     """Entropy flux f^S = s * v, shape (3, ...)."""
-    rho, v, p = primitive_from_conservative(u, gas)
-    sigma = np.log(p) - gas.gamma * np.log(rho)
-    s = -rho * sigma / (gas.gamma - 1.0)
-    return s * v
+    return entropy(u, gas) * primitive_from_conservative(u, gas)[1]
 
 
 def entropy_variables(u, gas):
@@ -176,8 +173,22 @@ def entropy_variables_from_primitive(rho, v, p, gas, out=None):
     kinetic = _dot(v, v, w[2, ...], w[3, ...])
     kinetic *= np.multiply(0.5, rho_over_p, out=w[1, ...])
     w0 -= kinetic
-    np.multiply(rho_over_p, v, out=w[1:4])
-    np.negative(rho_over_p, out=w[4, ...])
+    viscous_entropy_variables(rho, v, p, out=w[1:])
+    return w
+
+
+def viscous_entropy_variables(rho, v, p, out=None):
+    """The rows w_2..w_5 = (rho v / p, -rho / p) of the entropy variables, shape (4, ...).
+
+    They are all that the viscous flux reads: its map from the gradients of
+    w never reads w_1's (see :func:`gradients_from_entropy_gradients`).
+    :func:`entropy_variables_from_primitive` forms its rows 1-4 here, so
+    they are the same bit for bit; this call has no logarithms.  ``out``
+    (4, ...) must not overlap the inputs.
+    """
+    w = np.empty((NVAR - 1,) + np.shape(rho)) if out is None else out
+    np.multiply(np.divide(rho, p, out=w[3, ...]), v, out=w[:3])  # rho / p, then (rho / p) v
+    np.negative(w[3, ...], out=w[3, ...])
     return w
 
 

@@ -26,24 +26,29 @@ face phase runs over chunks of owner faces: each chunk's own and outside
 traces, which the surface flux F* turns into primitives in place, F* and
 its dissipation, then F* s_hat on the owner faces; after the last chunk
 F* s_hat goes to both sides of every link and is lifted, face by face,
-into the volume term's output.  The viscous terms follow in three passes:
-the BR1 lifting jump over all faces; one element-block loop that forms the
-lifted gradients Q, the viscous flux F^v, its contravariant form and
-divergence, and its face traces; and the viscous penalty over all faces.
-So no (3, 5, K, n1, n1, n1) array of Q or F^v and no whole-face array is
-ever allocated afresh: a warm residual allocates its result, the volume
-flux's prepared state, the ghost states and a few scratch rows per block.
-An RK step adds only the new state and its register: each later stage's
-residual is overwritten with its RK products and dropped before the next
-stage (see ``rk_step``), so a warm step's fresh memory peaks at 5.2-5.5
-times the state's on the benchmark's configurations.
+into the volume term's output.  The viscous terms follow in three passes,
+on the four entropy variables w_2..w_5 that F^v reads (its mass column is
+zero, so w_1 is never formed): the BR1 lifting jump over all faces; one
+element-block loop that forms the lifted gradients Q, the viscous flux
+F^v, its contravariant form and divergence, and its face traces, each
+block's into its own spent slice of the jump; and the viscous penalty over
+all faces.  So no (3, 5, K, n1, n1, n1) array of Q or F^v and no
+whole-face array is ever allocated afresh: a warm residual allocates its
+result, the volume flux's prepared state, the ghost states and a few
+scratch rows per block.  An RK step adds only the new state and its
+register: each later stage's residual is overwritten with its RK products
+and dropped before the next stage (see ``rk_step``), so a warm step's
+fresh memory peaks at 5.2-5.5 times the state's on the benchmark's
+configurations.
 
 Every phase fits in the memory that the largest one needs anyway.  The
 face chunks are sized from what the workspace already holds, at least the
 volume kernel's reservation, so on an inviscid mesh the kernel sets the
-workspace's size.  The viscous blocks are capped at K // n1 elements, so
-that their two block buffers fit in the two-sided face array of the
-lifting jump that they follow.
+workspace's size.  The viscous blocks are capped at 4K // (5 n1)
+elements, so that their two block buffers of 15 rows fit in the four-row
+two-sided face array of the lifting jump that they follow; the viscous
+path then holds W, the jump and that region, 3.2 times the state's size
+at N=3 and 2.0 at N=7.
 """
 
 import functools
@@ -58,8 +63,8 @@ from splitdg import fluxes, geometry, physics, spectral
 # row of a pair array in split_divergence, the (n, n, n) row of a nodal
 # field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
 # 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop, which caps
-# them at K // n elements (54 on a 6^3 box at N=3) to fit in its face
-# region.  The face chunks of the advective face phase follow the same rule
+# them at 4K // (5n) elements (43 on a 6^3 box at N=3, 6 on 4^3 at N=7) to
+# fit in its face region.  The face chunks of the advective face phase follow the same rule
 # with the (n, n) row of one face, 8,192 face nodes, 128 faces at N=7 and
 # 512 at N=3, capped at what the workspace holds after the kernel: 192 faces
 # (all) on 4^3 elements at N=4, 60 of 81 on 3^3 at N=7.  A byte
@@ -77,7 +82,8 @@ from splitdg import fluxes, geometry, physics, spectral
 # residuals at N=3 on 6^3, N=4 on 4^3 and N=7 on 3^3 elements (medians of
 # 15 interleaved warm calls): the viscous loop's 128, 65 and 16 elements
 # are within 5 % of one block of all elements, blocks of 4 elements are
-# 1.1-1.8x slower.
+# 1.1-1.8x slower.  The cap's 43, 10 and 2 elements there left the medians
+# within the machine's drift (3 interleaved process pairs against K // n).
 PAIR_BLOCK_BYTES = 64 * 1024
 
 
@@ -331,11 +337,12 @@ class DGSolver:
     The solver owns one ``Workspace``, ``_work``.  In every residual the
     volume kernel's pair arrays, then the advective face phase's arrays
     (each chunk's traces and surface-flux rows, F* s_hat on both sides of
-    every face) and then the viscous path's arrays (the entropy variables,
-    the lifting jump and n . F^v traces on all faces, two block buffers in
-    the jump's spent two-sided array; the penalty reuses the spent jump)
-    are views of its memory, so a warm residual allocates none of them
-    afresh.
+    every face) and then the viscous path's arrays (the four entropy
+    variables w_2..w_5, their lifting jump on all faces, which each block
+    overwrites with its n . F^v traces once spent, and a four-row face
+    region that holds the jump's two-sided array, then two block buffers,
+    then the penalty) are views of its memory, so a warm residual
+    allocates none of them afresh.
 
     Args:
         mesh: MeshTopology (its curl-form metrics give the discrete
@@ -463,28 +470,28 @@ class DGSolver:
     def _br1_faces(self, u, ghost):
         """Faces first: W and the lifting jump, over all faces, in the workspace.
 
-        The jump is FACE_SIGN (W* - W) / w0 on every face.  W* is the
-        arithmetic mean on links, so W* - W is (W_ext - W_own)/2 on the
-        owner side and minus that, permuted, on the neighbour side; on a
-        Dirichlet face W* is the ghost value of ``ghost`` (5, nb, n, n).
+        W holds the rows w_2..w_5 of the entropy variables, the only ones
+        that F^v reads (see ``physics.viscous_entropy_variables``), so the mass
+        row is never formed, lifted or contracted.  The jump is FACE_SIGN
+        (W* - W) / w0 on every face.  W* is the arithmetic mean on links, so
+        W* - W is (W_ext - W_own)/2 on the owner side and minus that,
+        permuted, on the neighbour side; on a Dirichlet face W* is the ghost
+        value of ``ghost`` (5, nb, n, n).
 
         Returns:
-            the viscous block size in elements, at most K // n, so that the
-            two block buffers fit in the jump's two-sided face array; W
-            (5, K, n, n, n); the jump (5, 6, K, n, n); a (4, 6, K, n, n)
-            face array for the n . F^v s_hat traces; and the flat scratch
+            the viscous block size in elements, at most 4K // (5n), so that
+            the two block buffers fit in the jump's two-sided face array; W
+            (4, K, n, n, n); the jump (4, 6, K, n, n); and the flat scratch
             region, which holds the two-sided array and then the two block
             buffers of 3 * 5 rows each.
         """
         n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
-        faces = (nv, 6, num_elements, n, n)
-        face_size = self._from_own.size
-        # Five rows of 6 K n^2 face nodes hold 2 * 15 block rows of K // n elements.
-        step = min(_block_elements(num_elements, n**3), max(1, face_size // (6 * n**3)))
-        w, jump, traces, region = self._work.reserve(
-            u.size, nv * face_size, (nv - 1) * face_size,
-            max(2 * 3 * nv * step * n**3, nv * face_size))
-        w = w.reshape(u.shape)
+        # Four rows of 6 K n^2 face nodes hold 2 * 15 block rows of 4K // (5n) elements.
+        face_rows = (nv - 1) * self._from_own.size
+        step = min(_block_elements(num_elements, n**3), max(1, face_rows // (2 * 3 * nv * n**3)))
+        w, jump, region = self._work.reserve((nv - 1) * u[0].size, face_rows,
+                                             max(2 * 3 * nv * step * n**3, face_rows))
+        w = w.reshape((nv - 1,) + u.shape[1:])
         # Block by block, each block's primitives in the scratch region, as
         # many elements as it holds.
         for block in _blocks(num_elements, max(1, region.size // (nv * n**3))):
@@ -492,19 +499,20 @@ class DGSolver:
                 prim = physics.primitive_from_conservative(
                     u[:, block], self.gas, out=_view(region, u[:, block].shape))
             except physics.PositivityError:
-                physics.entropy_variables(u, self.gas)  # names the global element
+                physics.primitive_from_conservative(u, self.gas)  # names the global element
                 raise
-            physics.entropy_variables_from_primitive(*prim, self.gas, out=w[:, block])
+            physics.viscous_entropy_variables(*prim, out=w[:, block])
         # The own traces sit in the jump's memory until the jump is formed.
-        shape = (nv,) + self._s_own.shape
-        two = _view(region, (nv, face_size))
+        shape = (nv - 1,) + self._s_own.shape
+        two = region[:face_rows].reshape(nv - 1, -1)
         own, diff = _view(jump, shape), two[:, :self._own_volume.size].reshape(shape)
-        self._traces(w, physics.entropy_variables(ghost, self.gas), slice(None), own, diff)
+        ghost_w = physics.viscous_entropy_variables(*physics.primitive_from_conservative(ghost, self.gas))
+        self._traces(w, ghost_w, slice(None), own, diff)
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
-        jump = self._to_faces(two, jump.reshape(faces))
+        jump = self._to_faces(two, jump.reshape((nv - 1,) + self.s_hat.shape))
         jump *= _FACE_SIGN / self.w0
-        return step, w, jump, traces.reshape((nv - 1,) + faces[1:]), region
+        return step, w, jump, region
 
     def _lifted_blocks(self, w, jump, step, region):
         """Lifted gradients Q, one element block of ``step`` elements at a time.
@@ -512,12 +520,16 @@ class DGSolver:
         Yields (block, q): the block's slice of the element axis and its Q,
         (3, 5, count, n, n, n) in the second block buffer of ``region``,
         valid until the next block; the reference gradient is spent in the
-        first.  The BR1 auxiliary equation in strong collocation form is
-        J Q_d = sum_l Ja^l_d D_l W + lift((W* - W) n_d s_hat).  At the face
-        nodes n s_hat = FACE_SIGN Ja^l, l the face's normal axis, so the
-        lifting adds the jump to D_l W on the face before the metric
-        contraction.  Every operation acts element by element, so Q is
-        bitwise independent of ``step``.
+        first.  Only the gradients of w_2..w_5, q[:, 1:], are formed:
+        q[:, 0] is the mass row of the physics layout, which F^v never
+        reads, and holds whatever the buffer held.  Once a block's q is yielded, its
+        slice ``jump[:, :, block]`` is spent: face data are per element, so
+        no other block reads it.  The BR1 auxiliary equation in strong
+        collocation form is J Q_d = sum_l Ja^l_d D_l W + lift((W* - W) n_d
+        s_hat).  At the face nodes n s_hat = FACE_SIGN Ja^l, l the face's
+        normal axis, so the lifting adds the jump to D_l W on the face
+        before the metric contraction.  Every operation acts element by
+        element, so Q is bitwise independent of ``step``.
         """
         second = 3 * physics.NVAR * step * self.n1**3
         for block in _blocks(self.num_elements, step):
@@ -525,26 +537,28 @@ class DGSolver:
             g = spectral.tensor_gradient(self.basis, w[:, block], out=_view(region, shape))
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 g[axis][geometry.face_slice(face)] += jump[:, face, block]
-            q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g,
-                          out=_view(region, shape, second))
-            q /= self.j[block]
+            q = _view(region, (3, physics.NVAR) + shape[2:], second)
+            np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g, out=q[:, 1:])
+            q[:, 1:] /= self.j[block]
             yield block, q
 
     def lift_gradients(self, u, t=0.0):
-        """Lifted gradients Q of the entropy variables.
+        """Lifted gradients Q of the entropy variables w_2..w_5.
 
         Solves the BR1 auxiliary equation in strong collocation form:
         J Q_d = sum_l Ja^l_d (D_l W) + lift((W* - W) n_d s_hat), with
         W* the arithmetic mean on links and the ghost value on Dirichlet
-        faces.  Runs the residual's block code into a whole Q.
+        faces.  Runs the residual's block code into a whole Q.  The
+        gradient of w_1 is not formed: F^v does not read it.
 
         Returns:
-            Q with shape (3, 5, K, n, n, n); Q[d] approximates dW/dx_d.
+            Q with shape (3, 4, K, n, n, n); Q[d, c] approximates
+            d w_{c+2} / dx_d.
         """
-        step, w, jump, _, region = self._br1_faces(u, self._ghost(t))
-        q = np.empty((3,) + u.shape)
+        step, w, jump, region = self._br1_faces(u, self._ghost(t))
+        q = np.empty((3,) + w.shape)
         for block, q_block in self._lifted_blocks(w, jump, step, region):
-            q[:, :, block] = q_block
+            q[:, :, block] = q_block[:, 1:]
         return q
 
     def _add_viscous(self, u, ghost, rhs):
@@ -554,39 +568,39 @@ class DGSolver:
         block loop: Q, F^v from Q, the contravariant fluxes F~v = Ja . F^v,
         their divergence into the block of ``rhs``, and the block's
         n . F^v s_hat face traces, which are FACE_SIGN F~v^l at the face
-        nodes.  F^v has no mass component, so this half runs on the other
-        four.  Then the penalty over all faces.  With F^{v,*} the arithmetic
-        mean and the two sides' outward normals opposite, it is
+        nodes, into the block's spent slice of the jump.  F^v has no mass
+        component, so this half runs on the other four.  Then the penalty
+        over all faces, in the spent block region.  With F^{v,*} the
+        arithmetic mean and the two sides' outward normals opposite, it is
         -(F_own + F_ext) . n s_hat / (2 w0) on both sides of a link, each
         side with its own outward normal, and zero on a Dirichlet face,
         whose exterior F^v is the interior one.  Each face node adds its
         ``_partner``'s trace to its own, so the two sides of a link hold the
         same sum bit for bit (a + b = b + a).
         """
-        gas, nv = self.gas, physics.NVAR
-        step, w, jump, traces, region = self._br1_faces(u, ghost)
-        second = 3 * nv * step * self.n1**3
+        step, w, jump, region = self._br1_faces(u, ghost)
+        second = 3 * physics.NVAR * step * self.n1**3
         for block, q in self._lifted_blocks(w, jump, step, region):
             # Q becomes the primitive gradients in place, F^v goes to the
             # spent reference gradient's buffer, F~v to Q's and the
             # divergence to F^v's once each is spent.
             fv = physics.viscous_flux_from_entropy_gradients(
-                u[:, block], q, gas, out=_view(region, q.shape))[:, 1:]
+                u[:, block], q, self.gas, out=_view(region, q.shape))[:, 1:]
             flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv,
                              out=_view(region, fv.shape, second))
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
-                traces[:, face, block] = flux[axis][geometry.face_slice(face)]
+                jump[:, face, block] = flux[axis][geometry.face_slice(face)]
             div = spectral.tensor_divergence(self.basis, flux, region[:second])
-            div /= gas.reynolds
+            div /= self.gas.reynolds
             rhs[1:, block] += div
-        traces *= _FACE_SIGN
-        # Each face node's trace plus its partner's, in the spent jump.
-        penalty = jump[1:]
-        traces.reshape(nv - 1, -1).take(self._partner, axis=1, mode="clip",
-                                        out=penalty.reshape(nv - 1, -1))
+        traces = np.multiply(jump, _FACE_SIGN, out=jump)
+        # Each face node's trace plus its partner's, in the spent block region.
+        penalty = _view(region, traces.shape)
+        traces.reshape(len(traces), -1).take(self._partner, axis=1, mode="clip",
+                                             out=penalty.reshape(len(traces), -1))
         penalty += traces
         penalty[:, self.mesh.b_face, self.b_elem] = 0.0
-        penalty *= -0.5 / (self.w0 * gas.reynolds)
+        penalty *= -0.5 / (self.w0 * self.gas.reynolds)
         for face in range(6):
             rhs[1:][geometry.face_slice(face)] += penalty[:, face]
 

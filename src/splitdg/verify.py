@@ -288,14 +288,16 @@ def br1_dissipation_gap(mesh, gas, u, surface_dissipation="llf"):
 
     On a periodic mesh the BR1 interface means add no entropy production: the
     viscous terms change the entropy rate by exactly -(1/Re) sum_k <J Q, F^v>_N,
-    Q the lifted gradients.  Compares the ec solvers of ``gas`` and its
-    inviscid twin.
+    Q the lifted gradients.  F^v has a zero mass row, so the sum runs over
+    the four rows of w_2..w_5 that ``lift_gradients`` returns.  Compares the
+    ec solvers of ``gas`` and its inviscid twin.
     """
     viscous = solver.DGSolver(mesh, gas, "ec", surface_dissipation)
     inviscid_gas = physics.GasModel(gas.gamma, gas.mach, gas.prandtl, None, gas.mu)
     inviscid = solver.DGSolver(mesh, inviscid_gas, "ec", surface_dissipation)
     q = viscous.lift_gradients(u)
-    fv = physics.viscous_flux_from_entropy_gradients(u, q, gas)
+    # The physics layout's mass row, which F^v does not read, as zeros.
+    fv = physics.viscous_flux_from_entropy_gradients(u, np.insert(q, 0, 0.0, axis=1), gas)[:, 1:]
     w = mesh.basis.weights
     loss = np.einsum("dcKijk,dcKijk,Kijk,i,j,k->", q, fv, mesh.j, w, w, w) / gas.reynolds
     gap = (viscous.entropy_rate(u, viscous.residual(u))

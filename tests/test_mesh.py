@@ -352,7 +352,7 @@ def test_orientation_code_out_of_range_rejected(tmp_path, capsys):
     lines[-1] = "periodic 0 5 0 4 9"
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
-    assert "orientation code must be 0..7, got 9" in capsys.readouterr().err
+    assert "box.mesh: orientation 9 out of range [0, 8) in 'periodic 0 5 0 4 9'" in capsys.readouterr().err
 
 
 # Edits (line index, new text) of a written state file with a non-numeric field.
@@ -450,11 +450,41 @@ def test_record_beyond_the_machine_integers_rejected(tmp_path, capsys):
     links = [mesh_mod.FaceLink(0, 1, 10**30, 0)]
     with pytest.raises(ValueError, match="face record out of range: "):
         mesh_mod.MeshTopology(box.basis, box.x, links, box.boundary)
+    # The mesh-file reader checks the record's numbers first, naming the line.
     path = tmp_path / "box.mesh"
     mesh_mod.write_mesh_file(path, box)
     path.write_text(path.read_text().replace("link 0 1 1 0 0", f"link 0 1 {10**30} 0 0"))
     assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
-    assert "face record out of range" in capsys.readouterr().err
+    assert f"box.mesh: element {10**30} out of range [0, 2) in 'link 0 1 {10**30} 0 0'" in capsys.readouterr().err
+
+
+# One record of the written Dirichlet 2x1x1 box edited: name: (record, edited, message).
+BAD_FILE_RECORDS = {
+    "link element": ("link 0 1 1 0 0", "link 0 1 7 0 0", "element 7 out of range [0, 2)"),
+    "link face": ("link 0 1 1 0 0", "link 0 6 1 0 0", "face 6 out of range [0, 6)"),
+    "link orientation": ("link 0 1 1 0 0", "link 0 1 1 0 9", "orientation 9 out of range [0, 8)"),
+    "periodic element": ("link 0 1 1 0 0", "periodic -1 1 1 0 0", "element -1 out of range [0, 2)"),
+    "periodic face": ("link 0 1 1 0 0", "periodic 0 1 1 -2 0", "face -2 out of range [0, 6)"),
+    "periodic orientation": ("link 0 1 1 0 0", "periodic 0 1 1 0 -1",
+                             "orientation -1 out of range [0, 8)"),
+    "dirichlet element": ("dirichlet 1 4 dirichlet", "dirichlet 2 4 dirichlet",
+                          "element 2 out of range [0, 2)"),
+    "dirichlet face": ("dirichlet 0 0 dirichlet", "dirichlet 0 6 wall", "face 6 out of range [0, 6)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILE_RECORDS))
+def test_mesh_file_record_out_of_range_names_the_path_and_the_line(name, tmp_path, capsys):
+    record, edited, message = BAD_FILE_RECORDS[name]
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh_mod.box_mesh(1, (2, 1, 1), periodic=False))
+    text = path.read_text()
+    assert text.count(f"\n{record}\n") == 1
+    path.write_text(text.replace(f"\n{record}\n", f"\n{edited}\n"))
+    with pytest.raises(mesh_mod.MeshFileError, match=re.escape(f"{path}: {message} in '{edited}'")):
+        mesh_mod.read_mesh_file(path)
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: {message} in '{edited}'\n"
 
 
 @pytest.mark.parametrize("name", sorted(BAD_RECORDS))

@@ -191,6 +191,16 @@ class TestEntropyVariables:
             errs.append(np.abs(ds - lin).max())
         assert errs[1] < 0.3 * errs[0]  # ~quadratic: factor 4 expected
 
+    def test_viscous_rows_are_bitwise_rows_1_to_4(self):
+        rng = np.random.default_rng(5)
+        u = random_states(rng, 300).reshape(5, 3, 10, 10)
+        prim = ph.primitive_from_conservative(u, GAS)
+        w = ph.viscous_entropy_variables(*prim)
+        assert w.shape == (4, 3, 10, 10)
+        assert np.array_equal(w, ph.entropy_variables(u, GAS)[1:])
+        out = np.full(w.shape, np.nan)
+        assert ph.viscous_entropy_variables(*prim, out=out) is out and np.array_equal(out, w)
+
     def test_entropy_potential_is_momentum(self):
         rng = np.random.default_rng(4)
         u = random_states(rng, 300)

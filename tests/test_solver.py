@@ -15,9 +15,10 @@ The volume kernel runs over element blocks; its output must not depend on
 the block size, its memory must not grow with the element count, a warm
 call in the solver's workspace must allocate no pair arrays, and its
 positivity errors must name global elements.  The viscous path runs over
-element blocks too, of at most K // n elements: the Re=100 residual and the
-lifted gradients must not depend on the block size, and a warm viscous
-residual must allocate no whole gradient or flux array.  On the benchmark's
+element blocks too, of at most 4K // (5n) elements: the Re=100 residual and
+the lifted gradients must not depend on the block size, a warm viscous
+residual must allocate no whole gradient or flux array, and at N=7 its
+workspace must stay near two state sizes.  On the benchmark's
 configurations the face phase must fit in the volume kernel's reservation,
 the Re=100 workspace within its bound, and a warm RK step within the state,
 its register and two stage residuals plus one residual's fresh arrays.
@@ -200,12 +201,13 @@ def test_dirichlet_mesh_without_a_boundary_state_is_rejected():
 # -- the viscous face terms against stacked 15-component traces ----------------
 
 def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
-    """Reference residual, ec + llf, built from the stacked face traces.
+    """Reference residual, ec + llf, built from the stacked face traces, and its Q.
 
     The BR1 lift folds a (3, 5, 6, K, n, n) product of normals and W jumps
     into a zero volume array; the viscous face terms take n . F^v from the
     (3, 5, 6, K, n, n) traces of F^v, gathered at the owner and neighbour
-    sides.
+    sides.  Returns the residual and the lifted gradients Q of all five
+    entropy variables, (3, 5, K, n, n, n).
     """
     own, nbr, nl, w0 = mesh.own, mesh.nbr, len(mesh.links), mesh.basis.weights[0]
     n_own, s_own = mesh.normal[own], mesh.s_hat[own]
@@ -247,14 +249,18 @@ def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
     fv_star = 0.5 * (nc(n_own, fv_own) + nc(n_own, exterior(fvf, fv_own[..., nl:, :, :])))
     visc = spectral.tensor_divergence(mesh.basis, np.einsum("ldKijk,dcKijk->lcKijk", mesh.ja, fv))
     rhs += (visc + penalty(fv_star, nc(mesh.normal, fvf))) / gas.reynolds
-    return rhs / mesh.j
+    return rhs / mesh.j, q
 
 
 def assert_matches_stacked_traces(mesh, u, boundary_state=None):
+    """The Re=100 residual, and ``lift_gradients`` against the reference's rows of w_2..w_5."""
     gas = physics.GasModel(reynolds=100.0)
     dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
-    ref = stacked_trace_residual(mesh, gas, u, boundary_state, 0.1)
+    ref, q = stacked_trace_residual(mesh, gas, u, boundary_state, 0.1)
     assert np.abs(dg.residual(u, 0.1) - ref).max() <= 1e-14 * np.abs(ref).max()
+    lifted = dg.lift_gradients(u, 0.1)
+    assert lifted.shape == q[:, 1:].shape
+    assert np.abs(lifted - q[:, 1:]).max() <= 1e-14 * np.abs(q[:, 1:]).max()
 
 
 def test_viscous_faces_match_stacked_traces_rotated_chain(chain):
@@ -436,7 +442,7 @@ def assert_viscous_path_block_independent(monkeypatch, mesh, u, boundary_state=N
     """Re=100 residual and lifted gradients: equal at budgets of 1, 3 and all elements.
 
     Returns the viscous block size of each budget, which the cap of
-    ``_br1_faces`` (K // n elements) may lower.
+    ``_br1_faces`` (4K // (5n) elements) may lower.
     """
     gas = physics.GasModel(reynolds=100.0)
     dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
@@ -456,8 +462,8 @@ def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeyp
     case = cases.DensityWave()
     steps = assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
                                                   case.state)
-    # One element, three, and the cap of 27 // 4 elements (blocks 6, 6, 6, 6, 3).
-    assert steps == [1, 3, 6]
+    # One element, three, and the cap of 4 * 27 // (5 * 4) elements (blocks 5, 5, 5, 5, 5, 2).
+    assert steps == [1, 3, 5]
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
@@ -493,6 +499,24 @@ def test_warm_viscous_residual_allocates_no_whole_gradient_arrays(warped_n7_4):
     assert peaks[100.0] - peaks[None] < 3 * u.nbytes
 
 
+def test_viscous_workspace_at_n7(monkeypatch, warped_n7_4):
+    """Re=100 at N=7: the workspace, and the residual at budgets of 1 and all elements.
+
+    The viscous path sets the workspace: W's four rows (0.8 u.nbytes), the
+    jump's four face rows and the two-sided region of four more (0.6 each).
+    """
+    gas = physics.GasModel(reynolds=100.0)
+    dg = solver.DGSolver(warped_n7_4, gas, "ec", "llf")
+    u = perturbed_wave(dg.x, gas)
+    residual = dg.residual(u, 0.0)
+    assert dg._work.flat.nbytes <= 2.05 * u.nbytes
+    assert dg._work.flat.size == sum(dg._work.sizes)
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
+        assert np.array_equal(solver.DGSolver(warped_n7_4, gas, "ec", "llf").residual(u, 0.0),
+                              residual)
+
+
 # -- memory of a warm residual -------------------------------------------------
 
 # The benchmark's three run configurations (nominal case and mesh
@@ -503,11 +527,11 @@ WORKLOAD_CONFIGS = {
     "euler_n4": ({"case": "density_wave", "degree": 4,
                   "mesh": {"builtin": "warped_box", "cells": [4, 4, 4], "amplitude": 0.05}},
                  3.0, None),
-    # Measured: peak 2.46, workspace 5.20.
+    # Measured: peak 2.46, workspace 3.20.
     "ns_n3_dirichlet": ({"case": "manufactured", "degree": 3, "boundary": "dirichlet",
                          "gas": {"reynolds": 100.0},
                          "mesh": {"builtin": "warped_box", "cells": [6, 6, 6], "amplitude": 0.05}},
-                        2.75, 5.25),
+                        2.75, 3.25),
     "euler_n7_short": ({"case": "density_wave", "degree": 7,
                         "mesh": {"builtin": "warped_box", "cells": [3, 3, 3], "amplitude": 0.05}},
                        3.0, None),
@@ -544,10 +568,10 @@ def test_warm_residual_traced_peak(name):
         assert dg._work.flat.nbytes <= work_bound * u.nbytes
     if gas.viscous:
         # The viscous path, the last phase to reserve, still sets the size,
-        # with blocks of K // n elements: its two block buffers fill the
-        # two-sided face region.
+        # with blocks of 4K // (5n) elements: its two block buffers of 15
+        # rows fit in the four-row two-sided face region.
         assert dg._work.flat.size == sum(dg._work.sizes)
-        assert dg._br1_faces(u, dg._ghost(0.01))[0] == dg.num_elements // dg.n1 == 54
+        assert dg._br1_faces(u, dg._ghost(0.01))[0] == 4 * dg.num_elements // (5 * dg.n1) == 43
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
