@@ -127,6 +127,10 @@ def error_norms(solver, u, case, gas, t):
 
     Returns:
         (l2, linf): arrays of 5 per-variable error norms.
+
+    Raises:
+        PositivityError: naming the element, if the exact state is not
+            positive on its fine grid.
     """
     basis = solver.basis
     fine = spectral.build_basis(2 * basis.n + 8)
@@ -144,7 +148,9 @@ def error_norms(solver, u, case, gas, t):
     for k in range(u.shape[1]):
         x_fine = refine(solver.x[:, k])
         jw = geometry.jacobian(spectral.tensor_gradient(fine, x_fine)) * w3
-        diff = (refine(u[:, k]) - case.state(x_fine, t, gas)).reshape(physics.NVAR, -1)
+        exact = physics.in_phase(f"the exact state of element {k} in the error norms",
+                                 case.state, x_fine, t, gas)
+        diff = np.subtract(refine(u[:, k]), exact, out=exact).reshape(physics.NVAR, -1)
         l2_sq += (diff * diff) @ jw.ravel()
         linf = np.maximum(linf, np.abs(diff).max(axis=1))
     return np.sqrt(l2_sq), linf

@@ -71,24 +71,22 @@ class RunConfig:
         # JSON admits NaN and Infinity, which every "<= 0" test lets through.
         for key in ("cfl", "dt", "final_time"):
             value = getattr(self, key)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key}: must be finite and positive, got {value}")
-        if self.volume_flux not in fluxes.VOLUME_FLUXES:
-            raise ConfigError(
-                f"volume_flux: unknown value '{self.volume_flux}'; "
-                f"valid options: {sorted(fluxes.VOLUME_FLUXES)}")
-        if self.surface_dissipation not in fluxes.DISSIPATION_MODES:
-            raise ConfigError(
-                f"surface_dissipation: unknown value '{self.surface_dissipation}'; "
-                f"valid options: {list(fluxes.DISSIPATION_MODES)}")
-        if self.case not in cases.CASES:
-            raise ConfigError(
-                f"case: unknown value '{self.case}'; valid options: {sorted(cases.CASES)}")
+            if value is not None and not (_is_finite_number(value) and value > 0):
+                raise ConfigError(f"{key}: must be a finite positive number, got {value!r}")
+        # Lists, not the dicts: ``in`` on a list compares, so an unhashable value fails too.
+        for key, options in (("volume_flux", sorted(fluxes.VOLUME_FLUXES)),
+                             ("surface_dissipation", list(fluxes.DISSIPATION_MODES)),
+                             ("case", sorted(cases.CASES))):
+            if getattr(self, key) not in options:
+                raise ConfigError(f"{key}: must be one of {options}, got {getattr(self, key)!r}")
         if self.boundary not in (None, "periodic", "dirichlet"):
             raise ConfigError(f"boundary: must be 'periodic' or 'dirichlet', got '{self.boundary}'")
         if self.boundary is not None and "path" in self.mesh:
             raise ConfigError("boundary: not allowed next to mesh.path; "
                               "a mesh file sets the boundary of each face")
+        for key, value in (("output_dir", self.output_dir), ("mesh.path", self.mesh.get("path", ""))):
+            if not isinstance(value, str):
+                raise ConfigError(f"{key}: must be a string, got {value!r}")
         if "path" in self.mesh and not os.path.exists(self.mesh["path"]):
             raise ConfigError(f"mesh.path: file does not exist: {self.mesh['path']}")
         if self.case_name is None:
@@ -110,10 +108,10 @@ class RunConfig:
         unknown = set(raw) - set(cls.FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if base_dir and "mesh" in raw and "path" in raw["mesh"]:
-            p = raw["mesh"]["path"]
-            if not os.path.isabs(p):
-                raw = dict(raw, mesh=dict(raw["mesh"], path=os.path.join(base_dir, p)))
+        # A mesh or path of the wrong type is left for the constructor to name.
+        path = raw["mesh"].get("path") if isinstance(raw.get("mesh"), dict) else None
+        if base_dir and isinstance(path, str) and not os.path.isabs(path):
+            raw = dict(raw, mesh=dict(raw["mesh"], path=os.path.join(base_dir, path)))
         try:
             return cls(**raw)
         except TypeError as err:

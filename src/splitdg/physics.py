@@ -19,6 +19,14 @@ class PositivityError(ValueError):
     """Density or pressure lost positivity; the message gives the array index."""
 
 
+def in_phase(where, fn, *args):
+    """``fn(*args)``; a PositivityError from it is raised again naming the phase ``where``."""
+    try:
+        return fn(*args)
+    except PositivityError as err:
+        raise PositivityError(f"positivity failure in {where}: {err}") from err
+
+
 class GasModel:
     """Ideal-gas parameters; immutable and shareable across threads.
 
@@ -184,7 +192,10 @@ def viscous_entropy_variables(rho, v, p, out=None):
     w never reads w_1's (see :func:`gradients_from_entropy_gradients`).
     :func:`entropy_variables_from_primitive` forms its rows 1-4 here, so
     they are the same bit for bit; this call has no logarithms.  ``out``
-    (4, ...) must not overlap the inputs.
+    (4, ...) may hold v and p as its rows 0-2 and 3, as the primitives of
+    :func:`primitive_from_conservative` into a (5, ...) view whose rows
+    1-4 are ``out``: each node is read before it is written.  No other
+    overlap with the inputs is allowed.
     """
     w = np.empty((NVAR - 1,) + np.shape(rho)) if out is None else out
     np.multiply(np.divide(rho, p, out=w[3, ...]), v, out=w[:3])  # rho / p, then (rho / p) v

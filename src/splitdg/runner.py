@@ -46,32 +46,33 @@ def integrate(dg, state, config):
     step = 0
     while state.t < config.final_time - 1e-12:
         step += 1
-        try:
-            dt = config.dt if config.dt is not None else dg.timestep_estimate(state.u, config.cfl)
-        except physics.PositivityError as err:
-            raise physics.PositivityError(
-                f"positivity failure in the time-step estimate of step {step} "
-                f"at t = {state.t:.6g}: {err}") from err
+        dt = config.dt if config.dt is not None else physics.in_phase(
+            f"the time-step estimate of step {step} at t = {state.t:.6g}",
+            dg.timestep_estimate, state.u, config.cfl)
         dt = min(dt, config.final_time - state.t)
         state = dg.step(state, dt)
         yield state, dt
 
 
-def _time_loop(config, rows, rates):
-    """The solver's part of ``run_case``: set-up, the time loop, the final residual.
+def _time_loop(config, rows, rates, mesh=None):
+    """The solver's part of ``run_case`` and of each ``convergence_study`` level.
 
-    Appends the monitor rows and entropy rates.  Returns the final state,
-    its largest residual, the step and residual counts, the mesh, case and
-    gas, and the loop's start and end times.  The solver, its workspace and
-    the final residual are released when this returns.
+    Set-up on ``mesh`` (the config's own when None), the positivity check
+    of the initial condition, the time loop with its monitors, and the
+    final state's residual, the only check of the last step's update.
+    So a convergence study checks each level's initial and final states as
+    a run does, at the cost of the run's monitors and one residual per
+    level.  Appends the monitor rows and entropy rates.  Returns the final
+    state, the mesh, case and gas, the final state's largest residual, the
+    step and residual counts, and the loop's start and end times.  The
+    solver, its workspace and the final residual are released when this
+    returns.
     """
-    dg, case, gas = build_solver(config)
+    dg, case, gas = build_solver(config, mesh)
     # The initial state is not kept: it is sampled again for the summary's
     # deviation, since initial_condition is a pure function of the nodes.
-    try:
-        state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-    except physics.PositivityError as err:
-        raise physics.PositivityError(f"positivity failure in the initial condition: {err}") from err
+    state = solver_mod.SolutionField(
+        physics.in_phase("the initial condition", cases.initial_condition, case, dg, gas), 0.0)
 
     def monitor(field, dt, rhs):
         row, rate = _monitor_row(dg, field, dt, rhs)
@@ -88,15 +89,10 @@ def _time_loop(config, rows, rates):
             monitor(pending, dt, pending.rhs)
         state, dt = new, new_dt
         pending = state if step % config.monitor_interval == 0 else None
-    # The final monitor residual is the only check of the last step's update.
-    try:
-        rhs = dg.residual(state.u, state.t)
-    except physics.PositivityError as err:
-        raise physics.PositivityError(
-            f"positivity failure in the final state after step {step} "
-            f"at t = {state.t:.6g}: {err}") from err
+    rhs = physics.in_phase(f"the final state after step {step} at t = {state.t:.6g}",
+                           dg.residual, state.u, state.t)
     monitor(state, dt, rhs)
-    return (state, float(np.abs(rhs).max()), step, dg.residual_evals, dg.mesh, case, gas,
+    return (state, dg.mesh, case, gas, float(np.abs(rhs).max()), step, dg.residual_evals,
             loop_start, time.perf_counter())
 
 
@@ -121,7 +117,7 @@ def run_case(config, output_dir=None):
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     rows, rates = [MONITOR_HEADER], []
-    (state, max_residual, step, residual_evals, mesh, case, gas,
+    (state, mesh, case, gas, max_residual, step, residual_evals,
      loop_start, output_start) = _time_loop(config, rows, rates)
     loop_wall_s = output_start - loop_start
 
@@ -215,21 +211,16 @@ def read_state_file(path):
     return degree, u, t
 
 
-def _integrate_level(config, level):
-    """One level of ``convergence_study``: the mesh, final state, case and gas.
-
-    The solver lives only for the build and the time loop, so it is freed
-    before the level's error norms and the next level's build.
-    """
-    dg, case, gas = build_solver(config, mesh=config.build_mesh(cells_override=(level,) * 3))
-    state = solver_mod.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-    for state, _ in integrate(dg, state, config):
-        pass
-    return dg.mesh, state, case, gas
-
-
 def convergence_study(config, levels):
     """Mesh-refinement study against the registered exact solution.
+
+    Each level runs through ``run_case``'s driver, ``_time_loop``, on the
+    built-in mesh with that many cells per direction, so it aborts as a
+    run does: a non-positive initial condition, RK stage, time-step
+    estimate or final state raises PositivityError naming the phase.  Each
+    level pays the run's monitors at ``monitor_interval`` and one residual
+    of its final state for these checks; the monitor rows are dropped.
+    The level's solver is released before its error norms.
 
     Args:
         config: a RunConfig.
@@ -246,7 +237,8 @@ def convergence_study(config, levels):
         raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):
-        mesh, state, case, gas = _integrate_level(config, level)
+        state, mesh, case, gas = _time_loop(
+            config, [], [], config.build_mesh(cells_override=(level,) * 3))[:4]
         l2, linf = cases.error_norms(mesh, state.u, case, gas, state.t)
         rows.append({"resolution": level, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []

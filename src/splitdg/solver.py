@@ -337,9 +337,10 @@ class DGSolver:
     The solver owns one ``Workspace``, ``_work``.  In every residual the
     volume kernel's pair arrays, then the advective face phase's arrays
     (each chunk's traces and surface-flux rows, F* s_hat on both sides of
-    every face) and then the viscous path's arrays (the four entropy
-    variables w_2..w_5, their lifting jump on all faces, which each block
-    overwrites with its n . F^v traces once spent, and a four-row face
+    every face) and then the viscous path's arrays (the lifting jump on
+    all faces, whose last volume-sized row is first the scratch of W's
+    primitives, and which each block overwrites with its n . F^v traces
+    once spent; the four entropy variables w_2..w_5; and a four-row face
     region that holds the jump's two-sided array, then two block buffers,
     then the penalty) are views of its memory, so a warm residual
     allocates none of them afresh.
@@ -478,6 +479,14 @@ class DGSolver:
         permuted, on the neighbour side; on a Dirichlet face W* is the ghost
         value of ``ghost`` (5, nb, n, n).
 
+        W is formed over the whole state at once, without a block loop: the
+        primitives go to a (5, K, n, n, n) view whose rows 1-4 are W and
+        whose row 0, their scratch, is the jump's last volume-sized row,
+        unused until W is formed; ``physics.viscous_entropy_variables``
+        then turns v and p into W in place.  So a positivity failure names
+        the global (element, i, j, k).  The jump's memory holds max(4 face
+        rows, one volume row): 24 K n^2 is less than K n^3 for n > 24.
+
         Returns:
             the viscous block size in elements, at most 4K // (5n), so that
             the two block buffers fit in the jump's two-sided face array; W
@@ -489,19 +498,11 @@ class DGSolver:
         # Four rows of 6 K n^2 face nodes hold 2 * 15 block rows of 4K // (5n) elements.
         face_rows = (nv - 1) * self._from_own.size
         step = min(_block_elements(num_elements, n**3), max(1, face_rows // (2 * 3 * nv * n**3)))
-        w, jump, region = self._work.reserve((nv - 1) * u[0].size, face_rows,
+        jump, _, region = self._work.reserve(max(face_rows, u[0].size), (nv - 1) * u[0].size,
                                              max(2 * 3 * nv * step * n**3, face_rows))
-        w = w.reshape((nv - 1,) + u.shape[1:])
-        # Block by block, each block's primitives in the scratch region, as
-        # many elements as it holds.
-        for block in _blocks(num_elements, max(1, region.size // (nv * n**3))):
-            try:
-                prim = physics.primitive_from_conservative(
-                    u[:, block], self.gas, out=_view(region, u[:, block].shape))
-            except physics.PositivityError:
-                physics.primitive_from_conservative(u, self.gas)  # names the global element
-                raise
-            physics.viscous_entropy_variables(*prim, out=w[:, block])
+        prim = _view(self._work.flat, u.shape, jump.size - u[0].size)
+        w = physics.viscous_entropy_variables(
+            *physics.primitive_from_conservative(u, self.gas, out=prim), out=prim[1:])
         # The own traces sit in the jump's memory until the jump is formed.
         shape = (nv - 1,) + self._s_own.shape
         two = region[:face_rows].reshape(nv - 1, -1)
@@ -510,7 +511,7 @@ class DGSolver:
         self._traces(w, ghost_w, slice(None), own, diff)
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
-        jump = self._to_faces(two, jump.reshape((nv - 1,) + self.s_hat.shape))
+        jump = self._to_faces(two, _view(jump, (nv - 1,) + self.s_hat.shape))
         jump *= _FACE_SIGN / self.w0
         return step, w, jump, region
 
@@ -706,12 +707,7 @@ class DGSolver:
         def rhs(u, t):
             nonlocal stage
             stage += 1
-            try:
-                r = self.residual(u, t)
-            except physics.PositivityError as err:
-                raise physics.PositivityError(
-                    f"positivity failure in RK stage {stage} of {len(RK_A)} "
-                    f"at t = {t:.6g}: {err}") from err
+            r = physics.in_phase(f"RK stage {stage} of {len(RK_A)} at t = {t:.6g}", self.residual, u, t)
             if stage == 1:
                 state.rhs = r
             return r

@@ -131,6 +131,48 @@ def test_positivity_abort_in_the_final_state_names_the_step_and_element(tmp_path
     assert re.search(r"non-positive density, min rho = \S+ at index \(\d+, \d+, \d+, \d+\)", err)
 
 
+@pytest.mark.parametrize("params, final_time, phase", [
+    ({"amplitude": 0.8}, 0.006258, "the final state after step 1 at t = 0.006258"),
+    ({"amplitude": 1.5}, 0.01, "the initial condition"),
+], ids=("final-state", "initial-condition"))
+def test_converge_aborts_as_run_does(tmp_path, capsys, params, final_time, phase):
+    # The configs of the final-state and initial-condition tests above;
+    # level 2 is their mesh.
+    config = {
+        "case": "density_wave",
+        "case_params": params,
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "degree": 2,
+        "cfl": 0.88,
+        "final_time": final_time,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    errors = []
+    for argv in (["run", str(path)], ["converge", str(path), "--levels", "2", "3"]):
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert f"runtime abort: positivity failure in {phase}: non-positive density" in errors[0]
+    assert errors[1] == errors[0]
+
+
+def test_positivity_abort_in_the_error_norms_names_the_element(tmp_path, capsys):
+    # The state stays positive; the exact density wave is negative between
+    # the nodes of degree 1, on the error norms' fine grid.
+    config = {"case_params": {"amplitude": 5.0}, "degree": 1, "mesh": {"cells": [1, 1, 1]},
+              "final_time": 0.001, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    for argv in (["run", str(path)], ["converge", str(path), "--levels", "1"]):
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            "runtime abort: positivity failure in the exact state of element 0 in the error norms: "
+            "non-positive density")
+
+
 @pytest.mark.parametrize("key, values", [
     ("final_time", {"final_time": math.nan}),
     ("final_time", {"final_time": math.inf}),
@@ -164,9 +206,21 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     ("mesh.cells", {"mesh": {"cells": [0, 2, 2]}}),
     ("mesh.cells", {"mesh": {"cells": [2, 2]}}),
     ("mesh", {"mesh": [2, 2, 2]}),
+    ("output_dir", {"output_dir": 5}),
+    ("output_dir", {"output_dir": None}),
+    ("mesh.path", {"mesh": {"path": 5}}),
+    ("mesh", {"mesh": None}),
+    ("cfl", {"cfl": "0.4"}),
+    ("final_time", {"final_time": [1]}),
+    ("dt", {"dt": True}),
+    ("volume_flux", {"volume_flux": ["ec"]}),
+    ("surface_dissipation", {"surface_dissipation": "upwind"}),
+    ("case", {"case": ["x"]}),
 ], ids=("degree-2.5", "degree-true", "monitor_interval-1.5", "cells-2.5", "cells-0", "cells-two",
-        "mesh-list"))
+        "mesh-list", "output_dir-5", "output_dir-null", "mesh-path-5", "mesh-null", "cfl-string",
+        "final_time-list", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list"))
 def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
+    # Values of the wrong type too; through a file, whose directory resolves a relative mesh.path.
     config = {"degree": 2, "final_time": 0.001, "output_dir": str(tmp_path / "out"), **values}
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(config))
@@ -511,6 +565,19 @@ def test_convergence_study_holds_one_solver_at_a_time(monkeypatch):
     assert building == [1, 1, 1]  # the one being built
     assert norming == [0, 0, 0]
     assert report == expected
+
+
+def test_convergence_rows_are_the_error_norms_of_run(tmp_path):
+    config = {"case": "manufactured", "degree": 2, "boundary": "dirichlet", "gas": {"reynolds": 100.0},
+              "mesh": {"builtin": "warped_box", "cells": [1, 1, 1], "amplitude": 0.05},
+              "dt": 0.001, "final_time": 0.002, "monitor_interval": 2}
+    report = runner.convergence_study(RunConfig(**config), [1, 2])
+    assert [row["resolution"] for row in report["rows"]] == [1, 2]
+    for row in report["rows"]:
+        cells = [row["resolution"]] * 3
+        summary = runner.run_case(RunConfig(**dict(config, mesh=dict(config["mesh"], cells=cells),
+                                                   output_dir=str(tmp_path / str(cells[0])))))
+        assert (row["l2"], row["linf"]) == (summary["l2_error"], summary["linf_error"])
 
 
 def test_run_config_fields_defaults_and_unknown_keys():

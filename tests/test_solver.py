@@ -282,6 +282,20 @@ def test_viscous_faces_match_stacked_traces_dirichlet_box():
     assert_matches_stacked_traces(mesh, perturbed_wave(mesh.x, gas), case.state)
 
 
+def test_lifted_gradients_on_one_element_at_n25():
+    # W's primitives borrow the jump's last volume-sized row: at n = 26 the
+    # four face rows, 24 n^2, hold less than one volume row, n^3.
+    gas = physics.GasModel(reynolds=100.0)
+    mesh = mesh_mod.warped_box_mesh(25, (1, 1, 1), amplitude=0.05)
+    u = perturbed_wave(mesh.x, gas)
+    q = stacked_trace_residual(mesh, gas, u)[1][:, 1:]
+    dg = solver.DGSolver(mesh, gas)
+    assert np.abs(dg.lift_gradients(u) - q).max() <= 1e-14 * np.abs(q).max()
+    u[0, 0, 3, 25, 7] = -0.1
+    with pytest.raises(physics.PositivityError, match=r"density.* at index \(0, 3, 25, 7\)"):
+        dg.lift_gradients(u)
+
+
 # -- BR1 neutral stability on the solver's own residual -----------------------
 
 @pytest.mark.parametrize("dissipation", fluxes.DISSIPATION_MODES)
