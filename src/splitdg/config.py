@@ -47,8 +47,9 @@ class RunConfig:
         for key in ("degree", "monitor_interval"):
             if not _is_count(getattr(self, key)):
                 raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
-        if not isinstance(self.mesh, dict):
-            raise ConfigError(f"mesh: must be an object, got {self.mesh!r}")
+        for key in ("mesh", "gas", "case_params"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key}: must be an object, got {getattr(self, key)!r}")
         # The keys of the built-in mesh, mesh.warped_box_mesh.  A non-finite
         # amplitude would surface only as a NaN Jacobian.
         mesh_keys = (
@@ -89,8 +90,21 @@ class RunConfig:
                 raise ConfigError(f"{key}: must be a string, got {value!r}")
         if "path" in self.mesh and not os.path.exists(self.mesh["path"]):
             raise ConfigError(f"mesh.path: file does not exist: {self.mesh['path']}")
+        # Every case parameter is a number, the velocity three of them; a bad
+        # one would otherwise fail only inside the initial condition.
+        for key, value in self.case_params.items():
+            three = key == "velocity"
+            if not (_is_list_of(value, 3, _is_finite_number) if three else _is_finite_number(value)):
+                what = "a list of three finite numbers" if three else "a finite number"
+                raise ConfigError(f"case_params.{key}: must be {what}, got {value!r}")
+        # An unknown gas or case key, or a bad gas value, exits before any set-up too.
+        self.gas_model()
+        self.flow_case()
         if self.case_name is None:
             self.case_name = self.case
+        # The output files are named after it, inside output_dir.
+        if not isinstance(self.case_name, str) or not self.case_name or os.path.dirname(self.case_name):
+            raise ConfigError(f"case_name: must be a non-empty file name, got {self.case_name!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -101,17 +115,26 @@ class RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{path}: invalid JSON: {err}") from err
-        return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls.from_dict(raw, path)
 
     @classmethod
-    def from_dict(cls, raw, base_dir=None):
+    def from_dict(cls, raw, path=None):
+        """The config of ``raw``, read from the file ``path`` if given.
+
+        A value that is not an object names that file, and a relative
+        mesh.path is taken from its directory.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path or 'config'}: must be a JSON object, got {raw!r}")
         unknown = set(raw) - set(cls.FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # A mesh or path of the wrong type is left for the constructor to name.
-        path = raw["mesh"].get("path") if isinstance(raw.get("mesh"), dict) else None
-        if base_dir and isinstance(path, str) and not os.path.isabs(path):
-            raw = dict(raw, mesh=dict(raw["mesh"], path=os.path.join(base_dir, path)))
+        # A mesh or path of the wrong type is left for the constructor to name;
+        # an absolute path is joined as it is.
+        mesh_path = raw["mesh"].get("path") if isinstance(raw.get("mesh"), dict) else None
+        if path and isinstance(mesh_path, str):
+            mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
+            raw = dict(raw, mesh=dict(raw["mesh"], path=mesh_path))
         try:
             return cls(**raw)
         except TypeError as err:

@@ -3,9 +3,12 @@
 Conservative states are numpy arrays with the five components
 (rho, rho*v1, rho*v2, rho*v3, rho*E) on the FIRST axis; trailing axes are
 arbitrary node/element axes, so every routine here is vectorized over whole
-fields.  All quantities are nondimensional with the free-stream scaling in
-which the viscous terms carry a 1/Re prefactor and the heat conduction
-coefficient is lam = mu / ((gamma-1) Pr Ma^2).
+fields.  All quantities are nondimensional, with the gas constant and the
+dynamic viscosity 1: the temperature is T = p / rho, the viscous terms carry
+a 1/Re prefactor, and the heat conduction coefficient is
+lam = gamma / ((gamma - 1) Pr).  So the viscous flux is a function of the
+entropy variables w_2..w_5 and their gradients alone (see
+:func:`gradients_from_entropy_gradients`).
 """
 
 import math
@@ -30,26 +33,20 @@ def in_phase(where, fn, *args):
 class GasModel:
     """Ideal-gas parameters; immutable and shareable across threads.
 
-    mu is the constant dynamic viscosity; reynolds is the Reynolds number
-    multiplying the inverse viscous scaling.  ``reynolds=None`` means
-    inviscid (the solver skips all viscous terms).  The attributes are set
-    once, when the model is validated; assigning or deleting one raises
-    AttributeError.
+    gamma is the heat capacity ratio (> 1), prandtl the Prandtl number and
+    reynolds the Reynolds number multiplying the inverse viscous scaling
+    (both > 0).  ``reynolds=None`` means inviscid (the solver skips all
+    viscous terms).  The attributes are set once, when the model is
+    validated; assigning or deleting one raises AttributeError.
     """
 
-    __slots__ = ("gamma", "mach", "prandtl", "reynolds", "mu")
+    __slots__ = ("gamma", "prandtl", "reynolds")
 
-    def __init__(self, gamma=1.4, mach=1.0, prandtl=0.72, reynolds=None, mu=1.0):
-        for name, value in zip(self.__slots__, (gamma, mach, prandtl, reynolds, mu)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+    def __init__(self, gamma=1.4, prandtl=0.72, reynolds=None):
+        for name, value, low in zip(self.__slots__, (gamma, prandtl, reynolds), (1, 0, 0)):
+            if not (value is None and name == "reynolds" or math.isfinite(value) and value > low):
+                raise ValueError(f"{name} must be finite and exceed {low}, got {value}")
             object.__setattr__(self, name, value)
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        if self.mach <= 0 or self.prandtl <= 0 or self.mu < 0:
-            raise ValueError("gas parameters must be positive")
-        if self.reynolds is not None and self.reynolds <= 0:
-            raise ValueError("Reynolds number must be positive")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field '{name}': GasModel is immutable")
@@ -59,11 +56,6 @@ class GasModel:
     @property
     def viscous(self):
         return self.reynolds is not None
-
-    @property
-    def heat_conduction(self):
-        """lam = mu / ((gamma - 1) Pr Ma^2)."""
-        return self.mu / ((self.gamma - 1.0) * self.prandtl * self.mach**2)
 
 
 def _check_positive(rho, p):
@@ -211,76 +203,67 @@ def entropy_potential(u, gas):
     return np.einsum("c...,dc...->d...", w, f) - fs
 
 
-def viscous_flux(u, grad_v, grad_t, gas, out=None):
-    """Cartesian viscous flux triple from primitive-variable gradients.
+def viscous_flux(v, grad_v, grad_t, gas, out=None):
+    """Cartesian viscous flux triple from the velocity and the primitive gradients.
 
     Args:
-        u: conservative state, shape (5, ...).
+        v: velocity, shape (3, ...).
         grad_v: velocity gradients, grad_v[d, m] = d v_m / d x_d, shape (3, 3, ...).
-        grad_t: temperature gradient, grad_t[d] = d T / d x_d, shape (3, ...).
-        out: optional (3, 5, ...) array for the result, not overlapping the
-            gradients.  Its rows hold the intermediates, so the call then
+        grad_t: temperature gradient, grad_t[d] = d T / d x_d with T = p / rho,
+            shape (3, ...).
+        out: optional (3, 4, ...) array for the result, not overlapping the
+            inputs.  Its rows hold the intermediates, so the call then
             allocates only the (3, ...) heat flux lam grad T.
 
     Returns:
-        f^v with shape (3, 5, ...); the mass component is zero.
+        f^v with shape (3, 4, ...): the momentum and energy components.  The
+        mass component is zero and is not formed.
     """
-    f = np.empty((3, NVAR) + u.shape[1:]) if out is None else out
-    mu = gas.mu
-    # The mass rows hold v until the end, f[2, 4] the divergence term until
-    # the last energy row.
-    v = np.divide(u[1:4], u[0], out=f[:, 0])
-    div_v = np.add(grad_v[0, 0], grad_v[1, 1], out=f[2, 4, ...])
+    f = np.empty((3, NVAR - 1) + np.shape(v)[1:]) if out is None else out
+    # f[2, 3] holds the divergence term until the last energy row.
+    div_v = np.add(grad_v[0, 0], grad_v[1, 1], out=f[2, 3, ...])
     div_v += grad_v[2, 2]
-    div_v *= (2.0 / 3.0) * mu
-    tau = np.add(grad_v, grad_v.swapaxes(0, 1), out=f[:, 1:4])  # the viscous stress, in place
-    tau *= mu
+    div_v *= 2.0 / 3.0
+    tau = np.add(grad_v, grad_v.swapaxes(0, 1), out=f[:, :3])  # the viscous stress, in place
     np.einsum("ii...->i...", tau)[...] -= div_v  # the diagonal, a view
     for d in range(3):
-        np.einsum("m...,m...->...", v, tau[d], out=f[d, 4, ...])
-    f[:, 4] += gas.heat_conduction * grad_t
-    f[:, 0] = 0.0
+        np.einsum("m...,m...->...", v, tau[d], out=f[d, 3, ...])
+    f[:, 3] += gas.gamma / ((gas.gamma - 1.0) * gas.prandtl) * grad_t
     return f
 
 
-def gradients_from_entropy_gradients(u, q, gas, out=None):
-    """Primitive gradients (grad v, grad T) from entropy-variable gradients.
+def gradients_from_entropy_gradients(w, q, gas, out=None):
+    """Velocity and primitive gradients (v, grad v, grad T) from w_2..w_5 and their gradients.
 
-    ``q`` holds d w / d x_d with shape (3, 5, ...).  The map is linear in q
-    at a fixed state: with p/rho = -1/w5,
-        d v_m / d x_d = (q[d, 1+m] + v_m q[d, 4]) * (p / rho)
-        d T  / d x_d = gamma Ma^2 (p / rho)^2 q[d, 4].
-    The gradients are the rows out[:, 1:4] and out[:, 4] of ``out``, a
-    (3, 5, ...) array that may be ``q`` itself; its mass rows out[:, 0] are
-    scratch.  Beyond ``out`` the call allocates two scratch rows and the
-    (3, 3, ...) products v_m q[d, 4].
+    ``w`` holds w_2..w_5 = (rho v / p, -rho / p), shape (4, ...), and ``q``
+    their gradients, q[d, c] = d w_{c+2} / d x_d, shape (3, 4, ...).  With
+    T = p / rho = -1 / w_5 and v = w_2..w_4 T, the map is linear in q at a
+    fixed state:
+        d v_m / d x_d = (q[d, m] + v_m q[d, 3]) T
+        d T  / d x_d = T^2 q[d, 3].
+    The gradients are the rows out[:, :3] and out[:, 3] of ``out``, a
+    (3, 4, ...) array that may be ``q`` itself.  Beyond ``out`` the call
+    allocates v, T and its square, and the (3, 3, ...) products v_m q[d, 3].
+    The map holds for any gas: ``gas`` is not read.
     """
     g = np.empty(np.shape(q)) if out is None else out
-    rho = u[0]
-    v = np.divide(u[1:4], rho, out=g[:, 0])
-    p_over_rho, scratch = np.empty(np.shape(rho)), np.empty(np.shape(rho))
-    kinetic = _dot(v, v, p_over_rho, scratch)
-    kinetic *= np.multiply(0.5, rho, out=scratch)
-    p = np.subtract(u[4], kinetic, out=p_over_rho)
-    p *= gas.gamma - 1.0
-    p_over_rho = np.divide(p, rho, out=p_over_rho)
+    t = np.divide(-1.0, w[3])
+    v = np.multiply(w[:3], t)
     # Each row of q is read before its own gradient row is written.
-    grad_v = np.add(q[:, 1:4], np.multiply(v, q[:, 4:5]), out=g[:, 1:4])
-    grad_v *= p_over_rho
-    coef = np.square(p_over_rho, out=scratch)
-    coef *= gas.gamma * gas.mach**2
-    grad_t = np.multiply(coef, q[:, 4], out=g[:, 4])
-    return grad_v, grad_t
+    grad_v = np.add(q[:, :3], np.multiply(v, q[:, 3:4]), out=g[:, :3])
+    grad_v *= t
+    grad_t = np.multiply(np.square(t), q[:, 3], out=g[:, 3])
+    return v, grad_v, grad_t
 
 
-def viscous_flux_from_entropy_gradients(u, q, gas, out=None):
-    """f^v evaluated from lifted entropy-variable gradients q (3, 5, ...), into ``out`` when given.
+def viscous_flux_from_entropy_gradients(w, q, gas, out=None):
+    """f^v (3, 4, ...) from w_2..w_5 (4, ...) and their lifted gradients q (3, 4, ...).
 
     With ``out``, the primitive gradients are formed in q's own memory, so
     ``q`` is overwritten and the call allocates only a few scratch rows.
     """
-    grad_v, grad_t = gradients_from_entropy_gradients(u, q, gas, None if out is None else q)
-    return viscous_flux(u, grad_v, grad_t, gas, out)
+    v, grad_v, grad_t = gradients_from_entropy_gradients(w, q, gas, None if out is None else q)
+    return viscous_flux(v, grad_v, grad_t, gas, out)
 
 
 def max_wave_speed(left, right, normal, gas, out=None):

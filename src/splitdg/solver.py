@@ -32,7 +32,7 @@ zero, so w_1 is never formed): the BR1 lifting jump over all faces; one
 element-block loop that forms the lifted gradients Q, the viscous flux
 F^v, its contravariant form and divergence, and its face traces, each
 block's into its own spent slice of the jump; and the viscous penalty over
-all faces.  So no (3, 5, K, n1, n1, n1) array of Q or F^v and no
+all faces.  So no (3, 4, K, n1, n1, n1) array of Q or F^v and no
 whole-face array is ever allocated afresh: a warm residual allocates its
 result, the volume flux's prepared state, the ghost states and a few
 scratch rows per block.  An RK step adds only the new state and its
@@ -44,11 +44,11 @@ configurations.
 Every phase fits in the memory that the largest one needs anyway.  The
 face chunks are sized from what the workspace already holds, at least the
 volume kernel's reservation, so on an inviscid mesh the kernel sets the
-workspace's size.  The viscous blocks are capped at 4K // (5 n1)
-elements, so that their two block buffers of 15 rows fit in the four-row
-two-sided face array of the lifting jump that they follow; the viscous
-path then holds W, the jump and that region, 3.2 times the state's size
-at N=3 and 2.0 at N=7.
+workspace's size.  The viscous blocks are capped at K // n1 elements,
+so that their two block buffers of 12 rows fit in the four-row two-sided
+face array of the lifting jump that they follow; the viscous path then
+holds W, the jump and that region, 3.2 times the state's size at N=3 and
+2.0 at N=7.
 """
 
 import functools
@@ -63,8 +63,8 @@ from splitdg import fluxes, geometry, physics, spectral
 # row of a pair array in split_divergence, the (n, n, n) row of a nodal
 # field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
 # 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop, which caps
-# them at 4K // (5n) elements (43 on a 6^3 box at N=3, 6 on 4^3 at N=7) to
-# fit in its face region.  The face chunks of the advective face phase follow the same rule
+# them at K // n elements (54 on a 6^3 box at N=3, 8 on 4^3 at N=7) to fit
+# in its face region.  The face chunks of the advective face phase follow the same rule
 # with the (n, n) row of one face, 8,192 face nodes, 128 faces at N=7 and
 # 512 at N=3, capped at what the workspace holds after the kernel: 192 faces
 # (all) on 4^3 elements at N=4, 60 of 81 on 3^3 at N=7.  A byte
@@ -82,8 +82,9 @@ from splitdg import fluxes, geometry, physics, spectral
 # residuals at N=3 on 6^3, N=4 on 4^3 and N=7 on 3^3 elements (medians of
 # 15 interleaved warm calls): the viscous loop's 128, 65 and 16 elements
 # are within 5 % of one block of all elements, blocks of 4 elements are
-# 1.1-1.8x slower.  The cap's 43, 10 and 2 elements there left the medians
-# within the machine's drift (3 interleaved process pairs against K // n).
+# 1.1-1.8x slower.  The cap, K // n, gives 54, 12 and 3 elements there; a
+# cap of 4K // (5n), 43, 10 and 2, left the medians within the machine's
+# drift of it (3 interleaved process pairs).
 PAIR_BLOCK_BYTES = 64 * 1024
 
 
@@ -488,30 +489,30 @@ class DGSolver:
         rows, one volume row): 24 K n^2 is less than K n^3 for n > 24.
 
         Returns:
-            the viscous block size in elements, at most 4K // (5n), so that
-            the two block buffers fit in the jump's two-sided face array; W
+            the viscous block size in elements, at most K // n, so that the
+            two block buffers fit in the jump's two-sided face array; W
             (4, K, n, n, n); the jump (4, 6, K, n, n); and the flat scratch
             region, which holds the two-sided array and then the two block
-            buffers of 3 * 5 rows each.
+            buffers of 3 * 4 rows each.
         """
-        n, num_elements, nv = self.n1, self.num_elements, physics.NVAR
-        # Four rows of 6 K n^2 face nodes hold 2 * 15 block rows of 4K // (5n) elements.
-        face_rows = (nv - 1) * self._from_own.size
-        step = min(_block_elements(num_elements, n**3), max(1, face_rows // (2 * 3 * nv * n**3)))
-        jump, _, region = self._work.reserve(max(face_rows, u[0].size), (nv - 1) * u[0].size,
-                                             max(2 * 3 * nv * step * n**3, face_rows))
+        n, num_elements, nw = self.n1, self.num_elements, physics.NVAR - 1
+        # Four rows of 6 K n^2 face nodes hold 2 * 12 block rows of K // n elements.
+        face_rows = nw * self._from_own.size
+        step = min(_block_elements(num_elements, n**3), max(1, num_elements // n))
+        jump, _, region = self._work.reserve(max(face_rows, u[0].size), nw * u[0].size,
+                                             max(2 * 3 * nw * step * n**3, face_rows))
         prim = _view(self._work.flat, u.shape, jump.size - u[0].size)
         w = physics.viscous_entropy_variables(
             *physics.primitive_from_conservative(u, self.gas, out=prim), out=prim[1:])
         # The own traces sit in the jump's memory until the jump is formed.
-        shape = (nv - 1,) + self._s_own.shape
-        two = region[:face_rows].reshape(nv - 1, -1)
+        shape = (nw,) + self._s_own.shape
+        two = region[:face_rows].reshape(nw, -1)
         own, diff = _view(jump, shape), two[:, :self._own_volume.size].reshape(shape)
         ghost_w = physics.viscous_entropy_variables(*physics.primitive_from_conservative(ghost, self.gas))
         self._traces(w, ghost_w, slice(None), own, diff)
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
-        jump = self._to_faces(two, _view(jump, (nv - 1,) + self.s_hat.shape))
+        jump = self._to_faces(two, _view(jump, (nw,) + self.s_hat.shape))
         jump *= _FACE_SIGN / self.w0
         return step, w, jump, region
 
@@ -519,28 +520,26 @@ class DGSolver:
         """Lifted gradients Q, one element block of ``step`` elements at a time.
 
         Yields (block, q): the block's slice of the element axis and its Q,
-        (3, 5, count, n, n, n) in the second block buffer of ``region``,
-        valid until the next block; the reference gradient is spent in the
-        first.  Only the gradients of w_2..w_5, q[:, 1:], are formed:
-        q[:, 0] is the mass row of the physics layout, which F^v never
-        reads, and holds whatever the buffer held.  Once a block's q is yielded, its
-        slice ``jump[:, :, block]`` is spent: face data are per element, so
-        no other block reads it.  The BR1 auxiliary equation in strong
+        (3, 4, count, n, n, n), the gradients of w_2..w_5, valid until the
+        next block.  The reference gradient takes the front of ``region``
+        and q the same size right after it; the reference gradient is spent
+        once q is formed.  Once a block's q is yielded, its slice
+        ``jump[:, :, block]`` is spent: face data are per element, so no
+        other block reads it.  The BR1 auxiliary equation in strong
         collocation form is J Q_d = sum_l Ja^l_d D_l W + lift((W* - W) n_d
         s_hat).  At the face nodes n s_hat = FACE_SIGN Ja^l, l the face's
         normal axis, so the lifting adds the jump to D_l W on the face
         before the metric contraction.  Every operation acts element by
         element, so Q is bitwise independent of ``step``.
         """
-        second = 3 * physics.NVAR * step * self.n1**3
         for block in _blocks(self.num_elements, step):
             shape = (3,) + w[:, block].shape
             g = spectral.tensor_gradient(self.basis, w[:, block], out=_view(region, shape))
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 g[axis][geometry.face_slice(face)] += jump[:, face, block]
-            q = _view(region, (3, physics.NVAR) + shape[2:], second)
-            np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g, out=q[:, 1:])
-            q[:, 1:] /= self.j[block]
+            q = np.einsum("ldKijk,lcKijk->dcKijk", self.ja[:, :, block], g,
+                          out=_view(region, shape, g.size))
+            q /= self.j[block]
             yield block, q
 
     def lift_gradients(self, u, t=0.0):
@@ -559,7 +558,7 @@ class DGSolver:
         step, w, jump, region = self._br1_faces(u, self._ghost(t))
         q = np.empty((3,) + w.shape)
         for block, q_block in self._lifted_blocks(w, jump, step, region):
-            q[:, :, block] = q_block[:, 1:]
+            q[:, :, block] = q_block
         return q
 
     def _add_viscous(self, u, ghost, rhs):
@@ -570,7 +569,7 @@ class DGSolver:
         their divergence into the block of ``rhs``, and the block's
         n . F^v s_hat face traces, which are FACE_SIGN F~v^l at the face
         nodes, into the block's spent slice of the jump.  F^v has no mass
-        component, so this half runs on the other four.  Then the penalty
+        component, so all of this runs on the other four.  Then the penalty
         over all faces, in the spent block region.  With F^{v,*} the
         arithmetic mean and the two sides' outward normals opposite, it is
         -(F_own + F_ext) . n s_hat / (2 w0) on both sides of a link, each
@@ -580,18 +579,16 @@ class DGSolver:
         same sum bit for bit (a + b = b + a).
         """
         step, w, jump, region = self._br1_faces(u, ghost)
-        second = 3 * physics.NVAR * step * self.n1**3
         for block, q in self._lifted_blocks(w, jump, step, region):
             # Q becomes the primitive gradients in place, F^v goes to the
             # spent reference gradient's buffer, F~v to Q's and the
             # divergence to F^v's once each is spent.
-            fv = physics.viscous_flux_from_entropy_gradients(
-                u[:, block], q, self.gas, out=_view(region, q.shape))[:, 1:]
-            flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv,
-                             out=_view(region, fv.shape, second))
+            fv = physics.viscous_flux_from_entropy_gradients(w[:, block], q, self.gas,
+                                                             out=_view(region, q.shape))
+            flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv, out=q)
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 jump[:, face, block] = flux[axis][geometry.face_slice(face)]
-            div = spectral.tensor_divergence(self.basis, flux, region[:second])
+            div = spectral.tensor_divergence(self.basis, flux, region[:fv.size])
             div /= self.gas.reynolds
             rhs[1:, block] += div
         traces = np.multiply(jump, _FACE_SIGN, out=jump)

@@ -293,11 +293,9 @@ def br1_dissipation_gap(mesh, gas, u, surface_dissipation="llf"):
     ec solvers of ``gas`` and its inviscid twin.
     """
     viscous = solver.DGSolver(mesh, gas, "ec", surface_dissipation)
-    inviscid_gas = physics.GasModel(gas.gamma, gas.mach, gas.prandtl, None, gas.mu)
-    inviscid = solver.DGSolver(mesh, inviscid_gas, "ec", surface_dissipation)
+    inviscid = solver.DGSolver(mesh, physics.GasModel(gas.gamma, gas.prandtl), "ec", surface_dissipation)
     q = viscous.lift_gradients(u)
-    # The physics layout's mass row, which F^v does not read, as zeros.
-    fv = physics.viscous_flux_from_entropy_gradients(u, np.insert(q, 0, 0.0, axis=1), gas)[:, 1:]
+    fv = physics.viscous_flux_from_entropy_gradients(physics.entropy_variables(u, gas)[1:], q, gas)
     w = mesh.basis.weights
     loss = np.einsum("dcKijk,dcKijk,Kijk,i,j,k->", q, fv, mesh.j, w, w, w) / gas.reynolds
     gap = (viscous.entropy_rate(u, viscous.residual(u))

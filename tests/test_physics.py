@@ -31,7 +31,7 @@ def conservative_from_entropy(w, gas):
 
 def temperature(u, gas):
     rho, _, p = ph.primitive_from_conservative(u, gas)
-    return gas.gamma * gas.mach**2 * p / rho
+    return p / rho
 
 
 def make_state(rho, v, p, gas=GAS):
@@ -49,21 +49,27 @@ class TestGasModel:
             ph.GasModel(prandtl=0.0)
 
     def test_heat_conduction_coefficient(self):
-        gas = ph.GasModel(gamma=1.4, mach=2.0, prandtl=0.5, mu=0.25)
-        assert gas.heat_conduction == pytest.approx(0.25 / (0.4 * 0.5 * 4.0), rel=1e-14)
+        # lam = gamma / ((gamma - 1) Pr): the heat flux is lam grad T with T = p / rho.
+        gas = ph.GasModel(gamma=1.4, prandtl=0.5)
+        grad_t = np.array([1.0, -2.0, 0.5])
+        f = ph.viscous_flux(np.zeros(3), np.zeros((3, 3)), grad_t, gas)
+        assert np.abs(f[:, 3] - 7.0 * grad_t).max() <= 1e-14 * 14.0
+        assert not hasattr(gas, "heat_conduction")
 
     def test_viscous_flag(self):
         assert not GAS.viscous
         assert ph.GasModel(reynolds=10.0).viscous
 
     def test_keyword_and_positional_construction_and_defaults(self):
-        gas = ph.GasModel(1.3, 0.5, 0.7, 20.0, 0.9)
-        assert (gas.gamma, gas.mach, gas.prandtl, gas.reynolds, gas.mu) == (1.3, 0.5, 0.7, 20.0, 0.9)
-        assert (GAS.gamma, GAS.mach, GAS.prandtl, GAS.reynolds, GAS.mu) == (1.4, 1.0, 0.72, None, 1.0)
-        with pytest.raises(ValueError, match="mach must be finite, got nan"):
-            ph.GasModel(mach=float("nan"))
-        with pytest.raises(TypeError, match="unexpected keyword argument 'viscosity'"):
-            ph.GasModel(viscosity=1.0)
+        gas = ph.GasModel(1.3, 0.7, 20.0)
+        assert (gas.gamma, gas.prandtl, gas.reynolds) == (1.3, 0.7, 20.0)
+        assert (GAS.gamma, GAS.prandtl, GAS.reynolds) == (1.4, 0.72, None)
+        with pytest.raises(ValueError, match="prandtl must be finite and exceed 0, got nan"):
+            ph.GasModel(prandtl=float("nan"))
+        # The Mach number cancels in lam grad T and mu enters only as mu / Re: neither is a parameter.
+        for name in ("viscosity", "mach", "mu"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                ph.GasModel(**{name: 1.0})
 
     def test_is_immutable(self):
         gas = ph.GasModel(reynolds=10.0)
@@ -71,8 +77,8 @@ class TestGasModel:
             with pytest.raises(AttributeError):
                 setattr(gas, name, value)
         with pytest.raises(AttributeError):
-            del gas.mu
-        assert gas.reynolds == 10.0 and gas.gamma == 1.4 and gas.mu == 1.0 and not hasattr(gas, "extra")
+            del gas.prandtl
+        assert gas.reynolds == 10.0 and gas.gamma == 1.4 and gas.prandtl == 0.72 and not hasattr(gas, "extra")
 
 
 class TestConversions:
@@ -208,75 +214,89 @@ class TestEntropyVariables:
         assert np.abs(psi - u[1:4]).max() < 1e-12
 
 
+def viscous_rows(u, gas=GAS):
+    """w_2..w_5 of the entropy variables, shape (4, ...)."""
+    return ph.entropy_variables(u, gas)[1:]
+
+
 class TestViscousFlux:
     def test_zero_gradients(self):
-        u = make_state(1.0, (0.3, 0.1, -0.2), 1.4)
-        f = ph.viscous_flux(u, np.zeros((3, 3)), np.zeros(3), ph.GasModel(reynolds=50.0))
+        f = ph.viscous_flux(np.array([0.3, 0.1, -0.2]), np.zeros((3, 3)), np.zeros(3),
+                            ph.GasModel(reynolds=50.0))
         assert np.abs(f).max() == 0.0
 
     def test_stress_trace_vanishes(self):
         rng = np.random.default_rng(5)
-        gas = ph.GasModel(reynolds=10.0, mu=0.7)
-        u = make_state(1.0, (0.1, 0.2, 0.3), 1.0)
+        gas = ph.GasModel(reynolds=10.0)
         grad_v = rng.normal(size=(3, 3))
-        f = ph.viscous_flux(u, grad_v, np.zeros(3), gas)
-        trace = f[0, 1] + f[1, 2] + f[2, 3]  # tau_11 + tau_22 + tau_33
+        f = ph.viscous_flux(np.array([0.1, 0.2, 0.3]), grad_v, np.zeros(3), gas)
+        trace = f[0, 0] + f[1, 1] + f[2, 2]  # tau_11 + tau_22 + tau_33
         assert abs(trace) < 1e-14
 
     def test_pure_shear(self):
-        gas = ph.GasModel(reynolds=10.0, mu=1.0)
-        u = make_state(1.0, (0.0, 0.0, 0.0), 1.0)
+        gas = ph.GasModel(reynolds=10.0)
         grad_v = np.zeros((3, 3))
         grad_v[1, 0] = 1.0  # d v1 / d y
-        f = ph.viscous_flux(u, grad_v, np.zeros(3), gas)
-        assert f[1, 1] == pytest.approx(1.0, abs=1e-15)  # tau_21 in f2, x-momentum row
-        assert f[0, 2] == pytest.approx(1.0, abs=1e-15)  # tau_12 in f1, y-momentum row
+        f = ph.viscous_flux(np.zeros(3), grad_v, np.zeros(3), gas)
+        assert f[1, 0] == pytest.approx(1.0, abs=1e-15)  # tau_21 in f2, x-momentum row
+        assert f[0, 1] == pytest.approx(1.0, abs=1e-15)  # tau_12 in f1, y-momentum row
 
     def test_mass_row_zero(self):
+        # The flux has no mass row, and the viscous terms leave the mass
+        # row of the residual bitwise the inviscid one.
+        from splitdg import mesh as mesh_mod, solver
+
         rng = np.random.default_rng(6)
         gas = ph.GasModel(reynolds=10.0)
         u = make_state(1.1, (0.1, -0.4, 0.2), 0.9)
-        f = ph.viscous_flux(u, rng.normal(size=(3, 3)), rng.normal(size=3), gas)
-        assert np.abs(f[:, 0]).max() == 0.0
+        f = ph.viscous_flux(u[1:4] / u[0], rng.normal(size=(3, 3)), rng.normal(size=3), gas)
+        assert f.shape == (3, 4)
+        mesh = mesh_mod.warped_box_mesh(2, (2, 1, 1), amplitude=0.05)
+        u = ph.conservative_from_primitive(1.0 + 0.1 * np.sin(2 * np.pi * mesh.x[0]),
+                                           0.2 * np.cos(2 * np.pi * mesh.x), 1.0, gas)
+        viscous = solver.DGSolver(mesh, gas).residual(u)
+        inviscid = solver.DGSolver(mesh, GAS).residual(u)
+        assert np.array_equal(viscous[0], inviscid[0]) and not np.array_equal(viscous, inviscid)
 
     def test_dissipation_quadratic_form_nonnegative(self):
         # contraction of f^v(q) with the entropy-variable gradients q is the
         # viscous entropy production: it must be non-negative for any state
         # and any gradient block
         rng = np.random.default_rng(7)
-        gas = ph.GasModel(reynolds=10.0, mu=0.3, prandtl=0.9, mach=1.7)
+        gas = ph.GasModel(reynolds=10.0, prandtl=0.9)
         u = random_states(rng, 400)
-        q = rng.normal(size=(3, 5, 400))
-        f = ph.viscous_flux_from_entropy_gradients(u, q, gas)
+        q = rng.normal(size=(3, 4, 400))
+        f = ph.viscous_flux_from_entropy_gradients(viscous_rows(u), q, gas)
         quad = np.einsum("dc...,dc...->...", f, q)
         assert quad.min() > -1e-12
 
     def test_gradients_from_entropy_gradients_linearity(self):
         rng = np.random.default_rng(8)
         gas = ph.GasModel(reynolds=10.0)
-        u = random_states(rng, 30)
-        q1 = rng.normal(size=(3, 5, 30))
-        q2 = rng.normal(size=(3, 5, 30))
-        gv1, gt1 = ph.gradients_from_entropy_gradients(u, q1, gas)
-        gv2, gt2 = ph.gradients_from_entropy_gradients(u, q2, gas)
-        gv, gt = ph.gradients_from_entropy_gradients(u, q1 + q2, gas)
+        w = viscous_rows(random_states(rng, 30))
+        q1 = rng.normal(size=(3, 4, 30))
+        q2 = rng.normal(size=(3, 4, 30))
+        _, gv1, gt1 = ph.gradients_from_entropy_gradients(w, q1, gas)
+        _, gv2, gt2 = ph.gradients_from_entropy_gradients(w, q2, gas)
+        _, gv, gt = ph.gradients_from_entropy_gradients(w, q1 + q2, gas)
         assert np.abs(gv - (gv1 + gv2)).max() < 1e-12
         assert np.abs(gt - (gt1 + gt2)).max() < 1e-12
 
     def test_entropy_gradient_conversion_against_chain_rule(self):
         # build w(x) along a 1D ray through state space, differentiate
         # numerically, and compare the converted velocity/temperature
-        # gradients with direct finite differences of v and T
-        gas = ph.GasModel(reynolds=10.0, mach=1.3)
+        # gradients with direct finite differences of v and T = p / rho
+        gas = ph.GasModel(reynolds=10.0)
         eps = 1e-6
         base = make_state(1.2, (0.3, -0.2, 0.5), 0.8, gas)
         delta = np.array([0.05, 0.02, -0.03, 0.01, 0.04])
         up = base + eps * delta
         um = base - eps * delta
-        dw = (ph.entropy_variables(up, gas) - ph.entropy_variables(um, gas)) / (2 * eps)
-        q = np.zeros((3, 5) + base.shape[1:])
+        dw = (viscous_rows(up, gas) - viscous_rows(um, gas)) / (2 * eps)
+        q = np.zeros((3, 4) + base.shape[1:])
         q[0] = dw  # pretend the ray is the x-direction
-        gv, gt = ph.gradients_from_entropy_gradients(base, q, gas)
+        v, gv, gt = ph.gradients_from_entropy_gradients(viscous_rows(base, gas), q, gas)
+        assert np.abs(v - base[1:4] / base[0]).max() < 1e-15
         rho_p, v_p, p_p = ph.primitive_from_conservative(up, gas)
         rho_m, v_m, p_m = ph.primitive_from_conservative(um, gas)
         dv = (v_p - v_m) / (2 * eps)
@@ -285,53 +305,58 @@ class TestViscousFlux:
         assert np.abs(gt[0] - dt).max() < 1e-6
 
 
-def loop_viscous_flux(u, grad_v, grad_t, gas):
+def loop_viscous_flux(v, grad_v, grad_t, gas):
     """Reference: the viscous stress and energy flux one component at a time."""
-    v = u[1:4] / u[0]
-    div_v = (grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]) * ((2.0 / 3.0) * gas.mu)
-    f = np.zeros((3, 5) + u.shape[1:])
+    div_v = (grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]) * (2.0 / 3.0)
+    f = np.zeros((3, 4) + v.shape[1:])
     for i in range(3):
         for j in range(3):
-            f[i, 1 + j] = (grad_v[i, j] + grad_v[j, i]) * gas.mu
-        f[i, 1 + i] -= div_v
+            f[i, j] = grad_v[i, j] + grad_v[j, i]
+        f[i, i] -= div_v
+    lam = gas.gamma / ((gas.gamma - 1.0) * gas.prandtl)
     for d in range(3):
-        f[d, 4] = np.einsum("m...,m...->...", v, f[d, 1:4]) + gas.heat_conduction * grad_t[d]
+        f[d, 3] = np.einsum("m...,m...->...", v, f[d, :3]) + lam * grad_t[d]
     return f
 
 
-def loop_velocity_gradients(u, q, gas):
-    """Reference: d v_m / d x_d = (q[d, 1+m] + v_m q[d, 4]) p / rho, one (d, m) at a time."""
-    v = u[1:4] / u[0]
-    kinetic = v[0] * v[0]
-    kinetic += v[1] * v[1]
-    kinetic += v[2] * v[2]
-    p_over_rho = (u[4] - kinetic * (0.5 * u[0])) * (gas.gamma - 1.0) / u[0]
-    grad_v = np.empty((3, 3) + u.shape[1:])
+def loop_velocity_gradients(w, q, gas):
+    """Reference (v, grad v, grad T), one (d, m) at a time.
+
+    With T = p / rho = -1 / w_5: d v_m / d x_d = (q[d, m] + v_m q[d, 3]) T
+    and d T / d x_d = T^2 q[d, 3].
+    """
+    t = -1.0 / w[3]
+    v = w[:3] * t
+    grad_v = np.empty((3, 3) + w.shape[1:])
+    grad_t = np.empty((3,) + w.shape[1:])
     for d in range(3):
         for m in range(3):
-            grad_v[d, m] = (v[m] * q[d, 4] + q[d, 1 + m]) * p_over_rho
-    return grad_v
+            grad_v[d, m] = (v[m] * q[d, 3] + q[d, m]) * t
+        grad_t[d] = (t * t) * q[d, 3]
+    return v, grad_v, grad_t
 
 
 class TestViscousFluxAgainstLoops:
-    GAS = ph.GasModel(reynolds=10.0, mu=0.3, prandtl=0.9, mach=1.7)
+    GAS = ph.GasModel(reynolds=10.0, prandtl=0.9)
 
     def test_viscous_flux_is_bitwise_the_component_loops(self):
         rng = np.random.default_rng(16)
-        u = random_states(rng, 300)
+        v = rng.normal(size=(3, 300))
         grad_v, grad_t = rng.normal(size=(3, 3, 300)), rng.normal(size=(3, 300))
-        ref = loop_viscous_flux(u, grad_v, grad_t, self.GAS)
-        assert np.array_equal(ph.viscous_flux(u, grad_v, grad_t, self.GAS), ref)
+        ref = loop_viscous_flux(v, grad_v, grad_t, self.GAS)
+        assert np.array_equal(ph.viscous_flux(v, grad_v, grad_t, self.GAS), ref)
 
     def test_velocity_gradients_are_bitwise_the_component_loops(self):
         rng = np.random.default_rng(17)
-        u = random_states(rng, 300)
-        q = rng.normal(size=(3, 5, 300))
-        ref = loop_velocity_gradients(u, q, self.GAS)
-        assert np.array_equal(ph.gradients_from_entropy_gradients(u, q, self.GAS)[0], ref)
+        w = viscous_rows(random_states(rng, 300))
+        q = rng.normal(size=(3, 4, 300))
+        ref = loop_velocity_gradients(w, q, self.GAS)
+        for got, want in zip(ph.gradients_from_entropy_gradients(w, q, self.GAS), ref):
+            assert np.array_equal(got, want)
         # In place, as the solver's block loop calls it.
         work = q.copy()
-        assert np.array_equal(ph.gradients_from_entropy_gradients(u, work, self.GAS, work)[0], ref)
+        for got, want in zip(ph.gradients_from_entropy_gradients(w, work, self.GAS, work), ref):
+            assert np.array_equal(got, want)
 
 
 class TestWaveSpeed:

@@ -304,6 +304,79 @@ def test_converge_on_a_mesh_file_exits_2_naming_the_key(tmp_path, capsys):
     assert captured.err.startswith("error: mesh.path: a mesh file has one resolution")
 
 
+@pytest.mark.parametrize("raw", [5, [1, 2], "run", None], ids=("int", "list", "string", "null"))
+def test_config_file_that_is_not_an_object_exits_2_naming_the_file(tmp_path, capsys, raw):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: must be a JSON object, got {raw!r}\n"
+    with pytest.raises(ConfigError, match=r"^config: must be a JSON object, got 5$"):
+        RunConfig.from_dict(5)
+
+
+def refuse_to_build_a_mesh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh_mod, "warped_box_mesh", refuse)
+
+
+@pytest.mark.parametrize("message, params", [
+    ("case_params.amplitude: must be a finite number, got 'x'", {"amplitude": "x"}),
+    ("case_params.amplitude: must be a finite number, got nan", {"amplitude": math.nan}),
+    ("case_params.mean: must be a finite number, got None", {"mean": None}),
+    ("case_params.p: must be a finite number, got True", {"p": True}),
+    ("case_params.velocity: must be a list of three finite numbers", {"velocity": [1.0, 1.0]}),
+    ("case_params.velocity: must be a list of three finite numbers", {"velocity": [1.0, "1", 1.0]}),
+    ("case_params.velocity: must be a list of three finite numbers", {"velocity": 1.0}),
+    ("case_params: must be an object, got [0.3]", [0.3]),
+    ("case_params: DensityWave.__init__() got an unexpected keyword argument 'amplitud'",
+     {"amplitud": 0.1}),
+], ids=("amplitude-string", "amplitude-nan", "mean-null", "p-true", "velocity-two",
+        "velocity-string", "velocity-number", "list", "unknown-key"))
+def test_bad_case_param_exits_2_before_set_up_naming_the_key(tmp_path, capsys, monkeypatch, message,
+                                                              params):
+    # Checked with the config: a bad value would otherwise fail only inside the initial condition.
+    config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]}, "case_params": params,
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    refuse_to_build_a_mesh(monkeypatch)
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "", "/abs", "dir/", 5, ["a"]],
+                         ids=("separator", "empty", "absolute", "trailing-separator", "int", "list"))
+def test_case_name_that_is_not_a_file_name_exits_2_before_the_mesh(tmp_path, capsys, monkeypatch, name):
+    # The output files are named after it, so a bad name would otherwise fail only after the solve.
+    config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]}, "case_name": name,
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    refuse_to_build_a_mesh(monkeypatch)
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: case_name: must be a non-empty file name, got {name!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+@pytest.mark.parametrize("key", ["mach", "mu"])
+def test_removed_gas_key_exits_2_naming_the_key(tmp_path, capsys, command, key):
+    # The Mach number cancels in the heat flux and mu enters only as mu / Re,
+    # so neither may be set and silently ignored.
+    config = {"degree": 1, "dt": 0.001, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]},
+              "gas": {"reynolds": 100.0, key: 0.5}, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    argv = [command, str(path)] + (["--levels", "1", "2"] if command == "converge" else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: gas: ") and f"unexpected keyword argument '{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "all", "--seed", "1"],
     ["verify", "all", "--report", "x.txt"],

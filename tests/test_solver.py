@@ -15,7 +15,7 @@ The volume kernel runs over element blocks; its output must not depend on
 the block size, its memory must not grow with the element count, a warm
 call in the solver's workspace must allocate no pair arrays, and its
 positivity errors must name global elements.  The viscous path runs over
-element blocks too, of at most 4K // (5n) elements: the Re=100 residual and
+element blocks too, of at most K // n elements: the Re=100 residual and
 the lifted gradients must not depend on the block size, a warm viscous
 residual must allocate no whole gradient or flux array, and at N=7 its
 workspace must stay near two state sizes.  On the benchmark's
@@ -205,9 +205,10 @@ def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
 
     The BR1 lift folds a (3, 5, 6, K, n, n) product of normals and W jumps
     into a zero volume array; the viscous face terms take n . F^v from the
-    (3, 5, 6, K, n, n) traces of F^v, gathered at the owner and neighbour
-    sides.  Returns the residual and the lifted gradients Q of all five
-    entropy variables, (3, 5, K, n, n, n).
+    (3, 4, 6, K, n, n) traces of F^v, gathered at the owner and neighbour
+    sides; F^v is formed from w_2..w_5 and their rows of Q, and it adds to
+    the momentum and energy rows.  Returns the residual and the lifted
+    gradients Q of all five entropy variables, (3, 5, K, n, n, n).
     """
     own, nbr, nl, w0 = mesh.own, mesh.nbr, len(mesh.links), mesh.basis.weights[0]
     n_own, s_own = mesh.normal[own], mesh.s_hat[own]
@@ -243,12 +244,12 @@ def stacked_trace_residual(mesh, gas, u, boundary_state=None, t=0.0):
     q += geometry.fold_faces(np.einsum("dfKab,cfKab->dcfKab", mesh.normal, jump) * mesh.s_hat)
     q /= mesh.j
 
-    fv = physics.viscous_flux_from_entropy_gradients(u, q, gas)
+    fv = physics.viscous_flux_from_entropy_gradients(w[1:], q[:, 1:], gas)
     fvf = geometry.face_stack(fv)
     fv_own = fvf[own]
     fv_star = 0.5 * (nc(n_own, fv_own) + nc(n_own, exterior(fvf, fv_own[..., nl:, :, :])))
     visc = spectral.tensor_divergence(mesh.basis, np.einsum("ldKijk,dcKijk->lcKijk", mesh.ja, fv))
-    rhs += (visc + penalty(fv_star, nc(mesh.normal, fvf))) / gas.reynolds
+    rhs[1:] += (visc + penalty(fv_star, nc(mesh.normal, fvf))) / gas.reynolds
     return rhs / mesh.j, q
 
 
@@ -456,7 +457,7 @@ def assert_viscous_path_block_independent(monkeypatch, mesh, u, boundary_state=N
     """Re=100 residual and lifted gradients: equal at budgets of 1, 3 and all elements.
 
     Returns the viscous block size of each budget, which the cap of
-    ``_br1_faces`` (4K // (5n) elements) may lower.
+    ``_br1_faces`` (K // n elements) may lower.
     """
     gas = physics.GasModel(reynolds=100.0)
     dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=boundary_state)
@@ -476,8 +477,8 @@ def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeyp
     case = cases.DensityWave()
     steps = assert_viscous_path_block_independent(monkeypatch, mesh, perturbed_wave(mesh.x, gas),
                                                   case.state)
-    # One element, three, and the cap of 4 * 27 // (5 * 4) elements (blocks 5, 5, 5, 5, 5, 2).
-    assert steps == [1, 3, 5]
+    # One element, three, and the cap of 27 // 4 elements (blocks 6, 6, 6, 6, 3).
+    assert steps == [1, 3, 6]
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
@@ -582,10 +583,10 @@ def test_warm_residual_traced_peak(name):
         assert dg._work.flat.nbytes <= work_bound * u.nbytes
     if gas.viscous:
         # The viscous path, the last phase to reserve, still sets the size,
-        # with blocks of 4K // (5n) elements: its two block buffers of 15
-        # rows fit in the four-row two-sided face region.
+        # with blocks of K // n elements: its two block buffers of 12 rows
+        # fit in the four-row two-sided face region.
         assert dg._work.flat.size == sum(dg._work.sizes)
-        assert dg._br1_faces(u, dg._ghost(0.01))[0] == 4 * dg.num_elements // (5 * dg.n1) == 43
+        assert dg._br1_faces(u, dg._ghost(0.01))[0] == dg.num_elements // dg.n1 == 54
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
