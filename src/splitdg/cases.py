@@ -111,9 +111,9 @@ def make_case(name, **kwargs):
     return cls(**kwargs)
 
 
-def initial_condition(case, solver, gas, t=0.0):
-    """Sample a case onto the solver's nodal grid, shape (5, K, n, n, n)."""
-    return case.state(solver.x, t, gas)
+def initial_condition(case, solver, gas):
+    """Sample a case at t = 0 onto the solver's nodal grid, shape (5, K, n, n, n)."""
+    return case.state(solver.x, 0.0, gas)
 
 
 def error_norms(solver, u, case, gas, t):

@@ -85,9 +85,10 @@ class RunConfig:
         if self.boundary is not None and "path" in self.mesh:
             raise ConfigError("boundary: not allowed next to mesh.path; "
                               "a mesh file sets the boundary of each face")
+        # A NUL byte would fail only when the files are opened, after the solve.
         for key, value in (("output_dir", self.output_dir), ("mesh.path", self.mesh.get("path", ""))):
-            if not isinstance(value, str):
-                raise ConfigError(f"{key}: must be a string, got {value!r}")
+            if not isinstance(value, str) or "\0" in value:
+                raise ConfigError(f"{key}: must be a string without NUL bytes, got {value!r}")
         if "path" in self.mesh and not os.path.exists(self.mesh["path"]):
             raise ConfigError(f"mesh.path: file does not exist: {self.mesh['path']}")
         # Every case parameter is a number, the velocity three of them; a bad
@@ -103,7 +104,8 @@ class RunConfig:
         if self.case_name is None:
             self.case_name = self.case
         # The output files are named after it, inside output_dir.
-        if not isinstance(self.case_name, str) or not self.case_name or os.path.dirname(self.case_name):
+        if (not isinstance(self.case_name, str) or not self.case_name or os.path.dirname(self.case_name)
+                or "\0" in self.case_name):
             raise ConfigError(f"case_name: must be a non-empty file name, got {self.case_name!r}")
 
     @classmethod

@@ -59,10 +59,14 @@ def face_stack(vol):
     return np.stack([vol[face_slice(f)] for f in range(6)], axis=-4)
 
 
-def fold_faces(faces):
-    """Sum a (C..., 6, K, n, n) face array into an otherwise zero volume array."""
-    n1 = faces.shape[-1]
-    out = np.zeros(faces.shape[:-4] + (faces.shape[-3], n1, n1, n1))
+def fold_faces(faces, out=None):
+    """Add a (C..., 6, K, n, n) face array into the volume array ``out``, face by face.
+
+    ``out`` is (C..., K, n, n, n), a fresh zero array when None; returns it.
+    """
+    if out is None:
+        n1 = faces.shape[-1]
+        out = np.zeros(faces.shape[:-4] + (faces.shape[-3], n1, n1, n1))
     for f in range(6):
         out[face_slice(f)] += faces[..., f, :, :, :]
     return out

@@ -27,31 +27,13 @@ def build_solver(config, mesh=None):
     return dg, case, gas
 
 
-def _monitor_row(dg, state, dt, rhs):
-    """One monitor CSV line and the entropy rate it reports."""
-    totals = dg.totals(state.u)
-    sbar = dg.total_entropy(state.u)
-    rate = dg.entropy_rate(state.u, rhs)
-    vals = [state.t, dt, *totals.tolist(), sbar, rate]
+def _monitor_row(dg, u, t, dt, rhs):
+    """One monitor CSV line of the state (u, t) and the entropy rate it reports."""
+    totals = dg.totals(u)
+    sbar = dg.total_entropy(u)
+    rate = dg.entropy_rate(u, rhs)
+    vals = [t, dt, *totals.tolist(), sbar, rate]
     return ",".join(repr(float(v)) for v in vals), rate
-
-
-def integrate(dg, state, config):
-    """Advance ``state`` to ``config.final_time``, yielding (state, dt) per step.
-
-    dt is ``config.dt`` when set, else the CFL estimate, clipped so that the
-    last step ends on ``final_time``.  A positivity failure in the CFL
-    estimate names the step and its time.
-    """
-    step = 0
-    while state.t < config.final_time - 1e-12:
-        step += 1
-        dt = config.dt if config.dt is not None else physics.in_phase(
-            f"the time-step estimate of step {step} at t = {state.t:.6g}",
-            dg.timestep_estimate, state.u, config.cfl)
-        dt = min(dt, config.final_time - state.t)
-        state = dg.step(state, dt)
-        yield state, dt
 
 
 def _time_loop(config, rows, rates, mesh=None):
@@ -60,10 +42,17 @@ def _time_loop(config, rows, rates, mesh=None):
     Set-up on ``mesh`` (the config's own when None), the positivity check
     of the initial condition, the time loop with its monitors, and the
     final state's residual, the only check of the last step's update.
-    So a convergence study checks each level's initial and final states as
-    a run does, at the cost of the run's monitors and one residual per
-    level.  Appends the monitor rows and entropy rates.  Returns the final
-    state, the mesh, case and gas, the final state's largest residual, the
+    Each step's dt is ``config.dt`` when set, else the CFL estimate,
+    clipped so that the last step ends on ``final_time``; a positivity
+    failure in the estimate names the step and its time.  A step returns
+    the first RK stage, the residual of the state it stepped from, which
+    writes that state's monitor row (every ``monitor_interval``-th state,
+    the initial one included) and is dropped before the next step; only
+    the final row pays a residual of its own.  So a convergence study
+    checks each level's initial and final states as a run does, at the
+    cost of the run's monitors and one residual per level.  Appends the
+    monitor rows and entropy rates.  Returns the final state and time (a
+    float), the mesh, case and gas, the final state's largest residual, the
     step and residual counts, and the loop's start and end times.  The
     solver, its workspace and the final residual are released when this
     returns.
@@ -71,42 +60,47 @@ def _time_loop(config, rows, rates, mesh=None):
     dg, case, gas = build_solver(config, mesh)
     # The initial state is not kept: it is sampled again for the summary's
     # deviation, since initial_condition is a pure function of the nodes.
-    state = solver_mod.SolutionField(
-        physics.in_phase("the initial condition", cases.initial_condition, case, dg, gas), 0.0)
+    u = physics.in_phase("the initial condition", cases.initial_condition, case, dg, gas)
+    t, dt, step = 0.0, 0.0, 0
 
-    def monitor(field, dt, rhs):
-        row, rate = _monitor_row(dg, field, dt, rhs)
+    def monitor(u, t, dt, rhs):
+        row, rate = _monitor_row(dg, u, t, dt, rhs)
         rows.append(row)
         rates.append(rate)
 
-    # The row of a state is written once the next step has evaluated its
-    # residual as the first RK stage (``state.rhs``); only the final row
-    # pays a residual of its own.
-    pending, dt, step = state, 0.0, 0
     loop_start = time.perf_counter()
-    for step, (new, new_dt) in enumerate(integrate(dg, state, config), start=1):
-        if pending is not None:
-            monitor(pending, dt, pending.rhs)
-        state, dt = new, new_dt
-        pending = state if step % config.monitor_interval == 0 else None
-    rhs = physics.in_phase(f"the final state after step {step} at t = {state.t:.6g}",
-                           dg.residual, state.u, state.t)
-    monitor(state, dt, rhs)
-    return (state, dg.mesh, case, gas, float(np.abs(rhs).max()), step, dg.residual_evals,
+    while t < config.final_time - 1e-12:
+        new_dt = config.dt if config.dt is not None else physics.in_phase(
+            f"the time-step estimate of step {step + 1} at t = {t:.6g}",
+            dg.timestep_estimate, u, config.cfl)
+        new_dt = min(new_dt, config.final_time - t)
+        new, rhs = dg.step(u, t, new_dt)
+        if step % config.monitor_interval == 0:
+            monitor(u, t, dt, rhs)
+        del rhs  # not held across the next step
+        u, t, dt, step = new, float(t + new_dt), new_dt, step + 1
+    rhs = physics.in_phase(f"the final state after step {step} at t = {t:.6g}",
+                           dg.residual, u, t)
+    monitor(u, t, dt, rhs)
+    return (u, t, dg.mesh, case, gas, float(np.abs(rhs).max()), step, dg.residual_evals,
             loop_start, time.perf_counter())
 
 
 def run_case(config, output_dir=None):
     """Execute the configured time loop; write monitor CSV and final state.
 
-    Returns a summary dict (printed by the CLI); raises PositivityError on a
-    positivity abort.  The summary reports the run's cost: ``residual_evals``
-    (counted by the solver, 5S + 1 for S steps), ``loop_wall_s`` (the wall
-    time of the time loop, monitors and final residual included), ``pid_us``,
-    loop_wall_s in µs per DOF and residual evaluation (the PID of Krais et
-    al., FLEXI, CAMWA 2021), ``wall_time_s`` (the whole call) and ``phases``:
-    the wall times of set-up (mesh, solver, initial condition), the loop,
-    the output files and the error norms, which sum to at most wall_time_s.
+    The loop, its monitors and the final residual are ``_time_loop``'s; it
+    returns the final state u and its time t, a Python float, which the
+    state file's header, the summary's ``final_time`` and the error norms
+    read.  Returns a summary dict (printed by the CLI); raises
+    PositivityError on a positivity abort.  The summary reports the run's
+    cost: ``residual_evals`` (counted by the solver, 5S + 1 for S steps),
+    ``loop_wall_s`` (the wall time of the time loop, monitors and final
+    residual included), ``pid_us``, loop_wall_s in µs per DOF and residual
+    evaluation (the PID of Krais et al., FLEXI, CAMWA 2021), ``wall_time_s``
+    (the whole call) and ``phases``: the wall times of set-up (mesh, solver,
+    initial condition), the loop, the output files and the error norms,
+    which sum to at most wall_time_s.
 
     The solver lives only for set-up and the loop.  The epilogue (the
     state file, the deviation from the initial condition and the error
@@ -117,7 +111,7 @@ def run_case(config, output_dir=None):
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     rows, rates = [MONITOR_HEADER], []
-    (state, mesh, case, gas, max_residual, step, residual_evals,
+    (u, t, mesh, case, gas, max_residual, step, residual_evals,
      loop_start, output_start) = _time_loop(config, rows, rates)
     loop_wall_s = output_start - loop_start
 
@@ -125,7 +119,7 @@ def run_case(config, output_dir=None):
     with open(monitor_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     state_path = os.path.join(out_dir, f"{config.case_name}_final.state")
-    write_state_file(state_path, mesh, state)
+    write_state_file(state_path, mesh, u, t)
 
     error_start = time.perf_counter()
     summary = {
@@ -134,15 +128,15 @@ def run_case(config, output_dir=None):
         "residual_evals": residual_evals,
         "loop_wall_s": loop_wall_s,
         "pid_us": loop_wall_s * 1e6 / (mesh.num_elements * (mesh.basis.n + 1)**3 * residual_evals),
-        "final_time": state.t,
+        "final_time": t,
         "final_max_residual": max_residual,
         "max_deviation_from_initial": float(
-            np.abs(state.u - cases.initial_condition(case, mesh, gas)).max()),
+            np.abs(u - cases.initial_condition(case, mesh, gas)).max()),
         "max_entropy_rate": float(max(rates)),
         "monitor_csv": monitor_path,
         "final_state": state_path,
     }
-    l2, linf = cases.error_norms(mesh, state.u, case, gas, state.t)
+    l2, linf = cases.error_norms(mesh, u, case, gas, t)
     summary["l2_error"] = l2.tolist()
     summary["linf_error"] = linf.tolist()
     end = time.perf_counter()
@@ -152,8 +146,8 @@ def run_case(config, output_dir=None):
     return summary
 
 
-def write_state_file(path, mesh, state):
-    """Self-describing text dump of the final nodal solution.
+def write_state_file(path, mesh, u, t):
+    """Self-describing text dump of the nodal solution ``u`` at time ``t`` (a float).
 
     ``mesh`` gives the degree and element count (``basis``,
     ``num_elements``; a DGSolver has them too).  Streams one element at a
@@ -163,14 +157,14 @@ def write_state_file(path, mesh, state):
         STATE_MAGIC,
         f"degree {mesh.basis.n}",
         f"elements {mesh.num_elements}",
-        f"time {state.t!r}",
+        f"time {t!r}",
         "ordering element-major; nodes (i,j,k) row-major; "
         "components rho rhov1 rhov2 rhov3 rhoE",
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
         for e in range(mesh.num_elements):
-            rows = state.u[:, e].reshape(5, -1).T.tolist()  # (n1^3, 5)
+            rows = u[:, e].reshape(5, -1).T.tolist()  # (n1^3, 5)
             fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows))
 
 
@@ -237,9 +231,9 @@ def convergence_study(config, levels):
         raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):
-        state, mesh, case, gas = _time_loop(
-            config, [], [], config.build_mesh(cells_override=(level,) * 3))[:4]
-        l2, linf = cases.error_norms(mesh, state.u, case, gas, state.t)
+        u, t, mesh, case, gas = _time_loop(
+            config, [], [], config.build_mesh(cells_override=(level,) * 3))[:5]
+        l2, linf = cases.error_norms(mesh, u, case, gas, t)
         rows.append({"resolution": level, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []
     for a, b in zip(rows, rows[1:]):

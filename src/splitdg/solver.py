@@ -35,11 +35,7 @@ block's into its own spent slice of the jump; and the viscous penalty over
 all faces.  So no (3, 4, K, n1, n1, n1) array of Q or F^v and no
 whole-face array is ever allocated afresh: a warm residual allocates its
 result, the volume flux's prepared state, the ghost states and a few
-scratch rows per block.  An RK step adds only the new state and its
-register: each later stage's residual is overwritten with its RK products
-and dropped before the next stage (see ``rk_step``), so a warm step's
-fresh memory peaks at 5.2-5.5 times the state's on the benchmark's
-configurations.
+scratch rows per block.
 
 Every phase fits in the memory that the largest one needs anyway.  The
 face chunks are sized from what the workspace already holds, at least the
@@ -49,6 +45,15 @@ so that their two block buffers of 12 rows fit in the four-row two-sided
 face array of the lifting jump that they follow; the viscous path then
 holds W, the jump and that region, 3.2 times the state's size at N=3 and
 2.0 at N=7.
+
+Time integration is the method of lines: ``rk_step`` takes the five-stage
+low-storage RK4 of Carpenter and Kennedy (NASA TM-109112, 1994) from
+(u, t) to (u_new, r1), with r1 = du/dt at (u, t), its first stage, which
+the caller's monitors read; ``DGSolver.step`` runs it on the residual and
+writes into nothing it is given.  A step adds only the new state, its
+register and r1: each later stage's residual is overwritten with its RK
+products and dropped before the next stage, so a warm step's fresh memory
+peaks at 5.2-5.5 times the state's on the benchmark's configurations.
 """
 
 import functools
@@ -125,22 +130,24 @@ RK_C = (
 def rk_step(u, t, dt, rhs):
     """One five-stage low-storage RK4 step of du/dt = rhs(u, t).
 
-    Advances a private copy of ``u`` in place, with the operations of
-    g = a g + dt r, u = u + b g in the same order, so the result is the
-    same bit for bit.  ``u`` itself is left unchanged, and so is the array
-    that ``rhs`` returns for the first stage (``DGSolver.step`` keeps it for
-    the monitors): that stage allocates the register g and b g.  The array
-    returned for each of stages 2-5 is overwritten, first with dt r, then
-    with b g, and dropped before the next stage, so a stage holds the copy
-    of u, g, the first stage's array and its own.
+    Returns (u_new, r1): the state at t + dt and the array that ``rhs``
+    returned for the first stage, du/dt at (u, t), which the step leaves
+    intact.  Advances a private copy of ``u`` in place, with the operations
+    of g = a g + dt r, u = u + b g in the same order, so the result is the
+    same bit for bit; ``u`` itself is left unchanged.  The first stage
+    allocates the register g and b g.  The array returned for each of
+    stages 2-5 is overwritten, first with dt r, then with b g, and dropped
+    before the next stage, so a stage holds the copy of u, g, r1 and its
+    own array.
     """
     if not dt > 0.0:  # NaN fails too
         raise ValueError(f"dt must be positive, got {dt}")
     u = np.array(u, dtype=float)
-    g = None
+    r1 = g = None
     for a, b, c in zip(RK_A, RK_B, RK_C):
         r = rhs(u, t + c * dt)
         if g is None:
+            r1 = r
             g = dt * r
             r = b * g
         else:
@@ -151,20 +158,7 @@ def rk_step(u, t, dt, rhs):
             np.multiply(g, b, out=r)
         u += r
         del r
-    return u
-
-
-class SolutionField:
-    """Per-element nodal conservative states and the simulation time.
-
-    ``rhs`` is du/dt at (u, t) once a step from this field has evaluated it
-    as its first RK stage, else None.
-    """
-
-    def __init__(self, u, t=0.0):
-        self.u = np.asarray(u, dtype=float)
-        self.t = float(t)
-        self.rhs = None
+    return u, r1
 
 
 class Workspace:
@@ -599,8 +593,7 @@ class DGSolver:
         penalty += traces
         penalty[:, self.mesh.b_face, self.b_elem] = 0.0
         penalty *= -0.5 / (self.w0 * self.gas.reynolds)
-        for face in range(6):
-            rhs[1:][geometry.face_slice(face)] += penalty[:, face]
+        geometry.fold_faces(penalty, rhs[1:])
 
     # -- residual -------------------------------------------------------------
 
@@ -647,9 +640,7 @@ class DGSolver:
         star /= self.w0
         # The lift, face by face into the kernel's fresh output, which
         # becomes the residual.
-        for face in range(6):
-            div[geometry.face_slice(face)] += star[:, face]
-        return np.negative(div, out=div)
+        return np.negative(geometry.fold_faces(star, div), out=div)
 
     # -- monitors and time stepping -------------------------------------------
 
@@ -692,23 +683,17 @@ class DGSolver:
             worst = min(worst, local.min())
         return cfl * worst / (self.basis.n + 1) ** 2
 
-    def step(self, state, dt):
-        """Advance a SolutionField by one RK step (positivity-checked).
+    def step(self, u, t, dt):
+        """One positivity-checked RK step from (u, t): returns (u_new, du/dt at (u, t)).
 
-        The first RK stage is the residual of ``state`` itself; it is kept
-        in ``state.rhs`` for the caller's monitors.  A positivity failure
-        names the stage and its time.
+        Runs ``rk_step`` on the residual; the second array is its first
+        stage, for the caller's monitors.  A positivity failure names the
+        stage and its time.  Nothing given is written.
         """
-        stage = 0
+        stages = itertools.count(1)
 
-        def rhs(u, t):
-            nonlocal stage
-            stage += 1
-            r = physics.in_phase(f"RK stage {stage} of {len(RK_A)} at t = {t:.6g}", self.residual, u, t)
-            if stage == 1:
-                state.rhs = r
-            return r
+        def rhs(v, s):
+            return physics.in_phase(f"RK stage {next(stages)} of {len(RK_A)} at t = {s:.6g}",
+                                    self.residual, v, s)
 
-        u_new = rk_step(state.u, state.t, dt, rhs)
-        return SolutionField(u_new, state.t + dt)
-
+        return rk_step(u, t, dt, rhs)

@@ -28,7 +28,7 @@ def test_error_norms_match_whole_mesh_formula():
     mesh = mesh_mod.warped_box_mesh(3, (2, 2, 2), amplitude=0.05)
     dg = solver.DGSolver(mesh, gas, "ec", "llf")
     case = cases.DensityWave()
-    u = cases.initial_condition(case, dg, gas, t=0.01)
+    u = case.state(dg.x, 0.01, gas)
     for t in (0.0, 0.01):
         l2, linf = cases.error_norms(dg, u, case, gas, t)
         ref_l2, ref_linf = dense_error_norms(dg, u, case, gas, t)

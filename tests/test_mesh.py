@@ -147,22 +147,22 @@ def test_mesh_file_without_elements_line_rejected(tmp_path):
 def _state(n=2):
     gas = physics.GasModel()
     dg = solver.DGSolver(mesh_mod.warped_box_mesh(n, (2, 1, 1), amplitude=0.05), gas)
-    return dg, solver.SolutionField(cases.initial_condition(cases.DensityWave(), dg, gas), 0.1 / 3)
+    return dg, cases.initial_condition(cases.DensityWave(), dg, gas), 0.1 / 3
 
 
 def test_state_file_round_trip_is_bitwise(tmp_path):
-    dg, state = _state()
+    dg, u0, t0 = _state()
     path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, state)
+    runner.write_state_file(path, dg, u0, t0)
     degree, u, t = runner.read_state_file(path)
-    assert degree == 2 and t == state.t
-    assert u.shape == state.u.shape and np.array_equal(u, state.u)
+    assert degree == 2 and t == t0
+    assert u.shape == u0.shape and np.array_equal(u, u0)
 
 
 def test_truncated_state_file_rejected(tmp_path):
-    dg, state = _state()
+    dg, u, t = _state()
     path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, state)
+    runner.write_state_file(path, dg, u, t)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="expected 54 rows"):
@@ -260,15 +260,15 @@ def test_state_file_bytes_match_reference(tmp_path):
     u[4, 1, 1, 1, 1] = -2.5e17
     dg = SimpleNamespace(basis=SimpleNamespace(n=1), num_elements=2)
     path = tmp_path / "ref.state"
-    runner.write_state_file(path, dg, solver.SolutionField(u, 0.1 / 3))
+    runner.write_state_file(path, dg, u, 0.1 / 3)
     assert path.read_bytes() == REFERENCE_STATE_FILE.encode()
 
 
 @pytest.mark.parametrize("keep", (0, 3))
 def test_empty_or_header_truncated_state_file_rejected(tmp_path, keep):
-    dg, state = _state()
+    dg, u, t = _state()
     path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, state)
+    runner.write_state_file(path, dg, u, t)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
     with pytest.raises(ValueError, match="not a splitdg state file" if keep == 0 else "truncated header"):
         runner.read_state_file(path)
@@ -330,9 +330,9 @@ def test_run_on_a_mesh_with_a_nan_node_exits_2_naming_the_line(tmp_path, capsys)
 
 
 def test_state_file_with_bare_header_line_rejected(tmp_path):
-    dg, state = _state()
+    dg, u, t = _state()
     path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, state)
+    runner.write_state_file(path, dg, u, t)
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = "degree\n"
     path.write_text("".join(lines))
@@ -365,9 +365,9 @@ NON_NUMERIC_STATE = {
 
 @pytest.mark.parametrize("case", sorted(NON_NUMERIC_STATE))
 def test_state_file_with_non_numeric_field_rejected(tmp_path, case):
-    dg, state = _state()
+    dg, u, t = _state()
     path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, state)
+    runner.write_state_file(path, dg, u, t)
     lines = path.read_text().splitlines(keepends=True)
     index, text = NON_NUMERIC_STATE[case]
     lines[index] = text + "\n"

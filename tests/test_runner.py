@@ -12,6 +12,7 @@ import sys
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 import splitdg
@@ -19,21 +20,15 @@ from splitdg import cases, cli, mesh as mesh_mod, runner, solver, verify
 from splitdg.config import ConfigError, RunConfig
 
 
-class _ConstantClock:
-    """Stand-in solver whose step only advances time."""
-
-    def timestep_estimate(self, u, cfl):
-        return 0.03
-
-    def step(self, state, dt):
-        return solver.SolutionField(state.u, state.t + dt)
-
-
-def test_integrate_clips_last_step_to_final_time():
-    config = RunConfig(final_time=0.05)
-    steps = list(runner.integrate(_ConstantClock(), solver.SolutionField(0.0), config))
-    assert [dt for _, dt in steps] == pytest.approx([0.03, 0.02], abs=1e-15)
-    assert steps[-1][0].t == pytest.approx(0.05, abs=1e-15)
+def test_integrate_clips_last_step_to_final_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver.DGSolver, "timestep_estimate", lambda self, u, cfl: 0.03)
+    config = RunConfig(degree=1, mesh={"cells": [1, 1, 1]}, final_time=0.05,
+                       output_dir=str(tmp_path))
+    summary = runner.run_case(config)
+    with open(summary["monitor_csv"]) as fh:
+        rows = [[float(v) for v in row.split(",")[:2]] for row in fh.read().splitlines()[1:]]
+    assert [dt for _, dt in rows] == pytest.approx([0.0, 0.03, 0.02], abs=1e-15)
+    assert rows[-1][0] == summary["final_time"] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_converge_mesh_refinement_with_cells_in_config(tmp_path, capsys):
@@ -208,7 +203,9 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     ("mesh", {"mesh": [2, 2, 2]}),
     ("output_dir", {"output_dir": 5}),
     ("output_dir", {"output_dir": None}),
+    ("output_dir", {"output_dir": "o\0x"}),
     ("mesh.path", {"mesh": {"path": 5}}),
+    ("mesh.path", {"mesh": {"path": "m\0x"}}),
     ("mesh", {"mesh": None}),
     ("cfl", {"cfl": "0.4"}),
     ("final_time", {"final_time": [1]}),
@@ -217,7 +214,8 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     ("surface_dissipation", {"surface_dissipation": "upwind"}),
     ("case", {"case": ["x"]}),
 ], ids=("degree-2.5", "degree-true", "monitor_interval-1.5", "cells-2.5", "cells-0", "cells-two",
-        "mesh-list", "output_dir-5", "output_dir-null", "mesh-path-5", "mesh-null", "cfl-string",
+        "mesh-list", "output_dir-5", "output_dir-null", "output_dir-nul", "mesh-path-5",
+        "mesh-path-nul", "mesh-null", "cfl-string",
         "final_time-list", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list"))
 def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
     # Values of the wrong type too; through a file, whose directory resolves a relative mesh.path.
@@ -347,8 +345,9 @@ def test_bad_case_param_exits_2_before_set_up_naming_the_key(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["a/b", "", "/abs", "dir/", 5, ["a"]],
-                         ids=("separator", "empty", "absolute", "trailing-separator", "int", "list"))
+@pytest.mark.parametrize("name", ["a/b", "", "/abs", "dir/", 5, ["a"], "a\0b"],
+                         ids=("separator", "empty", "absolute", "trailing-separator", "int", "list",
+                              "nul"))
 def test_case_name_that_is_not_a_file_name_exits_2_before_the_mesh(tmp_path, capsys, monkeypatch, name):
     # The output files are named after it, so a bad name would otherwise fail only after the solve.
     config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]}, "case_name": name,
@@ -492,6 +491,14 @@ def test_cli_docstring_lists_the_parser_subcommands():
     assert sorted(listed) == sorted(parser_commands(cli.build_parser()))
 
 
+def test_failing_verify_suite_exits_1_with_a_fail_row(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "failing", lambda: [verify.Check.below("fails", 2.0, 1.0)])
+    assert cli.main(["verify", "failing"]) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("fails") and out[-2].endswith("FAIL")
+    assert out[-1] == "0/1 checks passed"
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     failing = [verify.Check.below("passes", 0.0, 1.0), verify.Check.below("fails", 2.0, 1.0)]
     monkeypatch.setattr(verify, "run_suite", lambda name, seed=2024: failing)
@@ -531,6 +538,19 @@ def test_run_case_pays_one_residual_beyond_the_rk_stages(tmp_path, monkeypatch, 
     assert len(calls) == 5 * STEPS + 1
 
 
+def reference_run(config):
+    """The solver and every (u, t, dt) of a run's states, stepped here with DGSolver.step."""
+    dg, case, gas = runner.build_solver(config)
+    u, t, dt = cases.initial_condition(case, dg, gas), 0.0, 0.0
+    history = [(u, t, dt)]
+    while t < config.final_time - 1e-12:
+        dt = config.dt if config.dt is not None else dg.timestep_estimate(u, config.cfl)
+        dt = min(dt, config.final_time - t)
+        u, t = dg.step(u, t, dt)[0], float(t + dt)
+        history.append((u, t, dt))
+    return dg, history
+
+
 @pytest.mark.parametrize("monitor_interval", (1, 3))
 def test_monitor_rows_match_separate_residuals(tmp_path, monitor_interval):
     config = wave_config(tmp_path, monitor_interval)
@@ -538,17 +558,33 @@ def test_monitor_rows_match_separate_residuals(tmp_path, monitor_interval):
     with open(summary["monitor_csv"]) as fh:
         rows = fh.read().splitlines()
 
-    dg, case, gas = runner.build_solver(config)
-    state = solver.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-    history = [(state, 0.0)] + list(runner.integrate(dg, state, config))
+    dg, history = reference_run(config)
     expected = [runner.MONITOR_HEADER]
-    for step, (state, dt) in enumerate(history):
+    for step, (u, t, dt) in enumerate(history):
         if step % monitor_interval == 0 or step == STEPS:
-            rhs = dg.residual(state.u, state.t)
-            expected.append(runner._monitor_row(dg, state, dt, rhs)[0])
+            rhs = dg.residual(u, t)
+            expected.append(runner._monitor_row(dg, u, t, dt, rhs)[0])
     assert len(expected) == {1: 6, 3: 4}[monitor_interval]  # header and steps 0-4 or 0, 3, 4
     assert rows == expected
     assert summary["final_max_residual"] == float(abs(rhs).max())
+
+
+def test_cfl_run_state_file_reads_back_its_final_state(tmp_path):
+    # A CFL time step is a numpy float: the header must still hold a Python float's repr.
+    config = RunConfig.from_dict({
+        "case": "density_wave", "degree": 2, "cfl": 0.4, "final_time": 0.02,
+        "mesh": {"builtin": "warped_box", "cells": [2, 2, 2], "amplitude": 0.05},
+        "output_dir": str(tmp_path / "out"),
+    })
+    summary = runner.run_case(config)
+    degree, u, t = runner.read_state_file(summary["final_state"])
+    with open(summary["final_state"]) as fh:
+        assert fh.read().splitlines()[3] == f"time {summary['final_time']!r}"
+    _, history = reference_run(config)
+    assert len(history) - 1 == summary["steps"] > 1
+    assert degree == 2 and type(summary["final_time"]) is float
+    assert t == summary["final_time"] == history[-1][1]
+    assert np.array_equal(u, history[-1][0])
 
 
 def test_run_reports_its_own_cost(tmp_path):

@@ -594,21 +594,54 @@ def test_warm_step_traced_peak(name):
     """Traced peak of a warm RK step above the memory live before it.
 
     A step holds the new state, the RK register, the first stage's residual
-    (the input field's ``rhs``, which it must leave intact), one later
-    stage's residual and that residual's own fresh arrays.
+    (which it returns intact), one later stage's residual and that
+    residual's own fresh arrays.
     """
     dg, case, gas = runner.build_solver(config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0]))
-    state = solver.SolutionField(cases.initial_condition(case, dg, gas), 0.0)
-    dt = dg.timestep_estimate(state.u, 0.4)
-    state = dg.step(state, dt)
+    u = cases.initial_condition(case, dg, gas)
+    dt = dg.timestep_estimate(u, 0.4)
+    u, t = dg.step(u, 0.0, dt)[0], dt
     tracemalloc.start()
     try:
-        dg.step(state, dt)
+        rhs = dg.step(u, t, dt)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.6 * state.u.nbytes
-    assert np.array_equal(state.rhs, dg.residual(state.u, state.t))
+    assert peak <= 5.6 * u.nbytes
+    assert np.array_equal(rhs, dg.residual(u, t))
+
+
+# A time loop's traced peak above the memory live after the initial
+# condition, in u.nbytes: the readings of a loop that drops each step's
+# first stage before the next step, + 0.3.  The peak is a later RK stage's
+# residual next to the state, its copy, the register, the first stage and
+# the workspace; holding the first stage across the next step adds 1.0.
+LOOP_PEAK_BOUNDS = {"euler_n4": 9.32 + 0.3, "euler_n7_short": 7.24 + 0.3,
+                    "ns_n3_dirichlet": 9.17 + 0.3}
+
+
+@pytest.mark.parametrize("monitor_interval", (1, 1000))
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_time_loop_traced_peak(monkeypatch, name, monitor_interval):
+    initial_condition, live = cases.initial_condition, []
+
+    def reset_peak(*args):
+        u = initial_condition(*args)
+        tracemalloc.reset_peak()
+        live.append((tracemalloc.get_traced_memory()[0], u.nbytes))
+        return u
+
+    monkeypatch.setattr(cases, "initial_condition", reset_peak)
+    raw = dict(WORKLOAD_CONFIGS[name][0], final_time=0.004, monitor_interval=monitor_interval)
+    tracemalloc.start()
+    try:
+        steps = runner._time_loop(config.RunConfig.from_dict(raw), [], [])[6]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (before, nbytes), = live
+    assert steps > 1
+    assert peak - before <= LOOP_PEAK_BOUNDS[name] * nbytes
 
 
 @pytest.mark.parametrize("reynolds", VISCOSITY)
@@ -641,18 +674,22 @@ def test_rk_step_in_place_is_bitwise_the_out_of_place_formula():
         return u
 
     u = u0.copy()
-    assert np.array_equal(solver.rk_step(u, 0.3, 0.01, rhs), reference(u0, 0.3, 0.01, rhs))
+    new, r1 = solver.rk_step(u, 0.3, 0.01, rhs)
+    assert np.array_equal(new, reference(u0, 0.3, 0.01, rhs))
     assert np.array_equal(u, u0)
-    # Only the later stages' residuals are overwritten: a right-hand side
-    # that keeps what it returns still holds the first stage's residual.
+    # Only the later stages' residuals are overwritten: the first stage's
+    # comes back intact, and a right-hand side that keeps what it returns
+    # still holds it.
+    assert np.array_equal(r1, rhs(u0, 0.3))
     kept = []
     keeping = lambda u, t: kept.append(rhs(u, t)) or kept[-1]
-    assert np.array_equal(solver.rk_step(u, 0.3, 0.01, keeping), reference(u0, 0.3, 0.01, rhs))
+    new, r1 = solver.rk_step(u, 0.3, 0.01, keeping)
+    assert np.array_equal(new, reference(u0, 0.3, 0.01, rhs))
     assert len(kept) == len(solver.RK_A)
-    assert np.array_equal(kept[0], rhs(u0, 0.3))
+    assert r1 is kept[0] and np.array_equal(kept[0], rhs(u0, 0.3))
     # verify's RK rows step 0-d arrays.
     y, decay = np.array(1.0), lambda v, t: -v
-    assert solver.rk_step(y, 0.0, 0.1, decay) == reference(np.array(1.0), 0.0, 0.1, decay)
+    assert solver.rk_step(y, 0.0, 0.1, decay)[0] == reference(np.array(1.0), 0.0, 0.1, decay)
     assert y == 1.0
 
 
