@@ -1,13 +1,15 @@
 """Conforming hexahedral mesh topology, built-in box meshes, and mesh file I/O.
 
 A mesh holds the stacked nodal coordinates x, shape (3, K, n, n, n), the
-geometry computed from them once for all elements (curl-form Ja^i, J, and
-the face arrays s_hat (6, K, n, n) and normal (3, 6, K, n, n), see
-:mod:`splitdg.geometry`) and face-connectivity records.  Every interior (or
-periodic) face is stored exactly once as a ``FaceLink``; the ``left``
-element owns the face and its outward normal.  Orientation codes 0..7 (the
-symmetries of the square) map the owner's face grid (a, b) onto the
-neighbour's grid so that mapped indices are physically coincident points.
+geometry computed from them once for all elements (curl-form Ja^i and J),
+the surface element and outward normal of the owner side of every face,
+and face-connectivity records.  The full face arrays s_hat (6, K, n, n) and
+normal (3, 6, K, n, n) (see :mod:`splitdg.geometry`) are computed from Ja^i
+when asked for, not stored.  Every interior (or periodic) face is stored
+exactly once as a ``FaceLink``; the ``left`` element owns the face and its
+outward normal.  Orientation codes 0..7 (the symmetries of the square) map
+the owner's face grid (a, b) onto the neighbour's grid so that mapped
+indices are physically coincident points.
 
 The mesh file format is line-based text (see ``write_mesh_file``): per
 element the 8 corner points, optional curved-face point grids, then the
@@ -38,6 +40,12 @@ def orientation_table(n1):
                      (r - a, r - b), (r - b, r - a), (a, r - b), (r - b, a)])  # codes 4..7
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class FaceLink(NamedTuple):
     """One shared face: ``left`` owns it; ``orient`` maps left grid to right."""
 
@@ -64,11 +72,20 @@ class MeshTopology:
         links: FaceLink records.
         boundary: BoundaryFace records (Dirichlet faces).
 
-    Raises GeometryError for a non-positive Jacobian or a degenerate face,
-    naming the element, and ValueError for a bad record, naming the first.
-    The geometry arrays are read-only.  The records are converted to one
+    Raises GeometryError for a non-positive Jacobian or a degenerate face
+    (any of the six of every element), naming the element, and ValueError
+    for a bad record, naming the first.  The records are converted to one
     integer array per kind once; the validation and the face index arrays
-    (``own``, ``nbr``, ``l_elem``, ``b_elem``, ``b_face``) read those.
+    (``own``, ``l_elem``, ``b_elem``, ``b_face``) read those.
+
+    Stored, read-only: ``x``, ``ja``, ``j`` and the owner faces' surface
+    elements ``s_own`` (nf, n, n) and normals ``n_own`` (3, nf, n, n), the
+    owner faces in the order of ``own``, which are all that a residual
+    reads.  Computed on each access, read-only and bitwise the same every
+    time: the full face arrays ``s_hat`` and ``normal`` of
+    ``geometry.face_geometry`` and the index tuple ``nbr`` of every link's
+    neighbour side on the owner's face grid, with its (links, n, n)
+    permutation grids.
     """
 
     def __init__(self, basis, x, links, boundary=()):
@@ -95,18 +112,14 @@ class MeshTopology:
         geometry.check_jacobian(self.j)  # before the costlier curl-form metrics
         self.ja = geometry.metrics_curl_form(basis, x, dx)
         del dx
-        self.s_hat, self.normal = geometry.face_geometry(self.ja)
-        for a in (self.x, self.ja, self.j, self.s_hat, self.normal):
-            a.setflags(write=False)
-
         # Owner faces: link left sides, then Dirichlet faces.
-        self.l_elem = link[:, 0]
+        self._link, self.l_elem = link, link[:, 0]
         self.b_elem, self.b_face = wall.T
         self.own = (Ellipsis, np.concatenate([link[:, 1], self.b_face]),
                     np.concatenate([self.l_elem, self.b_elem]), slice(None), slice(None))
-        # Neighbour side of every link, indexed on the owner's face grid.
-        perm = orientation_table(n1)[link[:, 4]]
-        self.nbr = (Ellipsis, link[:, 3, None, None], link[:, 2, None, None], perm[:, 0], perm[:, 1])
+        # The degenerate-face check of face_geometry covers every face.
+        self.s_own, self.n_own = (a[self.own] for a in geometry.face_geometry(self.ja))
+        _read_only(self.x, self.ja, self.j, self.s_own, self.n_own, link)
 
     def _validate(self, link, wall):
         # Every face claim in record order: each link's left then right side,
@@ -145,15 +158,26 @@ class MeshTopology:
         raise ValueError(f"face reference out of range: element {e} face {f}" if check == 0
                          else f"element {e} face {f} referenced more than once")
 
+    # The surface elements (6, K, n, n) and outward unit normals (3, 6, K, n, n) of every face.
+    s_hat = property(lambda self: _read_only(*geometry.face_geometry(self.ja))[0])
+    normal = property(lambda self: _read_only(*geometry.face_geometry(self.ja))[1])
+
+    @property
+    def nbr(self):
+        """Neighbour side of every link, indexed on the owner's face grid."""
+        link = self._link
+        (perm,) = _read_only(orientation_table(self.basis.n + 1)[link[:, 4]])
+        return (Ellipsis, link[:, 3, None, None], link[:, 2, None, None], perm[:, 0], perm[:, 1])
+
     def face_mismatch(self):
         """Largest surface-element and normal disagreement across all links.
 
         Periodic partners must carry matching face geometry; for a watertight
         conforming mesh this is at roundoff level.
         """
-        nl = len(self.links)
-        s_gap = np.abs(self.s_hat[self.own][:nl] - self.s_hat[self.nbr])
-        n_gap = np.abs(self.normal[self.own][:, :nl] + self.normal[self.nbr])
+        (s_hat, normal), nbr, nl = geometry.face_geometry(self.ja), self.nbr, len(self.links)
+        s_gap = np.abs(self.s_own[:nl] - s_hat[nbr])
+        n_gap = np.abs(self.n_own[:, :nl] + normal[nbr])
         return float(np.max(s_gap, initial=0.0)), float(np.max(n_gap, initial=0.0))
 
 

@@ -37,6 +37,14 @@ whole-face array is ever allocated afresh: a warm residual allocates its
 result, the volume flux's prepared state, the ghost states and a few
 scratch rows per block.
 
+After set-up a run holds the mesh's x, Ja and J, its owner faces'
+normals and surface elements and the solver's flat face indices, 3.2-4.3
+times the state's size on the benchmark's configurations.  The full-face
+normal and s_hat (checked for degenerate faces when the mesh is built)
+and the neighbour permutation grids (read once for the flat indices) are
+set-up transients; ``verify`` and ``mesh audit`` build them again on
+demand.
+
 Every phase fits in the memory that the largest one needs anyway.  The
 face chunks are sized from what the workspace already holds, at least the
 volume kernel's reservation, so on an inviscid mesh the kernel sets the
@@ -315,12 +323,15 @@ def _take_rows(rows, block, index, line, out):
 class DGSolver:
     """Split-form DGSEM semi-discretization on a conforming curvilinear mesh.
 
-    The geometry arrays (``x``, ``ja``, ``j``, ``s_hat``, ``normal``) and
-    the owner/neighbour face indices are the mesh's own, computed once per
-    mesh.  Faces are handled by one pipeline.  The owner faces are the left
-    sides of all mesh links (elements ``l_elem``) followed by all Dirichlet
-    faces (elements ``b_elem``); a Dirichlet face is a one-sided link whose
-    exterior trace is the ghost state.  Owner-face arrays have shape
+    The geometry is the mesh's own, computed once per mesh: the volume
+    arrays ``x``, ``ja`` and ``j``, and the owner faces' normals and
+    surface elements ``mesh.n_own`` and ``mesh.s_own``, the only face
+    geometry that a residual reads.  Of the face connectivity the solver
+    keeps flat node indices only, built once from the mesh's ``own`` and
+    ``nbr``.  Faces are handled by one pipeline.  The owner faces are the
+    left sides of all mesh links (elements ``l_elem``) followed by all
+    Dirichlet faces (elements ``b_elem``); a Dirichlet face is a one-sided
+    link whose exterior trace is the ghost state.  Owner-face arrays have shape
     (C..., nf, n, n).  ``_traces`` gathers the own and the outside trace
     of any slice of the owner faces (the neighbour's values permuted onto
     the owner grid, then the ghost values of the Dirichlet faces).  Each
@@ -370,30 +381,23 @@ class DGSolver:
 
         self.num_elements = mesh.num_elements
         self.n1 = mesh.basis.n + 1
-        # The mesh geometry, shared; face data in the (C..., 6, K, n, n) layout.
+        # The mesh geometry, shared.
         self.x, self.ja, self.j = mesh.x, mesh.ja, mesh.j
-        self.s_hat, self.normal = mesh.s_hat, mesh.normal
         self.w0 = mesh.basis.weights[0]  # = weights[-1]; surface lifting scale
         self.l_elem, self.b_elem = mesh.l_elem, mesh.b_elem
-        self._own, self._nbr = mesh.own, mesh.nbr
         # The same faces as flat node indices, for one-index gathers.  Into
         # the trailing (K, n, n, n) axes of a volume array: the node of every
         # owner-face node and of every link's neighbour node.  Into a
         # two-sided face array (see ``_to_faces``): the entry that every
         # (6, K, n, n) face node copies, its own on the owner side, the
         # link's neighbour-side entry on the neighbour side.
-        n1, num_elements = self.n1, self.num_elements
+        n1, num_elements, own, nbr = self.n1, self.num_elements, mesh.own, mesh.nbr
         nodes = np.arange(6 * num_elements * n1**2).reshape(6, num_elements, n1, n1)
-        own_nodes, nbr_nodes = nodes[self._own].ravel(), nodes[self._nbr].ravel()
-        self._from_own = np.empty(nodes.size, dtype=np.intp)
-        self._from_own[own_nodes] = np.arange(own_nodes.size)
-        self._from_own[nbr_nodes] = own_nodes.size + np.arange(nbr_nodes.size)
-        volume_nodes = geometry.face_stack(
-            np.arange(num_elements * n1**3).reshape(num_elements, n1, n1, n1))
-        self._own_volume = volume_nodes[self._own].ravel()
-        self._nbr_volume = volume_nodes[self._nbr].ravel()
-        self._n_own = self.normal[self._own]
-        self._s_own = self.s_hat[self._own]
+        sides = np.concatenate([nodes[own].ravel(), nodes[nbr].ravel()])
+        self._from_own = np.empty_like(sides)
+        self._from_own[sides] = np.arange(sides.size)
+        volume_nodes = geometry.face_stack(np.arange(num_elements * n1**3).reshape(num_elements, n1, n1, n1))
+        self._own_volume, self._nbr_volume = volume_nodes[own].ravel(), volume_nodes[nbr].ravel()
 
         if len(self.b_elem) and boundary_state is None:
             raise ValueError("mesh has Dirichlet faces but no boundary state was given")
@@ -409,14 +413,16 @@ class DGSolver:
         return Workspace()
 
     # Every (6, K, n, n) face node's node across its link, flat; a Dirichlet
-    # face node is its own.  Only the viscous penalty gathers by it, so only
-    # a viscous solver builds it, on its first residual.
+    # face node is its own.  Read off ``_from_own``: the face node of each
+    # two-sided entry, the links' owner sides first, their neighbour sides
+    # last.  Only the viscous penalty gathers by it, so only a viscous
+    # solver builds it, on its first residual.
     @functools.cached_property
     def _partner(self):
-        nodes = np.arange(6 * self.num_elements * self.n1**2).reshape(6, self.num_elements,
-                                                                       self.n1, self.n1)
-        own, nbr = nodes[self._own][:len(self.l_elem)].ravel(), nodes[self._nbr].ravel()
-        partner = nodes.ravel()
+        node = np.empty_like(self._from_own)
+        node[self._from_own] = np.arange(node.size)
+        own, nbr = node[:self._nbr_volume.size], node[self._own_volume.size:]
+        partner = np.arange(node.size)
         partner[own], partner[nbr] = nbr, own
         return partner
 
@@ -435,7 +441,7 @@ class DGSolver:
         take ``ghost`` (C, nb, n, n).  One component row at a time, so every
         ``take`` writes a contiguous row.
         """
-        start, stop, _ = faces.indices(len(self._s_own))
+        start, stop, _ = faces.indices(len(self.mesh.s_own))
         links, n2 = len(self.l_elem), self.n1**2
         inside = max(0, min(stop, links) - start)  # link faces of the slice
         for row, own_row, ext_row in zip(vol.reshape(len(vol), -1), own.reshape(len(own), -1),
@@ -499,14 +505,14 @@ class DGSolver:
         w = physics.viscous_entropy_variables(
             *physics.primitive_from_conservative(u, self.gas, out=prim), out=prim[1:])
         # The own traces sit in the jump's memory until the jump is formed.
-        shape = (nw,) + self._s_own.shape
+        shape = (nw,) + self.mesh.s_own.shape
         two = region[:face_rows].reshape(nw, -1)
         own, diff = _view(jump, shape), two[:, :self._own_volume.size].reshape(shape)
         ghost_w = physics.viscous_entropy_variables(*physics.primitive_from_conservative(ghost, self.gas))
         self._traces(w, ghost_w, slice(None), own, diff)
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
-        jump = self._to_faces(two, _view(jump, (nw,) + self.s_hat.shape))
+        jump = self._to_faces(two, _view(jump, (nw, 6, num_elements, n, n)))
         jump *= _FACE_SIGN / self.w0
         return step, w, jump, region
 
@@ -622,20 +628,21 @@ class DGSolver:
         # holds beyond F* s_hat (after the kernel, at least its reservation),
         # up to the block rule's faces, so the workspace grows only when it
         # cannot hold F* s_hat and the star.
-        num_faces, face_size = len(self._s_own), self._from_own.size
+        s_own = self.mesh.s_own
+        num_faces, face_size = len(s_own), self._from_own.size
         room = max(self._work.flat.size - nv * face_size, nv * face_size)
         step = min(_block_elements(num_faces, n * n), max(1, room // (4 * nv * n * n)))
         two, rest = self._work.reserve(nv * face_size, max(4 * nv * step * n * n, nv * face_size))
         two = two.reshape(nv, face_size)
-        f_s = two[:, :self._own_volume.size].reshape((nv,) + self._s_own.shape)
+        f_s = two[:, :self._own_volume.size].reshape((nv,) + s_own.shape)
         for faces in _blocks(num_faces, step):
-            shape = (nv,) + self._s_own[faces].shape
+            shape = (nv,) + s_own[faces].shape
             size = math.prod(shape)
             own, ext = _view(rest, shape), _view(rest, shape, size)
             self._traces(u, ghost, faces, own, ext)
-            fstar = fluxes.surface_flux_advective(own, ext, self._n_own[:, faces], gas,
+            fstar = fluxes.surface_flux_advective(own, ext, self.mesh.n_own[:, faces], gas,
                                                   self.surface_dissipation, rest[2 * size:4 * size])
-            np.multiply(fstar, self._s_own[faces], out=f_s[:, faces])
+            np.multiply(fstar, s_own[faces], out=f_s[:, faces])
         star = self._to_faces(two, _view(rest, (nv, 6, self.num_elements, n, n)))
         star /= self.w0
         # The lift, face by face into the kernel's fresh output, which

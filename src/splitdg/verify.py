@@ -159,9 +159,7 @@ def geometry_suite():
     checks.append(Check.above("cross/curl residual ratio", cross_res / max(curl_res, 1e-300), 1e3))
 
     w = basis.weights
-    total = np.zeros((3, mesh.num_elements))
-    for f in range(6):
-        total += np.einsum("dKab,Kab,a,b->dK", mesh.normal[:, f], mesh.s_hat[f], w, w)
+    total = np.einsum("dfKab,fKab,a,b->dK", mesh.normal, mesh.s_hat, w, w)
     checks.append(Check.below("closed-surface identity (sum n s dS = 0)", np.abs(total).max(), 1e-12))
 
     s_gap, n_gap = mesh.face_mismatch()
@@ -271,16 +269,16 @@ def _end_node_terms(dg, u):
     zero-diagonal split operator 2D - B W^-1, leaves out.
     """
     f = physics.advective_flux(geometry.face_stack(u), dg.gas)
-    fn = np.einsum("dfKab,dcfKab->cfKab", dg.normal, f)
-    return geometry.fold_faces(fn * dg.s_hat / dg.w0)
+    fn = np.einsum("dfKab,dcfKab->cfKab", dg.mesh.normal, f)
+    return geometry.fold_faces(fn * dg.mesh.s_hat / dg.w0)
 
 
 def _entropy_surface_scale(dg, u):
     """Total surface quadrature of |f^S . n| s_hat: the entropy-flux scale."""
     fs = geometry.face_stack(physics.entropy_flux(u, dg.gas))
-    fn = np.einsum("dfKab,dfKab->fKab", dg.normal, fs)
+    fn = np.einsum("dfKab,dfKab->fKab", dg.mesh.normal, fs)
     w = dg.basis.weights
-    return float(np.einsum("fKab,fKab,a,b->", np.abs(fn), dg.s_hat, w, w))
+    return float(np.einsum("fKab,fKab,a,b->", np.abs(fn), dg.mesh.s_hat, w, w))
 
 
 def br1_dissipation_gap(mesh, gas, u, surface_dissipation="llf"):
@@ -365,8 +363,8 @@ def solver_suite():
     wvars = physics.entropy_variables(uw, gas)
     lhs = np.einsum("cKijk,cKijk,i,j,k->K", div, wvars, w, w, w)
     fs = physics.entropy_flux(uw, gas)
-    fn = np.einsum("dfKab,dfKab->fKab", dgw.normal, geometry.face_stack(fs))
-    rhs_surf = np.einsum("fKab,fKab,a,b->K", fn, dgw.s_hat, w, w)
+    fn = np.einsum("dfKab,dfKab->fKab", mesh.normal, geometry.face_stack(fs))
+    rhs_surf = np.einsum("fKab,fKab,a,b->K", fn, mesh.s_hat, w, w)
     checks.append(Check.below("EC volume contraction = surface entropy flux",
                               np.abs(lhs - rhs_surf).max(), 1e-11))
 

@@ -11,7 +11,7 @@ import pytest
 
 from splitdg import cases, cli, geometry, mesh as mesh_mod, physics, runner, solver
 
-GEOMETRY = ("x", "ja", "j", "s_hat", "normal")
+GEOMETRY = ("x", "ja", "j", "s_own", "n_own", "s_hat", "normal")
 
 
 @pytest.fixture(params=[True, False], ids=["periodic", "dirichlet"])
@@ -53,6 +53,65 @@ def test_mesh_file_reinterpolated_to_higher_degree(warped, tmp_path):
     assert geometry.metric_identity_residual(fine.basis, fine.ja).max() <= 1e-12
     s_gap, n_gap = fine.face_mismatch()  # the bound of `verify`'s shared-face checks
     assert s_gap <= 1e-10 and n_gap <= 1e-10
+
+
+# -- face geometry: the owner side stored, the full faces on demand -------------
+
+def reference_nbr(mesh):
+    """Every link's neighbour side on the owner's face grid, built from the records."""
+    link = np.array([tuple(k) for k in mesh.links], dtype=np.intp).reshape(-1, 6)
+    perm = mesh_mod.orientation_table(mesh.basis.n + 1)[link[:, 4]]
+    return (Ellipsis, link[:, 3, None, None], link[:, 2, None, None], perm[:, 0], perm[:, 1])
+
+
+def test_full_face_arrays_on_demand_are_bitwise_face_geometry_and_read_only(warped):
+    s_hat, normal = geometry.face_geometry(warped.ja)
+    for name, ref in (("s_hat", s_hat), ("normal", normal)):
+        got = getattr(warped, name)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert not got.flags.writeable, name
+        assert name not in vars(warped), name
+    # The stored owner side is the full arrays at ``own``, bit for bit.
+    assert warped.s_own.shape == s_hat[warped.own].shape
+    assert warped.s_own.tobytes() == s_hat[warped.own].tobytes()
+    assert warped.n_own.tobytes() == normal[warped.own].tobytes()
+    assert not (warped.s_own.flags.writeable or warped.n_own.flags.writeable)
+    nbr, ref = warped.nbr, reference_nbr(warped)
+    assert nbr[0] is Ellipsis and len(nbr) == len(ref) == 5
+    for got, want in zip(nbr[1:], ref[1:]):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert s_hat[nbr].tobytes() == s_hat[ref].tobytes()
+
+
+def test_face_mismatch_is_bitwise_the_full_face_formula():
+    mesh = mesh_mod.warped_box_mesh(4, (4, 4, 4), amplitude=0.05)
+    s_hat, normal = geometry.face_geometry(mesh.ja)
+    own, nbr, nl = mesh.own, reference_nbr(mesh), len(mesh.links)
+    s_gap = float(np.max(np.abs(s_hat[own][:nl] - s_hat[nbr]), initial=0.0))
+    n_gap = float(np.max(np.abs(normal[own][:, :nl] + normal[nbr]), initial=0.0))
+    assert mesh.face_mismatch() == (s_gap, n_gap)
+    assert n_gap > 0.0  # periodic partners disagree at roundoff, so the comparison sees data
+
+
+def test_face_mismatch_is_exactly_zero_on_a_dirichlet_box():
+    # The ns_n3_dirichlet benchmark workload's mesh: its links are interior
+    # faces, whose two sides read the same nodes.
+    mesh = mesh_mod.warped_box_mesh(3, (6, 6, 6), amplitude=0.05, periodic=False)
+    assert mesh.face_mismatch() == (0.0, 0.0)
+
+
+def test_mesh_file_round_trip_audits_to_the_same_summary(warped, tmp_path):
+    path = tmp_path / "warped.mesh"
+    mesh_mod.write_mesh_file(path, warped)
+    before, after = mesh_mod.audit(warped)[1], mesh_mod.audit(mesh_mod.read_mesh_file(path))[1]
+    assert before.keys() == after.keys()
+    for key in ("elements", "links", "boundary_faces"):
+        assert before[key] == after[key], key
+    # The nodes come back to roundoff (see test_mesh_file_round_trip), so
+    # the residual and the mismatches do too.
+    for key in ("face_s_hat_mismatch", "face_normal_mismatch", "worst_metric_residual"):
+        assert abs(before[key] - after[key]) <= 1e-14, key
 
 
 def test_corner_only_mesh_file_reads_to_the_box(tmp_path):

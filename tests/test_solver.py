@@ -553,6 +553,40 @@ WORKLOAD_CONFIGS = {
 }
 
 
+# Traced memory live after ``runner.build_solver`` on each configuration,
+# in u.nbytes: the readings + 0.1.  The mesh keeps x, Ja, J and its owner
+# faces' normals and surface elements; the solver its flat face indices and
+# the Dirichlet face nodes.  A mesh that also keeps the full-face normal
+# and s_hat and the neighbour grids reads 4.91, 3.99 and 5.72 here.
+SETUP_LIVE_BOUNDS = {"euler_n4": 3.70 + 0.1, "euler_n7_short": 3.24 + 0.1,
+                     "ns_n3_dirichlet": 4.27 + 0.1}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_setup_holds_no_full_face_geometry(name):
+    """After set-up neither the solver nor its mesh holds a (..., 6, K, n, n) array or a neighbour grid.
+
+    The neighbour grids are integer (links, n, n) arrays; on a periodic
+    mesh the owner faces are the links, so the float surface elements
+    ``s_own`` have that shape too, and are meant to be held.
+    """
+    tracemalloc.start()
+    try:
+        dg = runner.build_solver(config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0]))[0]
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    state_nbytes = physics.NVAR * dg.j.nbytes
+    assert live <= SETUP_LIVE_BOUNDS[name] * state_nbytes
+    faces, grids = (6, dg.num_elements, dg.n1, dg.n1), (len(dg.mesh.links), dg.n1, dg.n1)
+    for owner in (dg, dg.mesh):
+        for key, value in vars(owner).items():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    assert a.shape[-4:] != faces, key
+                    assert not (a.shape == grids and a.dtype.kind == "i"), key
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
 def test_warm_residual_traced_peak(name):
     """Traced peak of a warm residual above the memory live before it, and the workspace.
