@@ -13,22 +13,6 @@ import numpy as np
 from splitdg import geometry, physics, spectral
 
 
-class FreeStream:
-    """Spatially constant state; the free-stream preservation case."""
-
-    def __init__(self, rho=1.0, velocity=(0.1, 0.2, 0.3), p=1.0):
-        self.rho = rho
-        self.velocity = np.asarray(velocity, dtype=float)
-        self.p = p
-
-    def state(self, x, t, gas):
-        shape = x.shape[1:]
-        rho = np.full(shape, self.rho)
-        v = np.broadcast_to(self.velocity.reshape((3,) + (1,) * len(shape)), (3,) + shape)
-        p = np.full(shape, self.p)
-        return physics.conservative_from_primitive(rho, v, p, gas)
-
-
 class DensityWave:
     """rho = mean + amp sin(2 pi (x+y+z - 3t)), v = (1,1,1), p = 1.
 
@@ -97,18 +81,9 @@ class ManufacturedWave:
 
 
 CASES = {
-    "freestream": FreeStream,
     "density_wave": DensityWave,
     "manufactured": ManufacturedWave,
 }
-
-
-def make_case(name, **kwargs):
-    try:
-        cls = CASES[name]
-    except KeyError:
-        raise ValueError(f"unknown case '{name}'; valid options: {sorted(CASES)}") from None
-    return cls(**kwargs)
 
 
 def initial_condition(case, solver, gas):

@@ -137,10 +137,8 @@ class RunConfig:
         if path and isinstance(mesh_path, str):
             mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
             raw = dict(raw, mesh=dict(raw["mesh"], path=mesh_path))
-        try:
-            return cls(**raw)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        # Every key is a field, so the constructor fails only with a ConfigError.
+        return cls(**raw)
 
     def gas_model(self):
         try:
@@ -150,7 +148,7 @@ class RunConfig:
 
     def flow_case(self):
         try:
-            return cases.make_case(self.case, **self.case_params)
+            return cases.CASES[self.case](**self.case_params)
         except TypeError as err:
             raise ConfigError(f"case_params: {err}") from err
 

@@ -369,7 +369,8 @@ def read_mesh_file(path, degree=None):
         parts = line.split()
         key = parts[0]
         if key not in RECORD_FIELDS:
-            raise MeshFileError(f"{path}: unknown record '{key}'")
+            raise MeshFileError(
+                f"{path}: unknown record '{key}' on line {numbered[pos - 1][0]}: '{line}'")
         if len(parts) != RECORD_FIELDS[key]:
             raise MeshFileError(
                 f"{path}: a '{key}' record has {RECORD_FIELDS[key]} fields, got '{line}'")

@@ -225,9 +225,9 @@ def convergence_study(config, levels):
         "orders": observed L2 orders (per variable) between consecutive rows.
 
     Raises:
-        ValueError: if a level repeats or is not positive.
+        ValueError: if there is no level, or a level repeats or is not positive.
     """
-    if len(set(levels)) != len(levels) or min(levels) < 1:
+    if not levels or len(set(levels)) != len(levels) or min(levels) < 1:
         raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):

@@ -125,9 +125,6 @@ class NodalBasis:
         for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B):
             a.setflags(write=False)
 
-    def __repr__(self):
-        return f"NodalBasis(n={self.n})"
-
 
 def build_basis(n):
     """Construct the NodalBasis of degree n (cached per degree)."""

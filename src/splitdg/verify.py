@@ -312,7 +312,9 @@ def solver_suite():
     # Dirichlet walls, whose links have no gap.
     mesh_fs = mesh_mod.warped_box_mesh(4, (2, 2, 2), amplitude=0.05)
     dg_fs = solver.DGSolver(mesh_fs, gas, "ec", "llf")
-    u_fs = cases.initial_condition(cases.FreeStream(), dg_fs, gas)
+    # A zero-amplitude density wave is the uniform state rho = p = 1, v = (0.1, 0.2, 0.3).
+    free_stream = cases.DensityWave(amplitude=0.0, velocity=(0.1, 0.2, 0.3))
+    u_fs = cases.initial_condition(free_stream, dg_fs, gas)
     checks.append(Check.below("free-stream residual (warped 2^3, ec+llf)",
                               np.abs(dg_fs.residual(u_fs, 0.0)).max(), 1e-11))
 

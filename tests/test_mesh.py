@@ -399,6 +399,27 @@ def test_state_file_with_bare_header_line_rejected(tmp_path):
         runner.read_state_file(path)
 
 
+@pytest.mark.parametrize("shape", ((3, 1, 3, 3), (2, 1, 3, 3, 3), (3, 1, 3, 3, 4)))
+def test_mesh_topology_rejects_nodes_of_the_wrong_shape(shape):
+    mesh = mesh_mod.box_mesh(2, (1, 1, 1))
+    with pytest.raises(ValueError, match=re.escape(f"expected nodes of shape (3, K, 3, 3, 3), got {shape}")):
+        mesh_mod.MeshTopology(mesh.basis, np.zeros(shape), mesh.links, mesh.boundary)
+
+
+def test_unknown_mesh_record_names_the_path_and_the_line(tmp_path, capsys):
+    path = tmp_path / "box.mesh"
+    mesh_mod.write_mesh_file(path, mesh_mod.box_mesh(1, (1, 1, 1)))
+    lines = path.read_text().splitlines()
+    lines.insert(5, "# a comment line is counted too")
+    lines.insert(7, "vertex 0 0 0.0 0.0 0.0")
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: unknown record 'vertex' on line 8: 'vertex 0 0 0.0 0.0 0.0'"
+    with pytest.raises(mesh_mod.MeshFileError, match=f"^{re.escape(message)}$"):
+        mesh_mod.read_mesh_file(path)
+    assert cli.main(["mesh", "audit", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_orientation_code_out_of_range_rejected(tmp_path, capsys):
     mesh = mesh_mod.box_mesh(1, (1, 1, 1))
     links = [mesh.links[0]._replace(orient=8)] + mesh.links[1:]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -213,10 +214,12 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     ("volume_flux", {"volume_flux": ["ec"]}),
     ("surface_dissipation", {"surface_dissipation": "upwind"}),
     ("case", {"case": ["x"]}),
+    ("boundary", {"boundary": "open"}),
 ], ids=("degree-2.5", "degree-true", "monitor_interval-1.5", "cells-2.5", "cells-0", "cells-two",
         "mesh-list", "output_dir-5", "output_dir-null", "output_dir-nul", "mesh-path-5",
         "mesh-path-nul", "mesh-null", "cfl-string",
-        "final_time-list", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list"))
+        "final_time-list", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list",
+        "boundary-open"))
 def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
     # Values of the wrong type too; through a file, whose directory resolves a relative mesh.path.
     config = {"degree": 2, "final_time": 0.001, "output_dir": str(tmp_path / "out"), **values}
@@ -345,6 +348,34 @@ def test_bad_case_param_exits_2_before_set_up_naming_the_key(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("message, values", [
+    ("cfl/dt: one of the two time controls must be set", {"cfl": None}),
+    ("mesh.path: file does not exist: {dir}/missing.mesh", {"mesh": {"path": "missing.mesh"}}),
+    ("case: must be one of ['density_wave', 'manufactured'], got 'freestream'", {"case": "freestream"}),
+], ids=("cfl-null-without-dt", "mesh-path-missing", "case-freestream"))
+def test_config_value_exits_2_before_set_up_naming_the_key(tmp_path, capsys, monkeypatch, message,
+                                                           values):
+    config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]},
+              "output_dir": str(tmp_path / "out"), **values}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    refuse_to_build_a_mesh(monkeypatch)
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_missing_or_non_json_config_file_exits_2_naming_the_file(tmp_path, capsys, command):
+    path = tmp_path / "wave.json"
+    levels = ["--levels", "1", "2"] if command == "converge" else []
+    assert cli.main([command, str(path), *levels]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config file does not exist: {path}\n"
+    path.write_text('{"degree": 2,}')
+    assert cli.main([command, str(path), *levels]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: Expecting property name")
+
+
 @pytest.mark.parametrize("name", ["a/b", "", "/abs", "dir/", 5, ["a"], "a\0b"],
                          ids=("separator", "empty", "absolute", "trailing-separator", "int", "list",
                               "nul"))
@@ -427,12 +458,35 @@ def test_warp_amplitude_that_folds_the_box_exits_2_naming_the_key(tmp_path, ampl
         assert write_err.startswith(f"error: --amplitude: {amplitude!r} folds the box: ")
 
 
+def test_mesh_write_with_a_folding_amplitude_exits_2_naming_the_option(tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    argv = ["mesh", "write", str(out), "--degree", "2", "--cells", "1", "1", "1", "--amplitude", "10"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --amplitude: 10.0 folds the box: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", (["2", "2"], ["0", "2"]))
 def test_converge_rejects_degenerate_levels(tmp_path, capsys, levels):
     path = tmp_path / "wave.json"
     path.write_text(json.dumps({"degree": 2, "dt": 0.01, "final_time": 0.02}))
     assert cli.main(["converge", str(path), "--levels", *levels]) == cli.EXIT_CONFIG
     assert "levels must be distinct positive cell counts" in capsys.readouterr().err
+
+
+def test_convergence_study_without_levels_names_its_rule():
+    with pytest.raises(ValueError, match=r"^levels must be distinct positive cell counts, got \[\]$"):
+        runner.convergence_study(RunConfig(degree=1, dt=0.01, final_time=0.01), [])
+
+
+def test_cli_module_runs_as_a_script(monkeypatch, capsys):
+    # A fresh copy of the module runs as __main__, as `python -m splitdg.cli` does.
+    monkeypatch.delitem(sys.modules, "splitdg.cli")
+    monkeypatch.setattr(sys, "argv", ["splitdg", "verify", "nosuch"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("splitdg.cli", run_name="__main__")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "unknown suite 'nosuch'" in capsys.readouterr().err
 
 
 def run_fresh_python(code):

@@ -37,6 +37,9 @@ from splitdg import (cases, cli, config, fluxes, geometry, mesh as mesh_mod, phy
 DEGREE = 3
 VISCOSITY = (None, 100.0)
 XI_LINK_CODES = {1: (7, 3), 2: (4, 4), 3: (3, 7)}
+# The free-stream state rho = p = 1, v = (0.1, 0.2, 0.3): uniform bit for bit,
+# as test_zero_amplitude_density_wave_is_uniform_bit_for_bit checks.
+FREE_STREAM = cases.DensityWave(amplitude=0.0, velocity=(0.1, 0.2, 0.3))
 
 
 def rotate(a, turns):
@@ -138,7 +141,7 @@ def test_reflected_chain_invariants(single, reflected_chain, reynolds):
     assert np.abs(rhs[:, 1:] - reorient(r1, axes, flips)).max() <= 1e-11 * scale
     assert np.abs(dg.totals(rhs)).max() <= 1e-12
     assert dg.entropy_rate(u, rhs) <= 1e-12
-    free = cases.initial_condition(cases.FreeStream(), dg, gas)
+    free = cases.initial_condition(FREE_STREAM, dg, gas)
     assert np.abs(dg.residual(free, 0.0)).max() <= 1e-11
 
 
@@ -178,7 +181,7 @@ def test_rotated_chain_conservation_and_entropy(chain, reynolds):
 def test_rotated_chain_free_stream(chain, reynolds):
     gas = physics.GasModel(reynolds=reynolds)
     dg = solver.DGSolver(chain[1], gas, "ec", "llf")
-    u = cases.initial_condition(cases.FreeStream(), dg, gas)
+    u = cases.initial_condition(FREE_STREAM, dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
 
 
@@ -186,10 +189,33 @@ def test_rotated_chain_free_stream(chain, reynolds):
 def test_dirichlet_box_free_stream(reynolds):
     gas = physics.GasModel(reynolds=reynolds)
     mesh = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05, periodic=False)
-    case = cases.FreeStream()
-    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=case.state)
-    u = cases.initial_condition(case, dg, gas)
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=FREE_STREAM.state)
+    u = cases.initial_condition(FREE_STREAM, dg, gas)
     assert np.abs(dg.residual(u, 0.0)).max() <= 1e-11
+
+
+def test_zero_amplitude_density_wave_is_uniform_bit_for_bit():
+    gas = physics.GasModel()
+    x = mesh_mod.warped_box_mesh(DEGREE, (2, 1, 3), amplitude=0.05).x
+    uniform = physics.conservative_from_primitive(
+        np.ones(x.shape[1:]), np.multiply.outer([0.1, 0.2, 0.3], np.ones(x.shape[1:])),
+        np.ones(x.shape[1:]), gas)
+    for t in (0.0, 0.3, 1.7, -2.0):
+        u = FREE_STREAM.state(x, t, gas)
+        assert u.shape == uniform.shape and u.tobytes() == uniform.tobytes()
+
+
+def test_unknown_surface_dissipation_is_rejected():
+    mesh = mesh_mod.warped_box_mesh(2, (1, 1, 1), amplitude=0.05)
+    with pytest.raises(ValueError, match=r"unknown surface dissipation 'roe'; valid options: \['none', 'llf'\]$"):
+        solver.DGSolver(mesh, physics.GasModel(), surface_dissipation="roe")
+
+
+def test_timestep_estimate_rejects_a_non_positive_cfl():
+    dg = solver.DGSolver(mesh_mod.warped_box_mesh(2, (1, 1, 1), amplitude=0.05), physics.GasModel())
+    u = cases.initial_condition(FREE_STREAM, dg, dg.gas)
+    with pytest.raises(ValueError, match="CFL must be positive, got 0.0"):
+        dg.timestep_estimate(u, 0.0)
 
 
 def test_dirichlet_mesh_without_a_boundary_state_is_rejected():
@@ -725,6 +751,15 @@ def test_rk_step_in_place_is_bitwise_the_out_of_place_formula():
     y, decay = np.array(1.0), lambda v, t: -v
     assert solver.rk_step(y, 0.0, 0.1, decay)[0] == reference(np.array(1.0), 0.0, 0.1, decay)
     assert y == 1.0
+
+
+@pytest.mark.parametrize("dt", (0.0, float("nan")))
+def test_rk_step_rejects_a_non_positive_dt(dt):
+    def rhs(u, t):
+        raise AssertionError("a stage was evaluated")
+
+    with pytest.raises(ValueError, match=f"dt must be positive, got {dt}"):
+        solver.rk_step(np.ones(3), 0.0, dt, rhs)
 
 
 def test_lift_gradients_positivity_error_names_global_element(warped_n7_4):
