@@ -1,5 +1,6 @@
 """Batch execution: time loops with monitors, state dumps, convergence studies."""
 
+import collections
 import os
 import time
 
@@ -28,71 +29,69 @@ def build_solver(config, mesh=None):
 
 
 def _monitor_row(dg, u, t, dt, rhs):
-    """One monitor CSV line of the state (u, t) and the entropy rate it reports."""
-    totals = dg.totals(u)
-    sbar = dg.total_entropy(u)
-    rate = dg.entropy_rate(u, rhs)
-    vals = [t, dt, *totals.tolist(), sbar, rate]
-    return ",".join(repr(float(v)) for v in vals), rate
+    """The monitor row of the state (u, t) as Python floats, in MONITOR_HEADER's order."""
+    return tuple(float(v) for v in (t, dt, *dg.totals(u), dg.total_entropy(u), dg.entropy_rate(u, rhs)))
 
 
-def _time_loop(config, rows, rates, mesh=None):
+# ``_time_loop``'s result: ``t`` is a Python float, ``rows`` the monitor
+# rows of ``_monitor_row`` and the loop's start and end are
+# ``time.perf_counter`` readings.
+RunRecord = collections.namedtuple(
+    "RunRecord", "u t mesh case gas rows max_residual steps residual_evals loop_start loop_end")
+
+
+def _time_loop(config, mesh=None):
     """The solver's part of ``run_case`` and of each ``convergence_study`` level.
 
     Set-up on ``mesh`` (the config's own when None), the positivity check
     of the initial condition, the time loop with its monitors, and the
     final state's residual, the only check of the last step's update.
     Each step's dt is ``config.dt`` when set, else the CFL estimate,
-    clipped so that the last step ends on ``final_time``; a positivity
-    failure in the estimate names the step and its time.  A step returns
-    the first RK stage, the residual of the state it stepped from, which
-    writes that state's monitor row (every ``monitor_interval``-th state,
-    the initial one included) and is dropped before the next step; only
-    the final row pays a residual of its own.  So a convergence study
-    checks each level's initial and final states as a run does, at the
-    cost of the run's monitors and one residual per level.  Appends the
-    monitor rows and entropy rates.  Returns the final state and time (a
-    float), the mesh, case and gas, the final state's largest residual, the
-    step and residual counts, and the loop's start and end times.  The
-    solver, its workspace and the final residual are released when this
-    returns.
+    clipped so that the last step ends on ``final_time``; the loop stops
+    once t is within 1e-12 * final_time of it.  A positivity failure in
+    the estimate names the step and its time.  A step returns the first
+    RK stage, the residual of the state it stepped from, which gives that
+    state's monitor row (every ``monitor_interval``-th state, the initial
+    one included) and is dropped before the next step; only the final row
+    pays a residual of its own.  So a convergence study checks each
+    level's initial and final states as a run does, at the cost of the
+    run's monitors and one residual per level.  Returns a RunRecord; its
+    ``rows`` are the monitor rows of ``_monitor_row``, numbers until
+    ``run_case`` writes them.  The solver, its workspace and the final
+    residual are released when this returns.
     """
     dg, case, gas = build_solver(config, mesh)
     # The initial state is not kept: it is sampled again for the summary's
     # deviation, since initial_condition is a pure function of the nodes.
     u = physics.in_phase("the initial condition", cases.initial_condition, case, dg, gas)
-    t, dt, step = 0.0, 0.0, 0
-
-    def monitor(u, t, dt, rhs):
-        row, rate = _monitor_row(dg, u, t, dt, rhs)
-        rows.append(row)
-        rates.append(rate)
-
+    t, dt, step, rows = 0.0, 0.0, 0, []
     loop_start = time.perf_counter()
-    while t < config.final_time - 1e-12:
+    while config.final_time - t > 1e-12 * config.final_time:
         new_dt = config.dt if config.dt is not None else physics.in_phase(
             f"the time-step estimate of step {step + 1} at t = {t:.6g}",
             dg.timestep_estimate, u, config.cfl)
         new_dt = min(new_dt, config.final_time - t)
         new, rhs = dg.step(u, t, new_dt)
         if step % config.monitor_interval == 0:
-            monitor(u, t, dt, rhs)
+            rows.append(_monitor_row(dg, u, t, dt, rhs))
         del rhs  # not held across the next step
         u, t, dt, step = new, float(t + new_dt), new_dt, step + 1
     rhs = physics.in_phase(f"the final state after step {step} at t = {t:.6g}",
                            dg.residual, u, t)
-    monitor(u, t, dt, rhs)
-    return (u, t, dg.mesh, case, gas, float(np.abs(rhs).max()), step, dg.residual_evals,
-            loop_start, time.perf_counter())
+    rows.append(_monitor_row(dg, u, t, dt, rhs))
+    return RunRecord(u, t, dg.mesh, case, gas, rows, float(np.abs(rhs).max()), step,
+                     dg.residual_evals, loop_start, time.perf_counter())
 
 
 def run_case(config, output_dir=None):
     """Execute the configured time loop; write monitor CSV and final state.
 
-    The loop, its monitors and the final residual are ``_time_loop``'s; it
-    returns the final state u and its time t, a Python float, which the
-    state file's header, the summary's ``final_time`` and the error norms
-    read.  Returns a summary dict (printed by the CLI); raises
+    The loop, its monitors and the final residual are ``_time_loop``'s.
+    Its RunRecord's final state u and time t (a Python float) feed the
+    state file's header, the summary's ``final_time`` and the error
+    norms; its monitor rows become the CSV, one ``repr`` per number, and
+    the summary's ``max_entropy_rate`` is the largest of their entropy
+    rates.  Returns a summary dict (printed by the CLI); raises
     PositivityError on a positivity abort.  The summary reports the run's
     cost: ``residual_evals`` (counted by the solver, 5S + 1 for S steps),
     ``loop_wall_s`` (the wall time of the time loop, monitors and final
@@ -110,39 +109,39 @@ def run_case(config, output_dir=None):
     start = time.perf_counter()
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    rows, rates = [MONITOR_HEADER], []
-    (u, t, mesh, case, gas, max_residual, step, residual_evals,
-     loop_start, output_start) = _time_loop(config, rows, rates)
-    loop_wall_s = output_start - loop_start
+    run = _time_loop(config)
+    mesh = run.mesh
+    loop_wall_s = run.loop_end - run.loop_start
 
     monitor_path = os.path.join(out_dir, f"{config.case_name}_monitor.csv")
     with open(monitor_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(MONITOR_HEADER + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in run.rows)
     state_path = os.path.join(out_dir, f"{config.case_name}_final.state")
-    write_state_file(state_path, mesh, u, t)
+    write_state_file(state_path, mesh, run.u, run.t)
 
     error_start = time.perf_counter()
     summary = {
         "case": config.case_name,
-        "steps": step,
-        "residual_evals": residual_evals,
+        "steps": run.steps,
+        "residual_evals": run.residual_evals,
         "loop_wall_s": loop_wall_s,
-        "pid_us": loop_wall_s * 1e6 / (mesh.num_elements * (mesh.basis.n + 1)**3 * residual_evals),
-        "final_time": t,
-        "final_max_residual": max_residual,
+        "pid_us": loop_wall_s * 1e6 / (mesh.num_elements * (mesh.basis.n + 1)**3 * run.residual_evals),
+        "final_time": run.t,
+        "final_max_residual": run.max_residual,
         "max_deviation_from_initial": float(
-            np.abs(u - cases.initial_condition(case, mesh, gas)).max()),
-        "max_entropy_rate": float(max(rates)),
+            np.abs(run.u - cases.initial_condition(run.case, mesh, run.gas)).max()),
+        "max_entropy_rate": max(row[-1] for row in run.rows),
         "monitor_csv": monitor_path,
         "final_state": state_path,
     }
-    l2, linf = cases.error_norms(mesh, u, case, gas, t)
+    l2, linf = cases.error_norms(mesh, run.u, run.case, run.gas, run.t)
     summary["l2_error"] = l2.tolist()
     summary["linf_error"] = linf.tolist()
     end = time.perf_counter()
     summary["wall_time_s"] = end - start
-    summary["phases"] = {"setup_s": loop_start - start, "loop_s": loop_wall_s,
-                         "output_s": error_start - output_start, "error_norms_s": end - error_start}
+    summary["phases"] = {"setup_s": run.loop_start - start, "loop_s": loop_wall_s,
+                         "output_s": error_start - run.loop_end, "error_norms_s": end - error_start}
     return summary
 
 
@@ -231,9 +230,8 @@ def convergence_study(config, levels):
         raise ValueError(f"levels must be distinct positive cell counts, got {list(levels)}")
     rows = []
     for level in sorted(levels):
-        u, t, mesh, case, gas = _time_loop(
-            config, [], [], config.build_mesh(cells_override=(level,) * 3))[:5]
-        l2, linf = cases.error_norms(mesh, u, case, gas, t)
+        run = _time_loop(config, config.build_mesh(cells_override=(level,) * 3))
+        l2, linf = cases.error_norms(run.mesh, run.u, run.case, run.gas, run.t)
         rows.append({"resolution": level, "l2": l2.tolist(), "linf": linf.tolist()})
     orders = []
     for a, b in zip(rows, rows[1:]):

@@ -597,7 +597,7 @@ def reference_run(config):
     dg, case, gas = runner.build_solver(config)
     u, t, dt = cases.initial_condition(case, dg, gas), 0.0, 0.0
     history = [(u, t, dt)]
-    while t < config.final_time - 1e-12:
+    while config.final_time - t > 1e-12 * config.final_time:
         dt = config.dt if config.dt is not None else dg.timestep_estimate(u, config.cfl)
         dt = min(dt, config.final_time - t)
         u, t = dg.step(u, t, dt)[0], float(t + dt)
@@ -617,10 +617,39 @@ def test_monitor_rows_match_separate_residuals(tmp_path, monitor_interval):
     for step, (u, t, dt) in enumerate(history):
         if step % monitor_interval == 0 or step == STEPS:
             rhs = dg.residual(u, t)
-            expected.append(runner._monitor_row(dg, u, t, dt, rhs)[0])
+            expected.append(",".join(map(repr, runner._monitor_row(dg, u, t, dt, rhs))))
     assert len(expected) == {1: 6, 3: 4}[monitor_interval]  # header and steps 0-4 or 0, 3, 4
     assert rows == expected
     assert summary["final_max_residual"] == float(abs(rhs).max())
+
+
+def test_monitor_csv_holds_the_record_numbers_bit_for_bit(tmp_path, monkeypatch):
+    time_loop, records = runner._time_loop, []
+
+    def kept(*args):
+        records.append(time_loop(*args))
+        return records[-1]
+
+    monkeypatch.setattr(runner, "_time_loop", kept)
+    summary = runner.run_case(wave_config(tmp_path, 1))
+    with open(summary["monitor_csv"]) as fh:
+        header, *lines = fh.read().splitlines()
+    (record,) = records
+    assert header == runner.MONITOR_HEADER and len(lines) == len(record.rows) == STEPS + 1
+    assert all(type(v) is float for row in record.rows for v in row)
+    cells = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert cells.tobytes() == np.array(record.rows).tobytes()
+    rates = cells[:, header.split(",").index("entropy_rate")]
+    assert summary["max_entropy_rate"] == rates.max()
+    assert (summary["steps"], summary["final_time"]) == (record.steps, record.t)
+
+
+def test_final_time_below_the_absolute_tolerance_takes_its_step(tmp_path):
+    # The loop's stop test is relative to final_time: 5e-13 is one clipped step.
+    summary = runner.run_case(RunConfig(degree=1, mesh={"cells": [1, 1, 1]}, dt=0.001,
+                                        final_time=5e-13, output_dir=str(tmp_path)))
+    assert summary["steps"] == 1 and summary["residual_evals"] == 6
+    assert summary["final_time"] == 5e-13
 
 
 def test_cfl_run_state_file_reads_back_its_final_state(tmp_path):

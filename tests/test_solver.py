@@ -695,7 +695,7 @@ def test_time_loop_traced_peak(monkeypatch, name, monitor_interval):
     raw = dict(WORKLOAD_CONFIGS[name][0], final_time=0.004, monitor_interval=monitor_interval)
     tracemalloc.start()
     try:
-        steps = runner._time_loop(config.RunConfig.from_dict(raw), [], [])[6]
+        steps = runner._time_loop(config.RunConfig.from_dict(raw)).steps
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
