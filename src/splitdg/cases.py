@@ -112,20 +112,14 @@ def error_norms(solver, u, case, gas, t):
     p = spectral.lagrange_values(basis, fine.nodes)
     w = fine.weights
     w3 = np.multiply.outer(np.multiply.outer(w, w), w)
-
-    def refine(a):
-        for axis in range(3):
-            a = spectral.apply_along(p, a, axis)
-        return a
-
     l2_sq = np.zeros(physics.NVAR)
     linf = np.zeros(physics.NVAR)
     for k in range(u.shape[1]):
-        x_fine = refine(solver.x[:, k])
+        x_fine = spectral.apply_tensor(p, solver.x[:, k])
         jw = geometry.jacobian(spectral.tensor_gradient(fine, x_fine)) * w3
         exact = physics.in_phase(f"the exact state of element {k} in the error norms",
                                  case.state, x_fine, t, gas)
-        diff = np.subtract(refine(u[:, k]), exact, out=exact).reshape(physics.NVAR, -1)
+        diff = np.subtract(spectral.apply_tensor(p, u[:, k]), exact, out=exact).reshape(physics.NVAR, -1)
         l2_sq += (diff * diff) @ jw.ravel()
         linf = np.maximum(linf, np.abs(diff).max(axis=1))
     return np.sqrt(l2_sq), linf

@@ -19,11 +19,11 @@ of a nodal grid is its slice ``face_slice(f)``.
 A curved hexahedron is given by its six faces.  :class:`FaceDefinition`
 writes them into the boundary planes of one nodal (3, N+1, N+1, N+1) grid,
 which every consumer reads: the corners index it, the watertightness check
-compares each face with it, and :func:`transfinite_map` (Gordon & Hall's
-transfinite interpolation with linear blending) is the Boolean sum of one
-1-D linear-blend projector per axis applied to it at the nodes, then
-Lagrange-interpolated, which is exact for a map of degree N in each
-coordinate.
+compares each face with it, and ``FaceDefinition.nodal_map`` (Gordon &
+Hall's transfinite interpolation with linear blending) is the Boolean sum of
+one 1-D linear-blend projector per axis applied to it at the nodes.  That
+map has degree N in each coordinate, so ``spectral.apply_tensor`` with
+``spectral.lagrange_values`` evaluates it exactly on any tensor grid.
 
 The metric terms are computed for a whole mesh at once from the stacked
 nodal coordinates x, shape (3, K, n, n, n) with K elements and n = N+1:
@@ -113,7 +113,17 @@ class FaceDefinition:
             raise GeometryError(f"faces are not watertight: edge mismatch {gap:.3e} > {tol:.1e}")
 
     def nodal_map(self):
-        """The transfinite map at the nodes, (3, N+1, N+1, N+1); see ``transfinite_map``."""
+        """The transfinite map at the nodes, (3, N+1, N+1, N+1).
+
+        The map is the Boolean sum P1 + P2 + P3 - P1 P2 - P2 P3 - P1 P3 +
+        P1 P2 P3 = I - (I - P3)(I - P2)(I - P1) of the linear-blend projector
+        P_a along reference axis a, which replaces a field by the linear
+        blend of its values on the two faces normal to that axis; it reads
+        only the boundary planes of ``grid`` and reproduces every face.
+        Each term is linear in its blended coordinates and of degree N in
+        the others, so the map has degree N in each coordinate and its
+        Lagrange interpolant at the nodes is the map itself.
+        """
         nodes = spectral.build_basis(self.n).nodes
         blend = np.zeros((self.n + 1,) * 2)
         blend[:, 0], blend[:, -1] = (1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0
@@ -134,34 +144,6 @@ def faces_from_corners(corners, n):
     return faces_from_mapping(lambda xi: hex_corner_map(corners, xi), n)
 
 
-def transfinite_map(faces, xi):
-    """Evaluate the transfinite interpolation with linear blending at xi.
-
-    The map is the Boolean sum P1 + P2 + P3 - P1 P2 - P2 P3 - P1 P3 + P1 P2 P3
-    = I - (I - P3)(I - P2)(I - P1) of the linear-blend projector P_a along
-    reference axis a, which replaces a field by the linear blend of its
-    values on the two faces normal to that axis; it reads only the boundary
-    planes of ``faces.grid`` and reproduces every face.  It is formed at the
-    nodes (``FaceDefinition.nodal_map``) and Lagrange-interpolated to
-    ``xi``.  That is exact: each term is linear in its blended coordinates
-    and of degree N in the others, so the map has degree N in each
-    coordinate.
-
-    Args:
-        faces: a FaceDefinition.
-        xi: reference points, shape (3,) or (3, ...); components in [-1, 1].
-
-    Returns:
-        Physical points with the same trailing shape as xi.
-    """
-    basis = spectral.build_basis(faces.n)
-    lx, ly, lz = (spectral.lagrange_values(basis, c) for c in np.asarray(xi, dtype=float))
-    # One axis at a time, zeta first: n^3 + n^2 + n products per point, not 3 n^3.
-    t = np.einsum("cijk,...k->c...ij", faces.nodal_map(), lz)
-    t = np.einsum("c...ij,...j->c...i", t, ly)
-    return np.einsum("c...i,...i->c...", t, lx)
-
-
 # The grid ends (0 at -1, -1 at +1) along xi, eta and zeta of the corners
 # x_1..x_8: (-,-,-) (+,-,-) (+,+,-) (-,+,-), then the same at zeta = +1.
 CORNER_NODES = ((0, -1, -1, 0) * 2, (0, 0, -1, -1) * 2, (0,) * 4 + (-1,) * 4)
@@ -177,19 +159,10 @@ def hex_corner_map(corners, xi):
     return np.einsum("vc,v...->c...", np.asarray(corners, dtype=float), weights) / 8.0
 
 
-def sample_map_on_grid(faces_or_fn, basis):
-    """Nodal map values X on the LGL^3 grid, shape (3, N+1, N+1, N+1).
-
-    A FaceDefinition's transfinite map is interpolated one axis at a time.
-    """
+def sample_map_on_grid(mapping, basis):
+    """Nodal values of an analytic map x = mapping(xi) on the LGL^3 grid, (3, N+1, N+1, N+1)."""
     x = basis.nodes
-    if isinstance(faces_or_fn, FaceDefinition):
-        to_grid = spectral.lagrange_values(spectral.build_basis(faces_or_fn.n), x)
-        nodal = faces_or_fn.nodal_map()
-        for axis in range(3):
-            nodal = spectral.apply_along(to_grid, nodal, axis)
-        return nodal
-    return np.asarray(faces_or_fn(np.stack(np.meshgrid(x, x, x, indexing="ij"))), dtype=float)
+    return np.asarray(mapping(np.stack(np.meshgrid(x, x, x, indexing="ij"))), dtype=float)
 
 
 def _cross(a, b):

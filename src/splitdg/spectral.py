@@ -156,19 +156,6 @@ def lagrange_values(basis, x):
     return vals
 
 
-def interpolate(basis, values, x):
-    """Evaluate the interpolant of nodal ``values`` at point(s) x.
-
-    ``values`` may have leading axes; the last axis is the nodal index.
-    Returns shape values.shape[:-1] + x.shape.
-    """
-    ell = lagrange_values(basis, x)
-    values = np.asarray(values, dtype=float)
-    flat = ell.reshape(-1, ell.shape[-1])
-    out = np.einsum("...n,pn->...p", values, flat)
-    return out.reshape(values.shape[:-1] + ell.shape[:-1])
-
-
 def inner_product(basis, u, v):
     """Discrete 1D inner product <u, v>_N = sum u_j v_j w_j (last axis nodal)."""
     u, v = np.asarray(u), np.asarray(v)
@@ -239,6 +226,19 @@ def apply_along(matrix, field, axis, out=None):
     else:
         np.matmul(field.reshape(-1, p), np.ascontiguousarray(matrix.T), out=out.reshape(-1, m))
     return out
+
+
+def apply_tensor(matrix, field):
+    """Apply an (m, p) matrix along all three tensor axes of a (..., p, p, p) field.
+
+    The axes are taken in the order xi, eta, zeta, each by ``apply_along``;
+    leading axes are carried along.  With ``lagrange_values(basis, points)``
+    as the matrix this interpolates a nodal field to the tensor grid of
+    ``points``: the result has shape (..., m, m, m).
+    """
+    for axis in range(3):
+        field = apply_along(matrix, field, axis)
+    return field
 
 
 def tensor_gradient(basis, field, out=None):

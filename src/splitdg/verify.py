@@ -121,7 +121,7 @@ def spectral_suite():
     errs = []
     for n in degrees:
         b = spectral.build_basis(int(n))
-        errs.append(np.abs(spectral.interpolate(b, f(b.nodes), xx) - f(xx)).max())
+        errs.append(np.abs(spectral.lagrange_values(b, xx) @ f(b.nodes) - f(xx)).max())
     errs = np.array(errs)
     checks.append(Check.below("interpolation of exp(sin pi x): errors decrease",
                               np.diff(errs).max(), 0.0))
@@ -176,9 +176,11 @@ def geometry_suite():
     corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
                         [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], float)
     corners += 0.15 * rng.normal(size=(8, 3))
-    fd = geometry.faces_from_corners(corners, 4)
-    pts = rng.uniform(-1, 1, (3, 40))
-    gap = np.abs(geometry.transfinite_map(fd, pts) - geometry.hex_corner_map(corners, pts)).max()
+    fd = geometry.faces_from_corners(corners, basis.n)
+    t = rng.uniform(-1, 1, 4)  # the transfinite map on the tensor grid of t
+    mapped = spectral.apply_tensor(spectral.lagrange_values(basis, t), fd.nodal_map())
+    trilinear = geometry.hex_corner_map(corners, np.stack(np.meshgrid(t, t, t, indexing="ij")))
+    gap = np.abs(mapped - trilinear).max()
     checks.append(Check.below("transfinite map of straight hex = trilinear", gap, 1e-12))
     fw = geometry.faces_from_mapping(warp, 4)
     gap = fw.edge_mismatch()

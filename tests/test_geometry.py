@@ -33,35 +33,44 @@ def covariant(basis, mapping):
     return sp.tensor_gradient(basis, ge.sample_map_on_grid(mapping, basis)[:, None])
 
 
+def tensor_grid(t):
+    """The tensor grid of the 1-D points t in reference space: (3, m, m, m)."""
+    return np.stack(np.meshgrid(t, t, t, indexing="ij"))
+
+
+def transfinite_on_grid(fd, t):
+    """The transfinite map of ``fd`` on the tensor grid of the 1-D points t: (3, m, m, m)."""
+    return sp.apply_tensor(sp.lagrange_values(sp.build_basis(fd.n), t), fd.nodal_map())
+
+
 class TestTransfiniteMap:
     def test_straight_hex_equals_trilinear(self):
         rng = np.random.default_rng(0)
         corners = UNIT_CORNERS + 0.15 * rng.normal(size=(8, 3))
         fd = ge.faces_from_corners(corners, 4)
         fd.validate_watertight()
-        pts = rng.uniform(-1, 1, (3, 64))
-        gap = np.abs(ge.transfinite_map(fd, pts) - ge.hex_corner_map(corners, pts)).max()
+        t = rng.uniform(-1, 1, 4)
+        gap = np.abs(transfinite_on_grid(fd, t) - ge.hex_corner_map(corners, tensor_grid(t))).max()
         assert gap < 1e-13
 
     def test_corner_collapse(self):
+        """On the grid of the points -1 and +1 the map is the eight corners."""
         rng = np.random.default_rng(1)
         corners = UNIT_CORNERS + 0.1 * rng.normal(size=(8, 3))
         fd = ge.faces_from_corners(corners, 3)
-        got = ge.transfinite_map(fd, np.array([-1.0, -1.0, -1.0]))
-        assert np.abs(got - corners[0]).max() < 1e-14
+        got = transfinite_on_grid(fd, np.array([-1.0, 1.0]))[(slice(None),) + ge.CORNER_NODES].T
+        assert np.abs(got - corners).max() < 1e-14
 
     def test_restriction_reproduces_face(self):
+        """Each face of the map on a grid with both ends is that face's own interpolant."""
         fd = ge.faces_from_mapping(trig_warp(), 5)
         basis = sp.build_basis(5)
-        rng = np.random.default_rng(2)
-        a = rng.uniform(-1, 1, 30)
-        b = rng.uniform(-1, 1, 30)
-        pts = np.stack([a, b, np.full(30, -1.0)])
-        got = ge.transfinite_map(fd, pts)
-        la = sp.lagrange_values(basis, a)
-        lb = sp.lagrange_values(basis, b)
-        gamma3 = np.einsum("cab,pa,pb->cp", fd.faces[4], la, lb)
-        assert np.abs(got - gamma3).max() < 1e-13
+        t = np.concatenate([[-1.0], np.random.default_rng(2).uniform(-1, 1, 8), [1.0]])
+        got = transfinite_on_grid(fd, t)
+        lt = sp.lagrange_values(basis, t)
+        for f in range(6):
+            face = np.einsum("cab,pa,qb->cpq", fd.faces[f], lt, lt)
+            assert np.abs(got[ge.face_slice(f)] - face).max() < 1e-13
 
     # Every face: a shared node of the grid holds the last face written, so
     # a gap in face 5 is read against the other faces, not against itself.
@@ -88,8 +97,8 @@ class TestTransfiniteMap:
                                       0.05 * xi[0] + 0.7 * xi[1] + 0.2 * xi[2] - 1.0,
                                       0.1 * xi[0] - 0.15 * xi[1] + 0.9 * xi[2] + 2.0])
         fd = ge.faces_from_mapping(affine, 3)
-        pts = np.random.default_rng(6).uniform(-1, 1, (3, 50))
-        assert np.abs(ge.transfinite_map(fd, pts) - affine(pts)).max() < 1e-13
+        t = np.random.default_rng(6).uniform(-1, 1, 4)
+        assert np.abs(transfinite_on_grid(fd, t) - affine(tensor_grid(t))).max() < 1e-13
 
     def test_face_shape_validation(self):
         with pytest.raises(ValueError):
@@ -270,8 +279,11 @@ class TestFaceGeometry:
         grids[0] = shared.copy()
         fd_b = ge.FaceDefinition(grids)
         fd_b.validate_watertight()
-        basis = sp.build_basis(n)
-        g = element_mesh(basis, fd_a, fd_b)
+        # Both elements sampled at a higher degree, as a mesh file is read.
+        basis = sp.build_basis(n + 2)
+        x = np.stack([transfinite_on_grid(fd, basis.nodes) for fd in (fd_a, fd_b)], axis=1)
+        boundary = [me.BoundaryFace(e, f, "wall") for e in range(2) for f in range(6)]
+        g = me.MeshTopology(basis, x, [], boundary)
         assert np.abs(g.x[:, 0, -1] - g.x[:, 1, 0]).max() < 1e-13
 
     def test_degenerate_face_detected(self):

@@ -25,6 +25,7 @@ its register and two stage residuals plus one residual's fresh arrays.
 """
 
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,25 @@ XI_LINK_CODES = {1: (7, 3), 2: (4, 4), 3: (3, 7)}
 # The free-stream state rho = p = 1, v = (0.1, 0.2, 0.3): uniform bit for bit,
 # as test_zero_amplitude_density_wave_is_uniform_bit_for_bit checks.
 FREE_STREAM = cases.DensityWave(amplitude=0.0, velocity=(0.1, 0.2, 0.3))
+
+
+def traced(fn, *args):
+    """``fn(*args)`` under tracemalloc: (result, traced bytes live after the call, traced peak).
+
+    A line tracer set with ``sys.settrace`` (a coverage run, a debugger)
+    allocates while the call runs, and tracemalloc would count its bytes
+    too, so it is suspended for the call and restored afterwards.
+    """
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.settrace(tracer)
+    return result, live, peak
 
 
 def rotate(a, turns):
@@ -439,12 +459,7 @@ def test_split_divergence_memory_is_flat_in_elements(warped_n7_4):
     for mesh in (mesh_mod.warped_box_mesh(7, (2, 2, 2), amplitude=0.05), warped_n7_4):
         u = physics.conservative_from_primitive(
             1.0 + 0.2 * mesh.x[0], 0.1 * mesh.x, 1.0 + 0.1 * mesh.x[2], gas)
-        tracemalloc.start()
-        try:
-            solver.split_divergence(u, mesh.ja, mesh.basis, flux, gas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(solver.split_divergence, u, mesh.ja, mesh.basis, flux, gas)[2]
         extra.append(peak - 2 * u.nbytes)
     assert max(extra) < 4 * 2**20
     assert max(extra) <= 1.25 * min(extra)
@@ -458,12 +473,7 @@ def test_warm_split_divergence_allocates_no_pair_arrays(degree, cells):
     u = perturbed_wave(dg.x, gas)
     prepared = sum(a.nbytes for a in dg.volume_flux.prepare(u, gas) if not np.shares_memory(a, u))
     solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
-    tracemalloc.start()
-    try:
-        solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(solver.split_divergence, u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)[2]
     # The flux's few scratch arrays of one pair array each, not a block's pair arrays.
     assert peak - u.nbytes - prepared <= 6 * solver.PAIR_BLOCK_BYTES
 
@@ -530,12 +540,7 @@ def test_warm_viscous_residual_allocates_no_whole_gradient_arrays(warped_n7_4):
         dg = solver.DGSolver(warped_n7_4, gas, "ec", "llf")
         u = perturbed_wave(dg.x, gas)
         dg.residual(u, 0.0)
-        tracemalloc.start()
-        try:
-            dg.residual(u, 0.0)
-            peaks[reynolds] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[reynolds] = traced(dg.residual, u, 0.0)[2]
     # A whole (3, 5, K, n, n, n) array of Q, F^v or Ja . F^v alone is 3 u.nbytes.
     assert peaks[100.0] - peaks[None] < 3 * u.nbytes
 
@@ -596,12 +601,8 @@ def test_setup_holds_no_full_face_geometry(name):
     mesh the owner faces are the links, so the float surface elements
     ``s_own`` have that shape too, and are meant to be held.
     """
-    tracemalloc.start()
-    try:
-        dg = runner.build_solver(config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0]))[0]
-        live = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    raw = config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0])
+    (dg, _, _), live, _ = traced(runner.build_solver, raw)
     state_nbytes = physics.NVAR * dg.j.nbytes
     assert live <= SETUP_LIVE_BOUNDS[name] * state_nbytes
     faces, grids = (6, dg.num_elements, dg.n1, dg.n1), (len(dg.mesh.links), dg.n1, dg.n1)
@@ -627,12 +628,7 @@ def test_warm_residual_traced_peak(name):
     dg, case, gas = runner.build_solver(config.RunConfig.from_dict(raw))
     u = cases.initial_condition(case, dg, gas)
     first = dg.residual(u, 0.01)
-    tracemalloc.start()
-    try:
-        warm = dg.residual(u, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    warm, _, peak = traced(dg.residual, u, 0.01)
     assert peak <= bound * u.nbytes
     assert np.array_equal(warm, first)
     if work_bound is None:
@@ -661,12 +657,7 @@ def test_warm_step_traced_peak(name):
     u = cases.initial_condition(case, dg, gas)
     dt = dg.timestep_estimate(u, 0.4)
     u, t = dg.step(u, 0.0, dt)[0], dt
-    tracemalloc.start()
-    try:
-        rhs = dg.step(u, t, dt)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, rhs), _, peak = traced(dg.step, u, t, dt)
     assert peak <= 5.6 * u.nbytes
     assert np.array_equal(rhs, dg.residual(u, t))
 
@@ -693,14 +684,9 @@ def test_time_loop_traced_peak(monkeypatch, name, monitor_interval):
 
     monkeypatch.setattr(cases, "initial_condition", reset_peak)
     raw = dict(WORKLOAD_CONFIGS[name][0], final_time=0.004, monitor_interval=monitor_interval)
-    tracemalloc.start()
-    try:
-        steps = runner._time_loop(config.RunConfig.from_dict(raw)).steps
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    record, _, peak = traced(runner._time_loop, config.RunConfig.from_dict(raw))
     (before, nbytes), = live
-    assert steps > 1
+    assert record.steps > 1
     assert peak - before <= LOOP_PEAK_BOUNDS[name] * nbytes
 
 

@@ -111,21 +111,23 @@ class TestBasis:
 
 
 class TestInterpolation:
+    """1-D interpolation is ``lagrange_values(b, x) @ values``; ``apply_tensor`` is that per axis."""
+
     def test_kronecker_at_nodes(self):
         b = sp.build_basis(6)
         vals = np.random.default_rng(0).normal(size=7)
-        out = sp.interpolate(b, vals, b.nodes)
+        out = sp.lagrange_values(b, b.nodes) @ vals
         assert np.abs(out - vals).max() < 1e-14
 
     def test_partition_of_unity(self):
         b = sp.build_basis(5)
         x = np.linspace(-1, 1, 33)
-        out = sp.interpolate(b, np.ones(6), x)
+        out = sp.lagrange_values(b, x) @ np.ones(6)
         assert np.abs(out - 1.0).max() < 1e-14
 
     def test_degree_two_data_exact(self):
         b = sp.build_basis(2)
-        assert sp.interpolate(b, b.nodes**2, 0.7) == pytest.approx(0.49, abs=1e-15)
+        assert sp.lagrange_values(b, 0.7) @ b.nodes**2 == pytest.approx(0.49, abs=1e-15)
 
     def test_polynomial_reproduction(self):
         rng = np.random.default_rng(3)
@@ -133,15 +135,30 @@ class TestInterpolation:
             b = sp.build_basis(n)
             coeffs = rng.normal(size=n + 1)
             x = rng.uniform(-1, 1, 50)
-            out = sp.interpolate(b, poly_eval(coeffs, b.nodes), x)
+            out = sp.lagrange_values(b, x) @ poly_eval(coeffs, b.nodes)
             assert np.abs(out - poly_eval(coeffs, x)).max() < 1e-12
 
-    def test_interpolation_matrix_matches(self):
+    def test_tensor_interpolation_reproduces_polynomials_on_the_grid_of_points(self):
+        """A field of degree N per axis, with leading axes, on the tensor grid of random points."""
+        rng = np.random.default_rng(4)
         b = sp.build_basis(4)
-        x = np.linspace(-1, 1, 9)
-        p = sp.lagrange_values(b, x)
-        vals = np.random.default_rng(1).normal(size=5)
-        assert np.allclose(p @ vals, sp.interpolate(b, vals, x), atol=1e-14)
+        coeffs = rng.normal(size=(5, 5, 5, 2, 3))  # degree 4 in each of x, y, z; leading axes (2, 3)
+
+        def field(x):
+            return np.polynomial.polynomial.polyval3d(*np.meshgrid(x, x, x, indexing="ij"), coeffs)
+
+        x = rng.uniform(-1, 1, 7)
+        out = sp.apply_tensor(sp.lagrange_values(b, x), field(b.nodes))
+        assert out.shape == (2, 3, 7, 7, 7)
+        assert np.abs(out - field(x)).max() < 1e-12
+
+    def test_interpolation_matrix_matches(self):
+        """The tensor interpolation of a separable field is the 1-D matrix along each axis."""
+        b = sp.build_basis(4)
+        p = sp.lagrange_values(b, np.linspace(-1, 1, 9))
+        f, g, h = np.random.default_rng(1).normal(size=(3, 5))
+        out = sp.apply_tensor(p, np.einsum("i,j,k->ijk", f, g, h))
+        assert np.allclose(out, np.einsum("i,j,k->ijk", p @ f, p @ g, p @ h), atol=1e-14)
 
 
 class TestInnerProductQuadrature:
