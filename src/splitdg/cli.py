@@ -15,9 +15,9 @@ Exit codes: 0 ok, 1 check failure, 2 usage/config error (an unknown
 `verify` suite too, naming the suites), 3 runtime abort (positivity loss).
 """
 
-import argparse
 import json
 import sys
+import types
 
 from splitdg import geometry, mesh as mesh_mod, physics, runner
 from splitdg.config import ConfigError, RunConfig
@@ -29,8 +29,7 @@ EXIT_RUNTIME = 3
 
 
 def _cmd_run(args):
-    config = RunConfig.from_file(args.config)
-    summary = runner.run_case(config, output_dir=args.output_dir)
+    summary = runner.run_case(RunConfig.from_file(args.config), output_dir=args.output_dir)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -44,15 +43,13 @@ def _cmd_verify(args):
 
 
 def _cmd_converge(args):
-    config = RunConfig.from_file(args.config)
-    report = runner.convergence_study(config, args.levels)
+    report = runner.convergence_study(RunConfig.from_file(args.config), args.levels)
     print(runner.format_convergence_report(report))
     return EXIT_OK
 
 
 def _cmd_mesh_audit(args):
-    mesh = mesh_mod.read_mesh_file(args.path)
-    rows, summary = mesh_mod.audit(mesh)
+    rows, summary = mesh_mod.audit(mesh_mod.read_mesh_file(args.path))
     print("element,j_min,j_max,metric_residual,cross_residual")
     for r in rows:
         print(f"{r['element']},{r['j_min']!r},{r['j_max']!r},"
@@ -74,45 +71,64 @@ def _cmd_mesh_write(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="splitdg", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that its command cannot run without
 
-    p_run = sub.add_parser("run", help="run a configured case")
-    p_run.add_argument("config")
-    p_run.add_argument("--output-dir", default=None)
-    p_run.set_defaults(func=_cmd_run)
+# Command words -> (handler, positional names, {option: (type, number of values, default)}).
+# An option takes 1 or 3 values, or "+": one or more, up to the next "--" word.
+COMMANDS = {
+    "run": (_cmd_run, ("config",), {"--output-dir": (str, 1, None)}),
+    "verify": (_cmd_verify, ("suite",), {}),
+    "converge": (_cmd_converge, ("config",), {"--levels": (int, "+", REQUIRED)}),
+    "mesh audit": (_cmd_mesh_audit, ("path",), {}),
+    "mesh write": (_cmd_mesh_write, ("out",), {"--degree": (int, 1, 4), "--cells": (int, 3, (4, 4, 4)),
+                                               "--amplitude": (float, 1, 0.05)}),
+}
 
-    p_verify = sub.add_parser("verify", help="run an invariant battery")
-    p_verify.add_argument("suite", help="a suite name or 'all'")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_conv = sub.add_parser("converge", help="convergence study")
-    p_conv.add_argument("config")
-    p_conv.add_argument("--levels", type=int, nargs="+", required=True)
-    p_conv.set_defaults(func=_cmd_converge)
+def _usage_error(message):
+    print(f"usage: splitdg <command> [arguments] (see splitdg --help)\nsplitdg: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
 
-    p_mesh = sub.add_parser("mesh", help="mesh utilities")
-    mesh_sub = p_mesh.add_subparsers(dest="mesh_command", required=True)
-    p_audit = mesh_sub.add_parser("audit", help="print J range and metric residuals")
-    p_audit.add_argument("path")
-    p_audit.set_defaults(func=_cmd_mesh_audit)
-    p_write = mesh_sub.add_parser("write", help="write a built-in mesh to a file")
-    p_write.add_argument("out")
-    p_write.add_argument("--degree", type=int, default=4)
-    p_write.add_argument("--cells", type=int, nargs=3, default=(4, 4, 4))
-    p_write.add_argument("--amplitude", type=float, default=0.05)
-    p_write.set_defaults(func=_cmd_mesh_write)
 
-    return parser
+def _parse(argv):
+    """The handler of ``argv``'s command and a namespace of its arguments; usage errors exit 2."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        raise SystemExit(EXIT_OK)
+    command = " ".join(argv[:2 if argv[:1] == ["mesh"] else 1])
+    if command not in COMMANDS:
+        _usage_error(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    handler, positionals, options = COMMANDS[command]
+    words, free, extras, found = argv[command.count(" ") + 1:], [], [], {}
+    while words:
+        word = words.pop(0)
+        name, *taken = word.split("=", 1)  # "--name=value" gives its value here
+        if name not in options:
+            (extras if word.startswith("--") or len(free) == len(positionals) else free).append(word)
+            continue
+        kind, count, _ = options[name]
+        while words and not words[0].startswith("--") and len(taken) != count:
+            taken.append(words.pop(0))
+        if len(taken) < (1 if count == "+" else count):
+            _usage_error(f"argument {name}: needs {'one or more' if count == '+' else count} value(s), got {taken}")
+        try:
+            found[name] = kind(taken[0]) if count == 1 else [kind(v) for v in taken]
+        except ValueError as err:  # names the value, as in "invalid literal for int() ...: 'x'"
+            _usage_error(f"argument {name}: {err}")
+    found = {name: found.get(name, default) for name, (_, _, default) in options.items()}
+    missing = positionals[len(free):] + tuple(name for name, val in found.items() if val is REQUIRED)
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    dests = {name[2:].replace("-", "_"): val for name, val in found.items()}
+    return handler, types.SimpleNamespace(**dict(zip(positionals, free)), **dests)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return handler(args)
     except physics.PositivityError as err:  # subclasses ValueError: catch first
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -64,20 +64,21 @@ def gauss_lobatto(n):
     nodes = np.empty(n + 1)
     nodes[0], nodes[-1] = -1.0, 1.0
     tol = 4.0 * np.finfo(float).eps
-    for j in range(1, n):
-        # Newton on g = (1-x^2) L_n'; g' = -n(n+1) L_n by the Legendre ODE.
-        x = -np.cos(np.pi * j / n)
-        converged = False
-        for _ in range(50):
-            ell, dell = legendre_eval(n, x)
-            dx = (1.0 - x * x) * dell / (n * (n + 1) * ell)
-            x += dx
-            if abs(dx) <= tol * max(1.0, abs(x)):
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(f"LGL root finding failed to converge for interior node {j} at degree {n}")
-        nodes[j] = x
+    # Newton on g = (1-x^2) L_n'; g' = -n(n+1) L_n by the Legendre ODE.  All
+    # interior nodes iterate as one array; each drops out once its own step
+    # meets the tolerance, so it takes the same iterates as a scalar Newton.
+    x = -np.cos(np.pi * np.arange(1, n) / n)
+    todo = np.arange(n - 1)  # indices into x of the nodes still iterating
+    for _ in range(50):
+        ell, dell = legendre_eval(n, x[todo])
+        dx = (1.0 - x[todo] * x[todo]) * dell / (n * (n + 1) * ell)
+        x[todo] += dx
+        todo = todo[~(np.abs(dx) <= tol * np.maximum(1.0, np.abs(x[todo])))]
+        if todo.size == 0:
+            break
+    else:
+        raise RuntimeError(f"LGL root finding failed to converge for interior node {todo[0] + 1} at degree {n}")
+    nodes[1:-1] = x
     nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
     ell, _ = legendre_eval(n, nodes)
     weights = 2.0 / (n * (n + 1) * ell**2)
@@ -128,11 +129,9 @@ class NodalBasis:
 
 def build_basis(n):
     """Construct the NodalBasis of degree n (cached per degree)."""
-    basis = _basis_cache.get(n)
-    if basis is None:
-        basis = NodalBasis(n)
-        _basis_cache[n] = basis
-    return basis
+    if n not in _basis_cache:
+        _basis_cache[n] = NodalBasis(n)
+    return _basis_cache[n]
 
 
 _basis_cache = {}

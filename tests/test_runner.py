@@ -1,6 +1,5 @@
 """Time loop and command-line round trips."""
 
-import argparse
 import gc
 import itertools
 import json
@@ -517,8 +516,10 @@ def test_run_exits_0_where_mpmath_cannot_be_imported(tmp_path):
 
 def test_importing_the_cli_leaves_the_verify_battery_unloaded():
     # dataclasses too: no class on the run path is built by its decorator.
+    # argparse and gettext too: the command line is read from cli.COMMANDS by hand.
     result = run_fresh_python("import sys, splitdg.cli\n"
-                              "print(sorted({'splitdg.verify', 'decimal', 'dataclasses'} & set(sys.modules)))")
+                              "print(sorted({'splitdg.verify', 'decimal', 'dataclasses', 'argparse', 'gettext'}"
+                              " & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -530,19 +531,79 @@ def test_unknown_verify_suite_exits_2_naming_the_suites(capsys):
     assert all(f"'{name}'" in err for name in [*verify.SUITES, "all"])
 
 
-def parser_commands(parser, prefix=()):
-    """Every runnable subcommand of an argparse parser, as "mesh audit" style strings."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        return [" ".join(prefix)]
-    return [cmd for name, sub in subs[0].choices.items() for cmd in parser_commands(sub, prefix + (name,))]
-
-
 def test_cli_docstring_lists_the_parser_subcommands():
     block = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
     # Each line is the command words, then its arguments ("<path>", "--degree N", "...").
     listed = [" ".join(itertools.takewhile(str.isalpha, line.split())) for line in block.splitlines()]
-    assert sorted(listed) == sorted(parser_commands(cli.build_parser()))
+    assert sorted(listed) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv, word", [
+    ([], "''"),
+    (["nosuch"], "'nosuch'"),
+    (["mesh"], "'mesh'"),
+    (["mesh", "copy", "m.txt"], "'mesh copy'"),
+    (["run"], "config"),
+    (["verify"], "suite"),
+    (["mesh", "audit"], "path"),
+    (["converge", "wave.json"], "--levels"),
+    (["run", "wave.json", "extra.json"], "extra.json"),
+    (["mesh", "write", "m.txt", "--cells", "1", "2"], "--cells"),
+    (["mesh", "write", "m.txt", "--degree"], "--degree"),
+    (["run", "wave.json", "--output-dir"], "--output-dir"),
+    (["converge", "wave.json", "--levels", "--levels"], "--levels"),
+    (["mesh", "write", "m.txt", "--degree", "two"], "'two'"),
+    (["mesh", "write", "m.txt", "--amplitude=big"], "'big'"),
+    (["mesh", "write", "m.txt", "--cells", "1", "1", "1.5"], "'1.5'"),
+    (["converge", "wave.json", "--levels", "2", "wave.json"], "'wave.json'"),
+], ids=("no-command", "unknown-command", "mesh-alone", "mesh-unknown", "run-no-config",
+        "verify-no-suite", "audit-no-path", "converge-no-levels", "run-extra-word", "cells-two-values",
+        "degree-no-value", "output-dir-no-value", "levels-no-value", "degree-not-int",
+        "amplitude-equals-not-float", "cells-not-int", "levels-not-int"))
+def test_usage_error_exits_2_naming_the_word(capsys, argv, word):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: splitdg ") and captured.out == ""
+    assert error.startswith("splitdg: error: ") and word in error
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "-h"], ["run", "wave.json", "--help"],
+                                  ["verify", "--help"], ["converge", "wave.json", "--levels", "2", "-h"],
+                                  ["mesh", "-h"], ["mesh", "audit", "--help"], ["mesh", "write", "-h"]])
+def test_help_anywhere_prints_the_docstring_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_OK
+    assert capsys.readouterr() == (cli.__doc__, "")
+
+
+def test_options_bind_before_or_after_positionals_and_the_last_repeat_wins(monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "mesh write", (seen.append, *cli.COMMANDS["mesh write"][1:]))
+    cli.main(["mesh", "write", "--amplitude", "-0.1", "--degree", "2", "m.txt", "--cells", "1", "2", "3",
+              "--degree=3"])
+    cli.main(["mesh", "write", "m.txt"])
+    assert [vars(args) for args in seen] == [
+        {"out": "m.txt", "degree": 3, "cells": [1, 2, 3], "amplitude": -0.1},
+        {"out": "m.txt", "degree": 4, "cells": (4, 4, 4), "amplitude": 0.05}]
+
+
+def test_output_dir_with_equals_runs_as_with_a_space(tmp_path, capsys):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"degree": 1, "mesh": {"cells": [1, 1, 1]}, "final_time": 0.001,
+                                "output_dir": str(tmp_path / "config_dir")}))
+    summaries = []
+    for option in (["--output-dir", str(tmp_path / "a")], [f"--output-dir={tmp_path / 'b'}"]):
+        assert cli.main(["run", str(path), *option]) == cli.EXIT_OK
+        summaries.append(json.loads(capsys.readouterr().out))
+    spaced, equals = summaries
+    assert (spaced["monitor_csv"], equals["monitor_csv"]) == (str(tmp_path / "a" / "density_wave_monitor.csv"),
+                                                           str(tmp_path / "b" / "density_wave_monitor.csv"))
+    assert open(spaced["monitor_csv"], "rb").read() == open(equals["monitor_csv"], "rb").read()
+    assert not (tmp_path / "config_dir").exists()
 
 
 def test_failing_verify_suite_exits_1_with_a_fail_row(monkeypatch, capsys):
