@@ -1,7 +1,9 @@
 """Batch execution: time loops with monitors, state dumps, convergence studies."""
 
+import binascii
 import collections
 import os
+import re
 import time
 
 import numpy as np
@@ -9,7 +11,13 @@ import numpy as np
 from splitdg import cases, physics, solver as solver_mod
 
 MONITOR_HEADER = "t,dt,mass,momentum_x,momentum_y,momentum_z,energy,total_entropy,entropy_rate"
-STATE_MAGIC = "splitdg-state 1"
+STATE_MAGIC = "splitdg-state 2"
+# A node row of a state file: five fields of 16 hex digits, each followed by
+# a separator byte, a space after the first four and a newline after the last.
+_FIELD = 17
+_SEPARATORS = np.frombuffer(b"    \n", np.uint8)
+# Compiled on the first malformed file, not at import: set-up pays no regex.
+_ROW = rb"[0-9a-fA-F]{16}(?: [0-9a-fA-F]{16}){4}"
 
 
 def build_solver(config, mesh=None):
@@ -146,62 +154,102 @@ def run_case(config, output_dir=None):
 
 
 def write_state_file(path, mesh, u, t):
-    """Self-describing text dump of the nodal solution ``u`` at time ``t`` (a float).
+    """Self-describing dump of the nodal solution ``u`` at time ``t`` (a float).
 
-    ``mesh`` gives the degree and element count (``basis``,
-    ``num_elements``; a DGSolver has them too).  Streams one element at a
-    time, so the text of the whole file is never held in memory.
+    Format ``splitdg-state 2``: five text header lines (magic, ``degree N``,
+    ``elements K``, ``time {t!r}`` and the ordering line, which names the
+    encoding), then one line per node, element-major with nodes (i,j,k)
+    row-major, of the five conserved variables rho rhov1 rhov2 rhov3 rhoE.
+    Each value is the 16-digit hex of its big-endian IEEE-754 binary64 bits,
+    so the file round-trips bit for bit on every platform; one field decodes
+    as ``struct.unpack(">d", bytes.fromhex(field))[0]``.  ``mesh`` gives the
+    degree and element count (``basis``, ``num_elements``; a DGSolver has
+    them too).  Streams one element at a time through one line buffer, so
+    neither the text of the file nor a copy of ``u`` is held in memory.
     """
+    nodes = (mesh.basis.n + 1)**3
     header = [
         STATE_MAGIC,
         f"degree {mesh.basis.n}",
         f"elements {mesh.num_elements}",
         f"time {t!r}",
         "ordering element-major; nodes (i,j,k) row-major; "
-        "components rho rhov1 rhov2 rhov3 rhoE",
+        "components rho rhov1 rhov2 rhov3 rhoE; big-endian binary64 hex",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
+    lines = np.empty((nodes, 5, _FIELD), np.uint8)
+    lines[:, :, -1] = _SEPARATORS
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
         for e in range(mesh.num_elements):
-            rows = u[:, e].reshape(5, -1).T.tolist()  # (n1^3, 5)
-            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+            bits = np.ascontiguousarray(u[:, e].reshape(5, nodes).T, dtype=">f8")
+            lines[:, :, :-1] = np.frombuffer(binascii.hexlify(bits), np.uint8).reshape(nodes, 5, 16)
+            fh.write(lines)
 
 
 def read_state_file(path):
-    """Inverse of write_state_file: returns (degree, u, t).
+    """Inverse of write_state_file: returns (degree, u, t), u of shape (5, K, n, n, n).
+
+    The header lines are parsed as text; the body is decoded in one pass,
+    without a Python float per value.
 
     Raises:
-        ValueError: if the file is not a complete splitdg state file.
+        ValueError: if the file is not a complete ``splitdg-state 2`` file;
+            a malformed node row is named by its text.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != STATE_MAGIC:
+    with open(path, "rb") as fh:
+        raw = [fh.readline() for _ in range(5)]
+        body = fh.read()
+    lines = [ln.decode("latin-1").strip() for ln in raw]
+    if lines[0] != STATE_MAGIC:
+        magic, _, version = lines[0].partition(" ")
+        if magic == STATE_MAGIC.split()[0]:
+            raise ValueError(f"{path}: state file version {version}, expected {STATE_MAGIC}")
         raise ValueError(f"{path}: not a splitdg state file")
-    if len(lines) < 5:
-        raise ValueError(f"{path}: truncated header, {len(lines)} of 5 lines")
-
-    def numbers(kind, fields, line):
-        try:
-            return [kind(v) for v in fields]
-        except ValueError:
-            raise ValueError(f"{path}: expected {kind.__name__} values, got '{line}'") from None
+    if b"" in raw:
+        raise ValueError(f"{path}: truncated header, {raw.index(b'')} of 5 lines")
 
     def header(i, key, kind):
         parts = lines[i].split()
         if len(parts) != 2 or parts[0] != key:
             raise ValueError(f"{path}: expected '{key} <value>', got '{lines[i]}'")
-        return numbers(kind, parts[1:], lines[i])[0]
+        try:
+            return kind(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: expected {kind.__name__} values, got '{lines[i]}'") from None
 
     degree = header(1, "degree", int)
     num_elements = header(2, "elements", int)
     t = header(3, "time", float)
     n1 = degree + 1
-    data = np.array([numbers(float, ln.split(), ln) for ln in lines[5:]])
     expected = num_elements * n1**3
-    if data.shape != (expected, 5):
-        raise ValueError(f"{path}: expected {expected} rows of 5 values, got {data.shape}")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    data = _decode_rows(body, expected)
+    if data is None:
+        rows = body.split(b"\n")[:-1]
+        for row in rows:
+            if not re.fullmatch(_ROW, row):
+                text = row.decode("latin-1")
+                raise ValueError(f"{path}: expected 5 binary64 hex values, got '{text}'")
+        raise ValueError(f"{path}: expected {expected} rows of 5 values, got ({len(rows)}, 5)")
     u = np.moveaxis(data.reshape(num_elements, n1, n1, n1, 5), -1, 0)
     return degree, u, t
+
+
+def _decode_rows(body, expected):
+    """The (expected, 5) float array of a state file body, or None if it is malformed."""
+    if len(body) != expected * 5 * _FIELD:
+        return None
+    cells = np.frombuffer(body, np.uint8).reshape(expected, 5, _FIELD)
+    if not (cells[:, :, -1] == _SEPARATORS).all():
+        return None
+    try:
+        bits = bytes.fromhex(cells[:, :, :-1].tobytes().decode("ascii"))
+    except ValueError:  # a non-hex digit; UnicodeDecodeError is a ValueError
+        return None
+    if len(bits) != expected * 5 * 8:  # fromhex skips whitespace inside a field
+        return None
+    return np.frombuffer(bits, ">f8").astype(float).reshape(expected, 5)
 
 
 def convergence_study(config, levels):

@@ -331,13 +331,10 @@ def solver_suite():
         rhs = dg2.residual(uw, 0.0)
         drift = np.abs(np.einsum("cKijk,Kijk,i,j,k->c", rhs, dg2.j, w, w, w)).max()
         checks.append(Check.below(f"conservation of residual totals ({diss})", drift, 1e-12))
-        rate = dg2.entropy_rate(uw, rhs)
         if diss == "none":
             scale = _entropy_surface_scale(dg2, uw)
             checks.append(Check.below("entropy rate, ec + no dissipation (rel)",
-                                      abs(rate) / scale, 1e-11))
-        else:
-            checks.append(Check.below("entropy rate, ec + llf (<= 0)", rate, 1e-12))
+                                      abs(dg2.entropy_rate(uw, rhs)) / scale, 1e-11))
 
     gas_v = physics.GasModel(reynolds=100.0)
     dg_v = solver.DGSolver(mesh, gas_v, "ec", "llf")
@@ -397,6 +394,10 @@ def solver_suite():
     # identity holds whatever the interface means W* and F^v* are.
     # Each conservative variable is moved by up to 5 %; p stays above 0.75.
     u_jump = uw * (1.0 + 0.05 * rng.uniform(-1, 1, uw.shape))
+    # LLF adds -(lambda_max/2)|jump(w)|^2 per face node to the entropy rate:
+    # roundoff where the traces agree, so its sign is tested on jumped data.
+    checks.append(Check.below("entropy rate, ec + llf (<= 0)",
+                              dg.entropy_rate(u_jump, dg.residual(u_jump, 0.0)), 1e-12))
     checks.append(Check.below("BR1: viscous entropy rate = -<JQ,F^v>/Re (rel)",
                               br1_dissipation_gap(mesh, gas_v, u_jump), 1e-12))
 

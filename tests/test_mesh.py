@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from splitdg import cases, cli, geometry, mesh as mesh_mod, physics, runner, solver
+from test_solver import traced
 
 GEOMETRY = ("x", "ja", "j", "s_own", "n_own", "s_hat", "normal")
 
@@ -210,12 +211,22 @@ def _state(n=2):
 
 
 def test_state_file_round_trip_is_bitwise(tmp_path):
-    dg, u0, t0 = _state()
-    path = tmp_path / "final.state"
-    runner.write_state_file(path, dg, u0, t0)
-    degree, u, t = runner.read_state_file(path)
-    assert degree == 2 and t == t0
-    assert u.shape == u0.shape and np.array_equal(u, u0)
+    for n in (3, 4, 7):
+        dg, u0, t0 = _state(n)
+        u0[:, 0, 0, 0, 0] = (-0.0, 5e-324, -5e-324, 1e-300, -2.5e17)
+        path = tmp_path / f"final{n}.state"
+        runner.write_state_file(path, dg, u0, t0)
+        degree, u, t = runner.read_state_file(path)
+        assert degree == n and t == t0
+        assert u.shape == u0.shape and u.tobytes() == u0.tobytes(), n
+
+
+def test_state_file_writer_streams_one_element_at_a_time(tmp_path):
+    # A copy of the whole state (u.nbytes) or of its text would break the bound.
+    mesh = mesh_mod.warped_box_mesh(4, (4, 4, 4), amplitude=0.05)
+    u = cases.initial_condition(cases.DensityWave(), mesh, physics.GasModel())
+    _, _, peak = traced(runner.write_state_file, tmp_path / "final.state", mesh, u, 0.1)
+    assert peak < 0.5 * u.nbytes, (peak, u.nbytes)
 
 
 def test_truncated_state_file_rejected(tmp_path):
@@ -228,29 +239,31 @@ def test_truncated_state_file_rejected(tmp_path):
         runner.read_state_file(path)
 
 
-# N=1, two elements, 1/7 steps with a tiny, a signed-zero and a huge entry.
+# N=1, two elements, 1/7 steps with a tiny, a signed-zero, a subnormal and a
+# huge entry: 1e-300 is 01a56e1fc2f8f359, -0.0 8000000000000000, 5e-324
+# 0000000000000001 and -2.5e17 c38bc16d674ec800.
 REFERENCE_STATE_FILE = """\
-splitdg-state 1
+splitdg-state 2
 degree 1
 elements 2
 time 0.03333333333333333
-ordering element-major; nodes (i,j,k) row-major; components rho rhov1 rhov2 rhov3 rhoE
-1e-300 2.2857142857142856 4.571428571428571 6.857142857142857 9.142857142857142
-0.14285714285714285 -0.0 4.714285714285714 7.0 9.285714285714286
-0.2857142857142857 2.5714285714285716 4.857142857142857 7.142857142857143 9.428571428571429
-0.42857142857142855 2.7142857142857144 5.0 7.285714285714286 9.571428571428571
-0.5714285714285714 2.857142857142857 5.142857142857143 7.428571428571429 9.714285714285714
-0.7142857142857143 3.0 5.285714285714286 7.571428571428571 9.857142857142858
-0.8571428571428571 3.142857142857143 5.428571428571429 7.714285714285714 10.0
-1.0 3.2857142857142856 5.571428571428571 7.857142857142857 10.142857142857142
-1.1428571428571428 3.4285714285714284 5.714285714285714 8.0 10.285714285714286
-1.2857142857142858 3.5714285714285716 5.857142857142857 8.142857142857142 10.428571428571429
-1.4285714285714286 3.7142857142857144 6.0 8.285714285714286 10.571428571428571
-1.5714285714285714 3.857142857142857 6.142857142857143 8.428571428571429 10.714285714285714
-1.7142857142857142 4.0 6.285714285714286 8.571428571428571 10.857142857142858
-1.8571428571428572 4.142857142857143 6.428571428571429 8.714285714285714 11.0
-2.0 4.285714285714286 6.571428571428571 8.857142857142858 11.142857142857142
-2.142857142857143 4.428571428571429 6.714285714285714 9.0 -2.5e+17
+ordering element-major; nodes (i,j,k) row-major; components rho rhov1 rhov2 rhov3 rhoE; big-endian binary64 hex
+01a56e1fc2f8f359 4002492492492492 4012492492492492 401b6db6db6db6db 4022492492492492
+3fc2492492492492 8000000000000000 4012db6db6db6db7 401c000000000000 4022924924924925
+3fd2492492492492 4004924924924925 0000000000000001 401c924924924925 4022db6db6db6db7
+3fdb6db6db6db6db 4005b6db6db6db6e 4014000000000000 401d249249249249 4023249249249249
+3fe2492492492492 4006db6db6db6db7 4014924924924925 401db6db6db6db6e 40236db6db6db6db
+3fe6db6db6db6db7 4008000000000000 4015249249249249 401e492492492492 4023b6db6db6db6e
+3feb6db6db6db6db 4009249249249249 4015b6db6db6db6e 401edb6db6db6db7 4024000000000000
+3ff0000000000000 400a492492492492 4016492492492492 401f6db6db6db6db 4024492492492492
+3ff2492492492492 400b6db6db6db6db 4016db6db6db6db7 4020000000000000 4024924924924925
+3ff4924924924925 400c924924924925 40176db6db6db6db 4020492492492492 4024db6db6db6db7
+3ff6db6db6db6db7 400db6db6db6db6e 4018000000000000 4020924924924925 4025249249249249
+3ff9249249249249 400edb6db6db6db7 4018924924924925 4020db6db6db6db7 40256db6db6db6db
+3ffb6db6db6db6db 4010000000000000 4019249249249249 4021249249249249 4025b6db6db6db6e
+3ffdb6db6db6db6e 4010924924924925 4019b6db6db6db6e 40216db6db6db6db 4026000000000000
+4000000000000000 4011249249249249 401a492492492492 4021b6db6db6db6e 4026492492492492
+4001249249249249 4011b6db6db6db6e 401adb6db6db6db7 4022000000000000 c38bc16d674ec800
 """
 
 
@@ -316,6 +329,7 @@ def test_state_file_bytes_match_reference(tmp_path):
     u = np.arange(80.0).reshape(5, 2, 2, 2, 2) / 7.0
     u[0, 0, 0, 0, 0] = 1e-300
     u[1, 0, 0, 0, 1] = -0.0
+    u[2, 0, 0, 1, 0] = 5e-324
     u[4, 1, 1, 1, 1] = -2.5e17
     dg = SimpleNamespace(basis=SimpleNamespace(n=1), num_elements=2)
     path = tmp_path / "ref.state"
@@ -439,8 +453,43 @@ def test_orientation_code_out_of_range_rejected(tmp_path, capsys):
 NON_NUMERIC_STATE = {
     "degree": (1, "degree two"),
     "time": (3, "time t0"),
-    "data row": (7, "1.0 0.0 nan? 0.0 2.5"),
+    "data row": (7, "3ff0000000000000 0000000000000000 nan?000000000000 0000000000000000 4004000000000000"),
 }
+
+
+# Edits of the first node row (line 5) of a written state file, each leaving
+# a row that is not five 16-digit hex fields.
+BAD_STATE_ROW = {
+    "non-hex digit": lambda row: row[:3] + "g" + row[4:],
+    "15-digit field": lambda row: row[1:],
+    "four fields": lambda row: row.rsplit(" ", 1)[0],
+    "six fields": lambda row: row + " " + row.split()[0],
+    "decimal row": lambda row: "1.0 0.0 0.0 0.0 2.5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATE_ROW))
+def test_state_file_with_malformed_row_names_the_path_and_the_row(tmp_path, case):
+    dg, u, t = _state()
+    path = tmp_path / "final.state"
+    runner.write_state_file(path, dg, u, t)
+    lines = path.read_text().splitlines(keepends=True)
+    text = BAD_STATE_ROW[case](lines[5].rstrip("\n"))
+    lines[5] = text + "\n"
+    lines[-1] = "1.0\n"  # a later bad row: the first one is named
+    path.write_text("".join(lines))
+    message = f"{path}: expected 5 binary64 hex values, got '{text}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        runner.read_state_file(path)
+
+
+def test_version_1_state_file_rejected_naming_its_version(tmp_path):
+    path = tmp_path / "old.state"
+    path.write_text("splitdg-state 1\ndegree 0\nelements 1\ntime 0.0\n"
+                    "ordering element-major; nodes (i,j,k) row-major; components rho rhov1 rhov2 rhov3 rhoE\n"
+                    "1.0 0.0 0.0 0.0 2.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: state file version 1, expected splitdg-state 2$"):
+        runner.read_state_file(path)
 
 
 @pytest.mark.parametrize("case", sorted(NON_NUMERIC_STATE))

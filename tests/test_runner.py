@@ -731,6 +731,24 @@ def test_cfl_run_state_file_reads_back_its_final_state(tmp_path):
     assert np.array_equal(u, history[-1][0])
 
 
+def test_run_state_file_has_one_text_row_per_node(tmp_path, capsys):
+    # The benchmark checks a run's output as here: the state file opened as
+    # text, its non-blank lines after the 5 header lines, one per node.
+    config = {"case": "density_wave", "degree": 3, "dt": 0.01, "final_time": 0.02,
+              "mesh": {"builtin": "warped_box", "cells": [2, 1, 1], "amplitude": 0.05},
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    with open(summary["final_state"]) as fh:
+        assert sum(1 for line in fh if line.strip()) - 5 == 2 * 4**3
+    degree, u, t = runner.read_state_file(summary["final_state"])
+    _, history = reference_run(RunConfig.from_dict(config))
+    assert (degree, t) == (3, summary["final_time"])
+    assert u.shape == history[-1][0].shape and u.tobytes() == history[-1][0].tobytes()
+
+
 def test_run_reports_its_own_cost(tmp_path):
     summary = runner.run_case(wave_config(tmp_path, 1))
     assert summary["residual_evals"] == 5 * STEPS + 1
