@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from splitdg import physics
+from splitdg import physics, spectral
 
 
 def log_mean(a_left, a_right):
@@ -105,9 +105,9 @@ class EntropyConservativeFlux:
         f = _flux_buffer(out, rho_l, rho_r, v_l[0], v_r[0], direction[0])
         # The rows of f hold the means until the flux overwrites them:
         # f[0] rho^ln, then the mass flux; f[1:4] <v>; f[4] H_hat.  s0, s1
-        # are scratch; s2 holds p_hat.  f[m, ...] is a view even when the
-        # states are scalars.
-        s0, s1, s2 = (np.empty_like(f[0, ...]) for _ in range(3))
+        # are scratch, on cache lines like the rows of the kernel's buffers;
+        # s2 holds p_hat.  f[m, ...] is a view even when the states are scalars.
+        s0, s1, s2 = (spectral.aligned_array(f.shape[1:]) for _ in range(3))
         rho_ln = _log_mean_raw(rho_l, rho_r, out=f[0, ...], gap=s0, ratio=s1)
         v_avg = np.add(v_l, v_r, out=f[1:4])
         v_avg *= 0.5
@@ -179,8 +179,9 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
 
     F* and the entropy-variable jump are rows of ``work``, a flat float
     buffer with room for two (5, ...) arrays of the states' broadcast shape,
-    and each side's primitives, then its beta, replace its state in place:
-    a call with ``work`` overwrites ``u_left`` and ``u_right``.  The
+    each on whole cache lines (``spectral.whole_lines``), and each side's
+    primitives, then its beta, replace its state in place: a call with
+    ``work`` overwrites ``u_left`` and ``u_right``.  The
     returned F* is a view into ``work``, and only a few scratch rows are
     allocated.  With ``work=None`` the states are left unchanged and every
     array is allocated.
@@ -190,8 +191,8 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
             f"unknown dissipation '{dissipation}'; valid options: {list(DISSIPATION_MODES)}"
         )
     shape = (physics.NVAR,) + np.broadcast_shapes(u_left.shape[1:], u_right.shape[1:], normal.shape[1:])
-    size = math.prod(shape)
-    fstar, diss = (np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
+    size, lines = math.prod(shape), spectral.whole_lines(math.prod(shape))
+    fstar, diss = (np.empty(shape) if work is None else work[i * lines:i * lines + size].reshape(shape)
                    for i in range(2))
     # Each side's (rho, v, p), in place of its state when ``work`` is given.
     left, right = (physics.primitive_from_conservative(side, gas, out=None if work is None else side)

@@ -123,29 +123,41 @@ class MeshTopology:
 
     def _validate(self, link, wall):
         # Every face claim in record order: each link's left then right side,
-        # then the Dirichlet faces.  Per claim the checks run in the order
-        # range, duplicate, then (on a link's right side) its orientation, so
-        # the first failure is the first True of ``fails`` in row-major order.
-        elem, face = np.concatenate([link[:, :4].reshape(-1, 2), wall]).T
-        claims, slots = np.arange(len(elem)), self.num_elements * N_FACES
-        fails = np.zeros((len(elem), 3), dtype=bool)
-        fails[:, 0] = (elem < 0) | (elem >= self.num_elements) | (face < 0) | (face >= N_FACES)
-        # The first claim of each element face; out-of-range claims share one extra slot.
-        # (``np.minimum.at`` rather than ``np.unique``: a sort pages in ~0.2 MiB of code.)
-        key = np.where(fails[:, 0], slots, elem * N_FACES + face)
-        first = np.full(slots + 1, len(elem))
-        np.minimum.at(first, key, claims)
-        fails[:, 1] = first[key] < claims
-        fails[1:2 * len(link):2, 2] = (link[:, 4] < 0) | (link[:, 4] >= 8)
-        if fails.any():
-            claim, check = divmod(int(np.flatnonzero(fails)[0]), 3)
-            e, f = int(elem[claim]), int(face[claim])
-            if check == 2:
-                ln = self.links[claim // 2]
-                raise ValueError(f"orientation code must be 0..7, got {ln.orient} in {ln}")
-            raise ValueError(f"face reference out of range: element {e} face {f}" if check == 0
-                             else f"element {e} face {f} referenced more than once")
-        missing = slots - len(elem)
+        # then the Dirichlet faces.  The pass path runs on float copies of
+        # the records: float comparisons and fancy indexing are loops that
+        # set-up pages in anyway, where integer comparisons and
+        # ``np.minimum.at`` page in about 0.19 MiB of numpy code that a run
+        # uses nowhere else.  A record within the machine integers has an
+        # exact float copy where it is in range, and one out of range where
+        # it is not.
+        records = np.concatenate([link[:, :4].reshape(-1, 2), wall])
+        # Contiguous float rows: a strided integer cast pages in code too.
+        (elem, face), orient = records.astype(float).T.copy(), link.astype(float)[:, 4].copy()
+        slots = self.num_elements * N_FACES
+        # Every range check 0 <= value < limit, then (all in range) the
+        # duplicates: claims of one element face all write its slot, one of
+        # them holds it, and every other differs.
+        ranges = ((elem, self.num_elements), (face, N_FACES), (orient, 8))
+        bad = any(np.min(a, initial=0.0) < 0.0 or np.max(a, initial=0.0) >= limit for a, limit in ranges)
+        if not bad:
+            key, claims = (elem * N_FACES + face).astype(np.intp), np.arange(len(elem), dtype=float)
+            seen = np.empty(slots)
+            seen[key] = claims
+            bad = np.max(np.abs(seen[key] - claims), initial=0.0) > 0.0
+        if bad:
+            # The first bad claim, with the checks in the order range,
+            # duplicate, then (on a link's right side) its orientation.
+            taken = set()
+            for claim, (e, f) in enumerate(records.tolist()):
+                if not (0 <= e < self.num_elements and 0 <= f < N_FACES):
+                    raise ValueError(f"face reference out of range: element {e} face {f}")
+                if (e, f) in taken:
+                    raise ValueError(f"element {e} face {f} referenced more than once")
+                taken.add((e, f))
+                if claim < 2 * len(link) and claim % 2 and not 0 <= link[claim // 2, 4] < 8:
+                    ln = self.links[claim // 2]
+                    raise ValueError(f"orientation code must be 0..7, got {ln.orient} in {ln}")
+        missing = slots - len(records)
         if missing:
             raise ValueError(f"{missing} element faces have no neighbour or boundary tag")
 

@@ -194,6 +194,29 @@ def aliasing_coefficients(basis, u):
     return coeffs
 
 
+# Doubles per 64-byte cache line.  numpy's own allocations of mapped pages
+# start 16 bytes into a line, and a streaming ufunc whose operands all
+# start on a line runs up to twice as fast (see ``solver.Workspace``).
+LINE = 8
+
+
+def whole_lines(size):
+    """``size`` doubles rounded up to whole 64-byte cache lines."""
+    return -(-size // LINE) * LINE
+
+
+def aligned_array(shape, alloc=np.empty):
+    """A fresh float array of ``shape`` (from ``alloc``) whose data start on a 64-byte boundary.
+
+    Over-allocates by ``LINE - 1`` doubles and slices, so the array is a
+    C-contiguous view of a slightly larger one.
+    """
+    size = math.prod(shape)
+    raw = alloc(size + LINE - 1)
+    start = -raw.ctypes.data // 8 % LINE
+    return raw[start:start + size].reshape(shape)
+
+
 def apply_along(matrix, field, axis, out=None):
     """Apply an (m, p) matrix along one tensor axis of a (..., n, n, n) field.
 
@@ -259,12 +282,13 @@ def tensor_divergence(basis, flux, work=None):
 
     ``flux`` has a leading axis of length 3 (the xi/eta/zeta components);
     the last three axes are (i, j, k).  ``work``, an optional flat float
-    buffer with room for two arrays of the result's shape, holds the result
-    and one scratch array; the returned divergence is then a view into it.
+    buffer with room for two arrays of the result's shape, each on whole
+    cache lines (``whole_lines``), holds the result and one scratch array;
+    the returned divergence is then a view into it.
     """
     shape = flux.shape[1:]
-    size = math.prod(shape)
-    out, part = (np.empty(shape) if work is None else work[i * size:(i + 1) * size].reshape(shape)
+    size, lines = math.prod(shape), whole_lines(math.prod(shape))
+    out, part = (np.empty(shape) if work is None else work[i * lines:i * lines + size].reshape(shape)
                  for i in range(2))
     apply_along(basis.D, flux[0], 0, out)
     out += apply_along(basis.D, flux[1], 1, part)

@@ -449,6 +449,25 @@ def test_split_divergence_blocks_on_rotated_chain(monkeypatch, chain, flux):
     assert np.array_equal(solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas), whole)
 
 
+@pytest.mark.parametrize("degree", (1, 3, 4, 7))
+def test_pair_direction_matmul_is_bitwise_the_gathered_sum(degree):
+    """Ja_i + Ja_m of every pair: one matmul of the selection matrix, bitwise two gathers and an add."""
+    mesh = mesh_mod.warped_box_mesh(degree, (3, 2, 2), amplitude=0.05)
+    left, right, select, _ = solver._pair_operators(mesh.basis.D)
+    n, npairs = degree + 1, len(left)
+    # A block of all elements and a short block in the middle of the element axis.
+    for block in (slice(0, 12), slice(5, 8)):
+        count = block.stop - block.start
+        for axis in range(3):
+            shape = [3, count, n, n, n]
+            shape[axis + 2] = npairs
+            direction, a, b = (np.empty(shape) for _ in range(3))
+            spectral.apply_along(select, mesh.ja[axis][:, block], axis, direction)
+            gathered = (solver._take_rows(mesh.ja[axis], block, left, axis - 3, a)
+                        + solver._take_rows(mesh.ja[axis], block, right, axis - 3, b))
+            assert direction.tobytes() == gathered.tobytes()
+
+
 @pytest.fixture(scope="module")
 def warped_n7_4():
     return mesh_mod.warped_box_mesh(7, (4, 4, 4), amplitude=0.05)
@@ -518,6 +537,29 @@ def test_viscous_path_is_bitwise_independent_of_block_size_dirichlet_box(monkeyp
                                                   case.state)
     # One element, three, and the cap of 27 // 4 elements (blocks 6, 6, 6, 6, 3).
     assert steps == [1, 3, 6]
+
+
+@pytest.mark.parametrize("degree", (2, 4))
+def test_block_independence_with_views_padded_to_cache_lines(monkeypatch, degree):
+    """At odd n the blocks, face chunks and their views do not fill whole cache lines: padding leaks nowhere."""
+    gas = physics.GasModel()
+    mesh = mesh_mod.warped_box_mesh(degree, (3, 2, 1), amplitude=0.05, periodic=False)
+    u = perturbed_wave(mesh.x, gas)
+    steps = assert_viscous_path_block_independent(monkeypatch, mesh, u, cases.DensityWave().state)
+    assert steps[0] == 1 and (3 * 4 * (degree + 1) ** 3) % 8 != 0
+
+
+def test_workspace_buffers_take_whole_cache_lines():
+    work = solver.Workspace()
+    views = work.reserve(5, 9, 1)
+    assert work.sizes == (8, 16, 8) and work.flat.size == sum(work.sizes)
+    assert [v.size for v in views] == [5, 9, 1]
+    assert [v.ctypes.data - work.flat.ctypes.data for v in views] == [0, 64, 192]
+    assert work.flat.ctypes.data % 64 == 0
+    # A smaller request reuses the allocation.
+    flat = work.flat
+    work.reserve(3)
+    assert work.flat is flat and work.sizes == (8,)
 
 
 def test_viscous_path_is_bitwise_independent_of_block_size_rotated_chain(monkeypatch, chain):
@@ -646,6 +688,49 @@ def test_warm_residual_traced_peak(name):
         # fit in the four-row two-sided face region.
         assert dg._work.flat.size == sum(dg._work.sizes)
         assert dg._br1_faces(u, dg._ghost(0.01))[0] == dg.num_elements // dg.n1 == 54
+
+
+class _OutRecorder:
+    """numpy as a module sees it, but every ufunc call records its ``out`` array."""
+
+    def __init__(self, outs):
+        self.outs = outs
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def call(*args, out=None, **kwargs):
+            if isinstance(out, np.ndarray):
+                self.outs.append(out)
+            return attr(*args, out=out, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_kernel_operands_start_on_cache_lines(monkeypatch, name):
+    """Every workspace buffer, the kernel's result and every array the flux writes start on 64 bytes."""
+    dg, case, gas = runner.build_solver(config.RunConfig.from_dict(WORKLOAD_CONFIGS[name][0]))
+    u = cases.initial_condition(case, dg, gas)
+    buffers, outs = [], []
+    reserve = dg._work.reserve
+
+    def recorded_reserve(*sizes):
+        views = reserve(*sizes)
+        buffers.extend(views)
+        return views
+
+    monkeypatch.setattr(dg._work, "reserve", recorded_reserve)
+    monkeypatch.setattr(fluxes, "np", _OutRecorder(outs))
+    rhs = dg.residual(u, 0.01)
+    div = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, dg._work)
+    # The kernel, the face phase and (on ns_n3_dirichlet) the viscous path reserve.
+    assert len(buffers) == (8 if gas.viscous else 5) + 3
+    # The flux's three scratch rows of every block and face chunk among them.
+    assert len({a.ctypes.data for a in outs}) > 3
+    for a in buffers + outs + [rhs, div]:
+        assert a.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
