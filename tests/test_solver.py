@@ -18,10 +18,13 @@ positivity errors must name global elements.  The viscous path runs over
 element blocks too, of at most K // n elements: the Re=100 residual and
 the lifted gradients must not depend on the block size, a warm viscous
 residual must allocate no whole gradient or flux array, and at N=7 its
-workspace must stay near two state sizes.  On the benchmark's
-configurations the face phase must fit in the volume kernel's reservation,
-the Re=100 workspace within its bound, and a warm RK step within the state,
-its register and two stage residuals plus one residual's fresh arrays.
+workspace must stay near two state sizes.  Every workspace buffer, the
+kernel's result and every array the flux writes must start on a 64-byte
+cache line, and the padding that this takes must not reach a result.  On
+the benchmark's configurations the face phase must fit in the volume
+kernel's reservation, the Re=100 workspace within its bound, and a warm RK
+step within the state, its register and two stage residuals plus one
+residual's fresh arrays.
 Last, the paper's robustness claim: on an under-resolved inviscid
 Taylor-Green vortex the central volume flux loses positivity, while the
 entropy-conservative split form finishes with its entropy budget intact.
