@@ -91,14 +91,23 @@ def initial_condition(case, solver, gas):
     return case.state(solver.x, 0.0, gas)
 
 
+def error_grid_degree(n):
+    """The degree of the LGL grid on which ``error_norms`` measures a degree-n solution."""
+    return 2 * n + 8
+
+
+# The largest degree of a run: its error grid must be a basis that spectral builds.
+MAX_DEGREE = max(n for n in range(1, spectral.MAX_DEGREE + 1) if error_grid_degree(n) <= spectral.MAX_DEGREE)
+
+
 def error_norms(solver, u, case, gas, t):
     """L2 and Linf errors per variable against the exact case solution.
 
     The numerical solution, the geometry, and the Jacobian are interpolated
-    to an LGL grid of degree 2N + 8 (exact for the geometry, which is a
-    degree-N polynomial), and the L2 norm uses that over-resolved
-    quadrature.  Elements are refined one at a time, one axis at a time, so
-    only one element's fine-grid arrays are held at once.
+    to an LGL grid of degree ``error_grid_degree(N)``, 2N + 8 (exact for
+    the geometry, which is a degree-N polynomial), and the L2 norm uses that
+    over-resolved quadrature.  Elements are refined one at a time, one axis
+    at a time, so only one element's fine-grid arrays are held at once.
 
     Returns:
         (l2, linf): arrays of 5 per-variable error norms.
@@ -108,7 +117,7 @@ def error_norms(solver, u, case, gas, t):
             positive on its fine grid.
     """
     basis = solver.basis
-    fine = spectral.build_basis(2 * basis.n + 8)
+    fine = spectral.build_basis(error_grid_degree(basis.n))
     p = spectral.lagrange_values(basis, fine.nodes)
     w = fine.weights
     w3 = np.multiply.outer(np.multiply.outer(w, w), w)

@@ -47,6 +47,10 @@ class RunConfig:
         for key in ("degree", "monitor_interval"):
             if not _is_count(getattr(self, key)):
                 raise ConfigError(f"{key}: must be an integer >= 1, got {getattr(self, key)!r}")
+        # A higher degree would fail in the error norms, after the whole time loop.
+        if self.degree > cases.MAX_DEGREE:
+            raise ConfigError(f"degree: must be at most {cases.MAX_DEGREE}, whose error norms use a grid of "
+                              f"degree {cases.error_grid_degree(cases.MAX_DEGREE)}, got {self.degree}")
         for key in ("mesh", "gas", "case_params"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: must be an object, got {getattr(self, key)!r}")

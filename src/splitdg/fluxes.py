@@ -17,11 +17,9 @@ loops of the volume kernel therefore never recompute primitives.
 returns it.  The arithmetic is the same with and without ``out``, so the
 two give bitwise equal results; ``out`` must not overlap the inputs.  The
 volume kernel passes its own pair-array buffer, so a call allocates only a
-few scratch arrays of one pair-array each; the surface flux passes rows of
-its flat ``work`` buffer.
+few scratch arrays of one pair-array each; the surface flux passes the F*
+array of its ``work`` pair.
 """
-
-import math
 
 import numpy as np
 
@@ -177,23 +175,20 @@ def surface_flux_advective(u_left, u_right, normal, gas, dissipation="llf", work
     node, so its entropy contribution is provably non-positive.  Each side
     is converted to (rho, v, p) once; beta, c and w all derive from that.
 
-    F* and the entropy-variable jump are rows of ``work``, a flat float
-    buffer with room for two (5, ...) arrays of the states' broadcast shape,
-    each on whole cache lines (``spectral.whole_lines``), and each side's
-    primitives, then its beta, replace its state in place: a call with
-    ``work`` overwrites ``u_left`` and ``u_right``.  The
-    returned F* is a view into ``work``, and only a few scratch rows are
-    allocated.  With ``work=None`` the states are left unchanged and every
-    array is allocated.
+    F* and the entropy-variable jump go to ``work``, a pair (F*, jump) of
+    float arrays of the (5, ...) broadcast shape of the states, and each
+    side's primitives, then its beta, replace its state in place: a call
+    with ``work`` overwrites ``u_left`` and ``u_right``.  The returned F*
+    is ``work[0]``, and only a few scratch rows are allocated.  With
+    ``work=None`` the states are left unchanged and every array is
+    allocated.
     """
     if dissipation not in DISSIPATION_MODES:
         raise ValueError(
             f"unknown dissipation '{dissipation}'; valid options: {list(DISSIPATION_MODES)}"
         )
     shape = (physics.NVAR,) + np.broadcast_shapes(u_left.shape[1:], u_right.shape[1:], normal.shape[1:])
-    size, lines = math.prod(shape), spectral.whole_lines(math.prod(shape))
-    fstar, diss = (np.empty(shape) if work is None else work[i * lines:i * lines + size].reshape(shape)
-                   for i in range(2))
+    fstar, diss = (np.empty(shape), np.empty(shape)) if work is None else work
     # Each side's (rho, v, p), in place of its state when ``work`` is given.
     left, right = (physics.primitive_from_conservative(side, gas, out=None if work is None else side)
                    for side in (u_left, u_right))

@@ -39,6 +39,9 @@ from splitdg import spectral
 
 FACE_NORMAL_AXIS = (0, 0, 1, 1, 2, 2)  # reference axis each face is normal to
 FACE_SIGN = (-1, +1, -1, +1, -1, +1)
+# The outward sign of each face's reference normal, against the face axis,
+# as a float array that broadcasts over (6, K, n, n) face data.
+FACE_SIGN_ARRAY = np.array(FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
 
 
 class GeometryError(ValueError):
@@ -256,5 +259,4 @@ def face_geometry(ja):
         raise GeometryError(
             f"degenerate face {bad[0][0]} of element {bad[0][1]}: "
             f"surface element {s_hat[tuple(bad[0])]:.3e}")
-    sign = np.array(FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
-    return s_hat, sign * vec / s_hat
+    return s_hat, FACE_SIGN_ARRAY * vec / s_hat

@@ -122,42 +122,25 @@ class MeshTopology:
         _read_only(self.x, self.ja, self.j, self.s_own, self.n_own, link)
 
     def _validate(self, link, wall):
-        # Every face claim in record order: each link's left then right side,
-        # then the Dirichlet faces.  The pass path runs on float copies of
-        # the records: float comparisons and fancy indexing are loops that
-        # set-up pages in anyway, where integer comparisons and
-        # ``np.minimum.at`` page in about 0.19 MiB of numpy code that a run
-        # uses nowhere else.  A record within the machine integers has an
-        # exact float copy where it is in range, and one out of range where
-        # it is not.
-        records = np.concatenate([link[:, :4].reshape(-1, 2), wall])
-        # Contiguous float rows: a strided integer cast pages in code too.
-        (elem, face), orient = records.astype(float).T.copy(), link.astype(float)[:, 4].copy()
-        slots = self.num_elements * N_FACES
-        # Every range check 0 <= value < limit, then (all in range) the
-        # duplicates: claims of one element face all write its slot, one of
-        # them holds it, and every other differs.
-        ranges = ((elem, self.num_elements), (face, N_FACES), (orient, 8))
-        bad = any(np.min(a, initial=0.0) < 0.0 or np.max(a, initial=0.0) >= limit for a, limit in ranges)
-        if not bad:
-            key, claims = (elem * N_FACES + face).astype(np.intp), np.arange(len(elem), dtype=float)
-            seen = np.empty(slots)
-            seen[key] = claims
-            bad = np.max(np.abs(seen[key] - claims), initial=0.0) > 0.0
-        if bad:
-            # The first bad claim, with the checks in the order range,
-            # duplicate, then (on a link's right side) its orientation.
-            taken = set()
-            for claim, (e, f) in enumerate(records.tolist()):
-                if not (0 <= e < self.num_elements and 0 <= f < N_FACES):
-                    raise ValueError(f"face reference out of range: element {e} face {f}")
-                if (e, f) in taken:
-                    raise ValueError(f"element {e} face {f} referenced more than once")
-                taken.add((e, f))
-                if claim < 2 * len(link) and claim % 2 and not 0 <= link[claim // 2, 4] < 8:
-                    ln = self.links[claim // 2]
-                    raise ValueError(f"orientation code must be 0..7, got {ln.orient} in {ln}")
-        missing = slots - len(records)
+        # One pass over every face claim in record order: each link's left
+        # then right side, then the Dirichlet faces.  Each claim is checked
+        # for its range, then for a repeat (``taken`` holds one byte per
+        # element face), then, on a link's right side, for the link's
+        # orientation.  The numbers come from the records' integer arrays as
+        # one list of ints per column, not as an object per claim.
+        elems, faces = np.concatenate([link[:, :4].reshape(-1, 2), wall]).T.tolist()
+        orients, num, taken = link[:, 4].tolist(), self.num_elements, bytearray(self.num_elements * N_FACES)
+        for claim, (e, f) in enumerate(zip(elems, faces)):
+            if not (0 <= e < num and 0 <= f < N_FACES):
+                raise ValueError(f"face reference out of range: element {e} face {f}")
+            slot = e * N_FACES + f
+            if taken[slot]:
+                raise ValueError(f"element {e} face {f} referenced more than once")
+            taken[slot] = 1
+            if claim % 2 and claim < 2 * len(orients) and not 0 <= orients[claim // 2] < 8:
+                ln = self.links[claim // 2]
+                raise ValueError(f"orientation code must be 0..7, got {ln.orient} in {ln}")
+        missing = len(taken) - len(elems)
         if missing:
             raise ValueError(f"{missing} element faces have no neighbour or boundary tag")
 

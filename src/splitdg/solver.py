@@ -74,30 +74,13 @@ from splitdg import fluxes, geometry, physics, spectral
 
 # Byte budget of one float64 row of an element block: the (pairs, n, n)
 # row of a pair array in split_divergence, the (n, n, n) row of a nodal
-# field in the viscous block loop.  That is 4 elements at N=7, 32 at N=4 and
-# 85 at N=3 in the kernel, 16, 65 and 128 in the viscous loop, which caps
-# them at K // n elements (54 on a 6^3 box at N=3, 8 on 4^3 at N=7) to fit
-# in its face region.  The face chunks of the advective face phase follow the same rule
-# with the (n, n) row of one face, 8,192 face nodes, 128 faces at N=7 and
-# 512 at N=3, capped at what the workspace holds after the kernel: 192 faces
-# (all) on 4^3 elements at N=4, 60 of 81 on 3^3 at N=7.  A byte
-# budget, not an element count, because the per-element rows grow like N^4
-# and N^3: it keeps the block arrays cache-sized at every degree and the
-# memory flat in K, while blocks of many low-degree elements keep the Python
-# loop overhead small.  Swept over 16-256 KiB at N = 3, 4, 7 on 4^3 and 8^3
-# boxes with the workspace in place: 16-32 KiB are slower everywhere.
-# Larger blocks gain nothing that holds up: on the three benchmark
-# workloads (euler_n4, euler_n7_short, ns_n3_dirichlet; 60 interleaved warm
-# residuals per size, 2-core x86-64, one BLAS thread) 128 KiB moved the
-# median residual by -3 / +2 / +4 % and won 38 / 21 / 21 of 60 pairs,
-# 256 KiB by -3 / +6 / +2 %, while a full run's peak RSS rose by
-# 1.0 / 0.6 / 1.3 MiB at 128 KiB, as the workspace grows with the block.  Re=100
-# residuals at N=3 on 6^3, N=4 on 4^3 and N=7 on 3^3 elements (medians of
-# 15 interleaved warm calls): the viscous loop's 128, 65 and 16 elements
-# are within 5 % of one block of all elements, blocks of 4 elements are
-# 1.1-1.8x slower.  The cap, K // n, gives 54, 12 and 3 elements there; a
-# cap of 4K // (5n), 43, 10 and 2, left the medians within the machine's
-# drift of it (3 interleaved process pairs).
+# field in the viscous block loop, the (n, n) row of one face in the
+# advective face phase's chunks.  A byte budget, not an element count,
+# because the per-element rows grow like N^4 and N^3: it keeps the block
+# arrays cache-sized at every degree and the memory flat in K, while blocks
+# of many low-degree elements keep the Python loop overhead small.  Smaller
+# budgets are slower; larger ones gain nothing that holds up, and the
+# workspace, and with it a run's peak memory, grows with the block.
 PAIR_BLOCK_BYTES = 64 * 1024
 
 
@@ -185,15 +168,15 @@ class Workspace:
     object is not thread-safe: one caller at a time may use it.
 
     Every buffer starts on a 64-byte cache line: the allocation is aligned
-    (``spectral.aligned_array``) and each buffer takes whole lines, and the
-    phases cut their views at whole lines too (``_cut``).  numpy's own
-    large allocations start 16 bytes into a line, and a streaming ufunc
-    runs up to twice as fast on aligned operands: on 7,168 doubles (the
-    pair row of a kernel block at N=7; 2-vCPU x86-64 with AVX-512, numpy
-    2.4.6) a multiply took 2.8 against 5.3-5.5 us 16 bytes off a line and
-    an in-place add 2.35 against 2.8-2.9 us, while divide and log1p, bound
-    by compute, did not move.  A page-aligned allocation and a 4 KiB
-    stagger between buffers were no faster than whole lines.
+    (``spectral.aligned_array``) and each buffer takes whole lines
+    (``whole_lines``), and the phases cut their views at whole lines too
+    (``_cut``), the work pairs of ``spectral.tensor_divergence`` and
+    ``fluxes.surface_flux_advective`` included.  So this module is the one
+    place that computes cache-line offsets.  numpy's own large allocations
+    start 16 bytes into a line, and a streaming ufunc such as a multiply or
+    an in-place add runs faster on aligned operands; one bound by compute,
+    such as a divide, does not move.  Page alignment was no faster than
+    whole lines.
     """
 
     def __init__(self):
@@ -201,15 +184,16 @@ class Workspace:
         self.flat = np.empty(0)
 
     def reserve(self, *sizes):
-        self.sizes = tuple(spectral.whole_lines(size) for size in sizes)
+        self.sizes = tuple(whole_lines(size) for size in sizes)
         if sum(self.sizes) > self.flat.size:
             self.flat = spectral.aligned_array((sum(self.sizes),))
         starts = itertools.accumulate(self.sizes, initial=0)
         return tuple(self.flat[start:start + size] for size, start in zip(sizes, starts))
 
 
-# Outward sign of each face's reference normal, against the face axis.
-_FACE_SIGN = np.array(geometry.FACE_SIGN, dtype=float).reshape(6, 1, 1, 1)
+def whole_lines(size):
+    """``size`` doubles rounded up to whole 64-byte cache lines."""
+    return -(-size // spectral.LINE) * spectral.LINE
 
 
 def _view(flat, shape, offset=0):
@@ -222,7 +206,7 @@ def _cut(flat, *shapes):
     views, offset = [], 0
     for shape in shapes:
         views.append(_view(flat, shape, offset))
-        offset += spectral.whole_lines(views[-1].size)
+        offset += whole_lines(views[-1].size)
     return views
 
 
@@ -249,8 +233,8 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     gathered one bit for bit: each row has two non-zero terms, so the
     matmul adds only exact zeros to Ja_i + Ja_m (a sum of two -0.0 would
     come out +0.0; the metrics of the box meshes hold none).  It replaces
-    two ``take`` gathers and an add per block, at 1.4-3.1x their speed on
-    every axis at N = 3, 4 and 7.
+    two ``take`` gathers and an add per block, and is faster than they are
+    on every axis.
 
     The flux is prepared once for all elements, so a positivity failure
     names the global element.  The pairs are then gathered, evaluated and
@@ -285,13 +269,12 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
         work = Workspace()
     pair_size = step * npairs * n * n
     buffers = work.reserve(
-        max(2 * sum(spectral.whole_lines(len(rows) * pair_size) for rows in state_rows),
+        max(2 * sum(whole_lines(len(rows) * pair_size) for rows in state_rows),
             physics.NVAR * step * n**3),
         3 * pair_size, physics.NVAR * pair_size)
     layouts = {}
-    for start in range(0, num_elements, step):
-        block = slice(start, start + step)
-        count = min(step, num_elements - start)
+    for block in _blocks(num_elements, step):
+        count = min(step, num_elements - block.start)
         for axis in range(3):
             line = axis - 3
             if (count, axis) not in layouts:
@@ -536,8 +519,8 @@ class DGSolver:
         face_rows = nw * self._from_own.size
         step = min(_block_elements(num_elements, n**3), max(1, num_elements // n))
         jump, _, region = self._work.reserve(max(face_rows, u[0].size), nw * u[0].size,
-                                             max(2 * spectral.whole_lines(3 * nw * step * n**3), face_rows))
-        prim = _view(self._work.flat, u.shape, spectral.whole_lines(jump.size) - u[0].size)
+                                             max(2 * whole_lines(3 * nw * step * n**3), face_rows))
+        prim = _view(self._work.flat, u.shape, whole_lines(jump.size) - u[0].size)
         w = physics.viscous_entropy_variables(
             *physics.primitive_from_conservative(u, self.gas, out=prim), out=prim[1:])
         # The own traces sit in the jump's memory until the jump is formed.
@@ -549,7 +532,7 @@ class DGSolver:
         diff -= own
         diff[:, :len(self.l_elem)] *= 0.5
         jump = self._to_faces(two, _view(jump, (nw, 6, num_elements, n, n)))
-        jump *= _FACE_SIGN / self.w0
+        jump *= geometry.FACE_SIGN_ARRAY / self.w0
         return step, w, jump, region
 
     def _lifted_blocks(self, w, jump, step, region):
@@ -624,10 +607,10 @@ class DGSolver:
             flux = np.einsum("ldKijk,dcKijk->lcKijk", self.ja[:, :, block], fv, out=q)
             for face, axis in enumerate(geometry.FACE_NORMAL_AXIS):
                 jump[:, face, block] = flux[axis][geometry.face_slice(face)]
-            div = spectral.tensor_divergence(self.basis, flux, region[:fv.size])
+            div = spectral.tensor_divergence(self.basis, flux, _cut(region, *2 * [flux.shape[1:]]))
             div /= self.gas.reynolds
             rhs[1:, block] += div
-        traces = np.multiply(jump, _FACE_SIGN, out=jump)
+        traces = np.multiply(jump, geometry.FACE_SIGN_ARRAY, out=jump)
         # Each face node's trace plus its partner's, in the spent block region.
         penalty = _view(region, traces.shape)
         traces.reshape(len(traces), -1).take(self._partner, axis=1, mode="clip",
@@ -671,13 +654,12 @@ class DGSolver:
         step = min(_block_elements(num_faces, n * n),
                    max(1, room // 4 // spectral.LINE * spectral.LINE // (nv * n * n)))
         two, rest = self._work.reserve(nv * face_size,
-                                       max(4 * spectral.whole_lines(nv * step * n * n), nv * face_size))
+                                       max(4 * whole_lines(nv * step * n * n), nv * face_size))
         two = two.reshape(nv, face_size)
         f_s = two[:, :self._own_volume.size].reshape((nv,) + s_own.shape)
         for faces in _blocks(num_faces, step):
             shape = (nv,) + s_own[faces].shape
-            lines = spectral.whole_lines(math.prod(shape))
-            own, ext, work = _cut(rest, shape, shape, (2 * lines,))
+            own, ext, *work = _cut(rest, *4 * [shape])
             self._traces(u, ghost, faces, own, ext)
             fstar = fluxes.surface_flux_advective(own, ext, self.mesh.n_own[:, faces], gas,
                                                   self.surface_dissipation, work)

@@ -86,13 +86,6 @@ def gauss_lobatto(n):
     return nodes, weights
 
 
-def barycentric_weights(nodes):
-    """Barycentric weights b_j = 1 / prod_{i != j} (x_j - x_i)."""
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return 1.0 / diff.prod(axis=1)
-
-
 class NodalBasis:
     """Degree-N Lagrange basis on LGL nodes with its SBP operator family.
 
@@ -111,11 +104,13 @@ class NodalBasis:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
         self.n = n
         self.nodes, self.weights = gauss_lobatto(n)
-        self.bary = barycentric_weights(self.nodes)
-        # D from the barycentric form; the diagonal is the negative row sum,
-        # which makes D @ 1 = 0 hold exactly.
+        # One matrix of node differences x_j - x_i (ones on the diagonal)
+        # gives the barycentric weights b_j = 1 / prod_{i != j} (x_j - x_i)
+        # and D in the barycentric form; D's diagonal is the negative row
+        # sum, which makes D @ 1 = 0 hold exactly.
         diff = self.nodes[:, None] - self.nodes[None, :]
         np.fill_diagonal(diff, 1.0)
+        self.bary = 1.0 / diff.prod(axis=1)
         d = (self.bary[None, :] / self.bary[:, None]) / diff
         np.fill_diagonal(d, 0.0)
         np.fill_diagonal(d, -d.sum(axis=1))
@@ -201,11 +196,6 @@ def aliasing_coefficients(basis, u):
 LINE = 8
 
 
-def whole_lines(size):
-    """``size`` doubles rounded up to whole 64-byte cache lines."""
-    return -(-size // LINE) * LINE
-
-
 def aligned_array(shape, alloc=np.empty):
     """A fresh float array of ``shape`` (from ``alloc``) whose data start on a 64-byte boundary.
 
@@ -284,15 +274,13 @@ def tensor_divergence(basis, flux, work=None):
     """Reference-space divergence of a vector field.
 
     ``flux`` has a leading axis of length 3 (the xi/eta/zeta components);
-    the last three axes are (i, j, k).  ``work``, an optional flat float
-    buffer with room for two arrays of the result's shape, each on whole
-    cache lines (``whole_lines``), holds the result and one scratch array;
-    the returned divergence is then a view into it.
+    the last three axes are (i, j, k).  ``work``, an optional pair
+    (result, scratch) of C-contiguous float arrays of the result's shape,
+    holds the result and one scratch array; the returned divergence is then
+    its result.  Both are allocated when ``work`` is None.
     """
     shape = flux.shape[1:]
-    size, lines = math.prod(shape), whole_lines(math.prod(shape))
-    out, part = (np.empty(shape) if work is None else work[i * lines:i * lines + size].reshape(shape)
-                 for i in range(2))
+    out, part = (np.empty(shape), np.empty(shape)) if work is None else work
     apply_along(basis.D, flux[0], 0, out)
     out += apply_along(basis.D, flux[1], 1, part)
     out += apply_along(basis.D, flux[2], 2, part)

@@ -298,9 +298,10 @@ class TestSurfaceFlux:
         n = rng.normal(size=(3, 200))
         n /= np.sqrt(np.sum(n * n, axis=0))
         ref = fl.surface_flux_advective(ua, ub, n, GAS, mode)
-        la, lb, work = ua.copy(), ub.copy(), np.full(2 * ua.size, np.nan)
+        # ``work`` is the pair (F*, jump): two arrays of the flux's shape.
+        la, lb, work = ua.copy(), ub.copy(), np.full((2,) + ua.shape, np.nan)
         fstar = fl.surface_flux_advective(la, lb, n, GAS, mode, work)
-        assert np.array_equal(fstar, ref) and np.shares_memory(fstar, work)
+        assert np.array_equal(fstar, ref) and np.shares_memory(fstar, work[0])
         assert np.array_equal(la[0], ua[0]) and not np.array_equal(la[1:], ua[1:])
 
     def test_unknown_mode_rejected(self):

@@ -561,6 +561,12 @@ BAD_RECORDS = {
         "element 1 face 0 referenced more than once"),
     "both sides of a link on one face": (
         [(0, 1, 0, 1, 0, False)], WALLS, "element 0 face 1 referenced more than once"),
+    # The repeat is checked before the orientation on the same claim.
+    "self-link with a bad orientation": (
+        [(0, 1, 0, 1, 9, False)], WALLS, "element 0 face 1 referenced more than once"),
+    # More claims than element faces: the repeat is found before the count.
+    "wall on a link's right side, one claim more than faces": (
+        [LINK], WALLS + ((1, 0),), "element 1 face 0 referenced more than once"),
     "duplicate before an out-of-range wall": (
         [LINK], WALLS[:2] + ((0, 0), (9, 9)) + WALLS[2:], "element 0 face 0 referenced more than once"),
     "orientation before a later out-of-range link": (

@@ -406,6 +406,31 @@ def test_removed_gas_key_exits_2_naming_the_key(tmp_path, capsys, command, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("degree", [12, 31])
+def test_degree_beyond_the_error_grid_exits_2_before_set_up(tmp_path, capsys, monkeypatch, degree):
+    # The error norms need a basis of degree 2N + 8, at most spectral.MAX_DEGREE = 30.
+    config = {"degree": degree, "dt": 0.001, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]},
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    refuse_to_build_a_mesh(monkeypatch)
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: degree: must be at most 11, whose error norms use a grid "
+                                       f"of degree 30, got {degree}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_highest_degree_run_reaches_its_error_norms(tmp_path, capsys):
+    config = {"degree": 11, "dt": 0.001, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]},
+              "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steps"] == 1
+    assert len(summary["l2_error"]) == 5 and all(map(math.isfinite, summary["l2_error"]))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "all", "--seed", "1"],
     ["verify", "all", "--report", "x.txt"],
