@@ -3,9 +3,10 @@
 Every registered case supplies ``state(x, t, gas)``, the conservative state
 at physical points x (shape (3, ...)): an exact solution of the Euler
 equations, or of the forced equations for a case that also supplies
-``source(x, t, gas)``.  It doubles as the initial condition, the Dirichlet
-exterior state, and the reference for error norms.  Error norms are
-evaluated with over-resolved LGL quadrature (degree 2N+8) against it.
+``source(x, t, gas, out)``, which adds its forcing into ``out``.  It
+doubles as the initial condition, the Dirichlet exterior state, and the
+reference for error norms.  Error norms are evaluated with over-resolved
+LGL quadrature (degree 2N+8) against it.
 """
 
 import numpy as np
@@ -39,29 +40,26 @@ class ManufacturedWave:
     """Smooth wave in all primitive variables with an analytic source term.
 
     rho = 1 + a sin(2 pi (x+y+z - t)), v_d = v0 (constant), p = 1 + a sin(...).
-    Not a solution of the equations; ``source(x, t)`` returns the residual
-    forcing that makes it one (inviscid part; with viscosity enabled the
-    constant-velocity choice keeps all viscous terms identically zero, so
-    the same source is exact for Navier-Stokes too).
+    Not a solution of the equations; ``source(x, t, gas, out)`` adds the
+    residual forcing that makes it one (inviscid part; with viscosity
+    enabled the constant-velocity choice keeps all viscous terms
+    identically zero, so the same source is exact for Navier-Stokes too).
     """
 
     def __init__(self, amplitude=0.1, velocity=(0.7, 0.4, 0.2)):
         self.amplitude = amplitude
         self.velocity = np.asarray(velocity, dtype=float)
 
-    def _phase(self, x, t):
-        return 2.0 * np.pi * (x[0] + x[1] + x[2] - t)
-
     def state(self, x, t, gas):
         shape = x.shape[1:]
-        s = np.sin(self._phase(x, t))
+        s = np.sin(2.0 * np.pi * (x[0] + x[1] + x[2] - t))
         rho = 1.0 + self.amplitude * s
         p = 1.0 + self.amplitude * s
         v = np.broadcast_to(self.velocity.reshape((3,) + (1,) * len(shape)), (3,) + shape)
         return physics.conservative_from_primitive(rho, v, p, gas)
 
-    def source(self, x, t, gas):
-        """d u_exact/dt + div f(u_exact), evaluated analytically.
+    def source(self, x, t, gas, out):
+        """Add d u_exact/dt + div f(u_exact), evaluated analytically, to ``out`` (5, ...).
 
         With constant velocity v0 and rho = p = 1 + a s(phase), phase
         = 2 pi (x+y+z-t): all fields depend on the single scalar phase, so
@@ -69,15 +67,24 @@ class ManufacturedWave:
         Every row is then a constant times ds = 2 pi a c, with vs = sum v0:
         mass rho_t + vs rho_x = (vs - 1) ds; momentum v_d times the mass
         row plus p_x; energy, with rho E = p/(g-1) + rho |v0|^2/2 = e p,
-        e_t + vs (e + 1) p_x = (vs (e + 1) - e) ds.  One (5, ...) array is
-        allocated besides ds.
+        e_t + vs (e + 1) p_x = (vs (e + 1) - e) ds.  No (5, ...) array is
+        allocated: ds is formed in place in one row, with the operations
+        of ``state``'s phase in their order, and each row of ``out`` adds
+        its constant times ds through one scratch row, so ``out`` gains the
+        same bits as from adding a whole (5, ...) forcing array.
         """
-        ds = 2.0 * np.pi * self.amplitude * np.cos(self._phase(x, t))
         v = self.velocity
         vs = float(np.sum(v))
         e_factor = 1.0 / (gas.gamma - 1.0) + 0.5 * float(np.sum(v * v))
         coef = np.concatenate([[vs - 1.0], v * (vs - 1.0) + 1.0, [vs * (e_factor + 1.0) - e_factor]])
-        return np.multiply.outer(coef, ds)
+        ds = np.add(x[0], x[1])
+        ds += x[2]
+        ds -= t
+        np.cos(np.multiply(ds, 2.0 * np.pi, out=ds), out=ds)
+        ds *= 2.0 * np.pi * self.amplitude
+        row = np.empty_like(ds)
+        for c, out_row in zip(coef, out):
+            out_row += np.multiply(ds, c, out=row)
 
 
 CASES = {

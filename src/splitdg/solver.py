@@ -35,7 +35,9 @@ block's into its own spent slice of the jump; and the viscous penalty over
 all faces.  So no (3, 4, K, n1, n1, n1) array of Q or F^v and no
 whole-face array is ever allocated afresh: a warm residual allocates its
 result, the volume flux's prepared state, the ghost states and a few
-scratch rows per block.
+scratch rows per block.  A source term adds its forcing into the result in
+place, through rows of its own (``cases.ManufacturedWave``: two), not
+through a state-sized array.
 
 After set-up a run holds the mesh's x, Ja and J, its owner faces'
 normals and surface elements and the solver's flat face indices, 3.2-4.3
@@ -177,16 +179,25 @@ class Workspace:
     an in-place add runs faster on aligned operands; one bound by compute,
     such as a divide, does not move.  Page alignment was no faster than
     whole lines.
+
+    ``views`` keeps views into the allocation that a phase cuts the same
+    way on every call, under a key that fixes its layout: the volume
+    kernel's block views, keyed by degree, block size and the prepared
+    state's leading shapes (``split_divergence``).  A request under the
+    same key gets the same offsets, so the views stay valid while the
+    allocation does; ``reserve`` drops them all when it replaces the
+    allocation, so that they never pin a replaced one.
     """
 
     def __init__(self):
         self.sizes = ()
         self.flat = np.empty(0)
+        self.views = {}
 
     def reserve(self, *sizes):
         self.sizes = tuple(whole_lines(size) for size in sizes)
         if sum(self.sizes) > self.flat.size:
-            self.flat = spectral.aligned_array((sum(self.sizes),))
+            self.flat, self.views = spectral.aligned_array((sum(self.sizes),)), {}
         starts = itertools.accumulate(self.sizes, initial=0)
         return tuple(self.flat[start:start + size] for size, start in zip(sizes, starts))
 
@@ -229,7 +240,8 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     the same bit for bit.  One (pairs, n) matrix with two ones per row
     forms every pair's Ja_i + Ja_m from the block's Ja, and one (n, pairs)
     matrix scatters every pair flux to both of its ends, each through
-    ``spectral.apply_along`` (see ``_pair_operators``).  The sum is the
+    ``spectral.apply_along`` (the basis's ``pairs``, built once per
+    degree by ``spectral.pair_operators``).  The sum is the
     gathered one bit for bit: each row has two non-zero terms, so the
     matmul adds only exact zeros to Ja_i + Ja_m (a sum of two -0.0 would
     come out +0.0; the metrics of the box meshes hold none).  It replaces
@@ -241,7 +253,12 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
     scattered one block of ``PAIR_BLOCK_BYTES`` at a time, in the buffers
     of ``work`` (a call-local ``Workspace`` when None), each view on whole
     cache lines, and so is the result.  Every operation acts element by
-    element, so the result is bitwise independent of the block size.
+    element, so the result is bitwise independent of the block size.  The
+    block views (``_block_layout``, one set per block length and axis) are
+    kept in ``work.views`` under the degree, the block size and the
+    prepared state's leading shapes, so a warm call cuts none; they are
+    cut again when one of these changes or when the workspace replaces its
+    allocation, which drops them.
 
     Args:
         u: states (5, K, n, n, n).
@@ -255,7 +272,7 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
         (5, K, n, n, n) array.
     """
     n = len(basis.D)
-    left, right, select, scatter = _pair_operators(basis.D)
+    left, right, select, scatter = basis.pairs
     npairs = len(left)
 
     state = volume_flux.prepare(u, gas)
@@ -272,7 +289,7 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
         max(2 * sum(whole_lines(len(rows) * pair_size) for rows in state_rows),
             physics.NVAR * step * n**3),
         3 * pair_size, physics.NVAR * pair_size)
-    layouts = {}
+    layouts = work.views.setdefault((n, step, *leads), {})
     for block in _blocks(num_elements, step):
         count = min(step, num_elements - block.start)
         for axis in range(3):
@@ -287,24 +304,6 @@ def split_divergence(u, ja, basis, volume_flux, gas, work=None):
             f = volume_flux.evaluate(lefts, rights, direction, gas, out=flux)
             out[:, block] += spectral.apply_along(scatter, f, axis, prod)
     return out
-
-
-def _pair_operators(d):
-    """The unique pairs i < m of a line and their matrices, for the derivative matrix ``d``.
-
-    Returns the left and right node of every pair, the (pairs, n) matrix
-    with ones at (pair, i) and (pair, m), which sums a nodal row to the
-    pairs' Ja_i + Ja_m, and the (n, pairs) matrix with D_im at (i, pair)
-    and D_mi at (m, pair), which scatters the pair fluxes to both ends.
-    """
-    n = len(d)
-    left, right = np.triu_indices(n, 1)
-    pairs = np.arange(len(left))
-    select, scatter = np.zeros((len(left), n)), np.zeros((n, len(left)))
-    select[pairs, left] = select[pairs, right] = 1.0
-    scatter[left, pairs] = d[left, right]
-    scatter[right, pairs] = d[right, left]
-    return left, right, select, scatter
 
 
 def _block_layout(buffers, leads, count, axis, n, npairs):
@@ -379,8 +378,10 @@ class DGSolver:
             state of every Dirichlet face, whatever its tag; x has shape
             (3, ...).  Called only when the mesh has Dirichlet faces, and
             then required.
-        source: optional callable(x, t, gas) -> (5, ...) forcing added to
-            du/dt (manufactured-solution machinery).
+        source: optional callable(x, t, gas, out) that adds a forcing into
+            du/dt, ``out`` (5, K, n, n, n), in place, after the division by
+            J (manufactured-solution machinery); its return value is
+            ignored.
     """
 
     def __init__(self, mesh, gas, volume_flux="ec", surface_dissipation="llf",
@@ -632,7 +633,7 @@ class DGSolver:
             self._add_viscous(u, ghost, rhs)
         rhs /= self.j
         if self.source is not None:
-            rhs += self.source(self.x, t, gas)
+            self.source(self.x, t, gas, rhs)
         return rhs
 
     def _advective(self, u, ghost):

@@ -86,6 +86,24 @@ def gauss_lobatto(n):
     return nodes, weights
 
 
+def pair_operators(d):
+    """The split operator in pair form: the unique pairs i < m of a line and their matrices.
+
+    For the derivative matrix ``d``, returns the left and right node of
+    every pair, the (pairs, n) matrix with ones at (pair, i) and (pair, m),
+    which sums a nodal row to the pairs' Ja_i + Ja_m, and the (n, pairs)
+    matrix with D_im at (i, pair) and D_mi at (m, pair), which scatters the
+    pair fluxes to both ends (see ``solver.split_divergence``).
+    """
+    n = len(d)
+    left, right = np.triu_indices(n, 1)
+    pairs = np.arange(len(left))
+    select, scatter = np.zeros((len(left), n)), np.zeros((n, len(left)))
+    select[pairs, left] = select[pairs, right] = 1.0
+    scatter[left, pairs], scatter[right, pairs] = d[left, right], d[right, left]
+    return left, right, select, scatter
+
+
 class NodalBasis:
     """Degree-N Lagrange basis on LGL nodes with its SBP operator family.
 
@@ -97,6 +115,9 @@ class NodalBasis:
         D: derivative matrix, D[j, m] = ell_m'(x_j).
         Q: W D with W = diag(weights); satisfies Q + Q^T = B.
         B: boundary matrix diag(-1, 0, ..., 0, +1).
+        pairs: ``pair_operators(D)``, the split operator S = 2D - B W^{-1}
+            in pair form (S has a zero diagonal and S_im = 2 D_im off it),
+            built once per basis for the volume kernel.
     """
 
     def __init__(self, n):
@@ -119,7 +140,8 @@ class NodalBasis:
         b = np.zeros((n + 1, n + 1))
         b[0, 0], b[n, n] = -1.0, 1.0
         self.B = b
-        for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B):
+        self.pairs = pair_operators(self.D)
+        for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B, *self.pairs):
             a.setflags(write=False)
 
 

@@ -1,10 +1,12 @@
 """Error norms against the whole-mesh formula they replace; the manufactured
-source against its per-row formula and against central differences."""
+source against its per-row formula and against central differences, and its
+in-place addition against adding one whole forcing array."""
 
 import numpy as np
 import pytest
 
 from splitdg import cases, geometry, mesh as mesh_mod, physics, solver, spectral
+from test_solver import traced
 
 
 def dense_error_norms(dg, u, case, gas, t):
@@ -51,6 +53,23 @@ def per_row_source(case, x, t, gas):
     return src
 
 
+def forcing(case, x, t, gas):
+    """The manufactured forcing alone: ``case.source`` added into zeros."""
+    out = np.zeros((5,) + x.shape[1:])
+    case.source(x, t, gas, out)
+    return out
+
+
+def whole_forcing(case, x, t, gas):
+    """The forcing as one (5, ...) array: the outer product of the row constants and ds."""
+    ds = 2.0 * np.pi * case.amplitude * np.cos(2.0 * np.pi * (x[0] + x[1] + x[2] - t))
+    v = case.velocity
+    vs = float(np.sum(v))
+    e_factor = 1.0 / (gas.gamma - 1.0) + 0.5 * float(np.sum(v * v))
+    coef = np.concatenate([[vs - 1.0], v * (vs - 1.0) + 1.0, [vs * (e_factor + 1.0) - e_factor]])
+    return np.multiply.outer(coef, ds)
+
+
 MANUFACTURED = ({}, {"amplitude": 0.3, "velocity": (-0.5, 1.1, 0.25)})
 
 
@@ -61,7 +80,7 @@ def test_manufactured_source_matches_per_row_formula(params):
     x = np.random.default_rng(4).uniform(-1.0, 2.0, (3, 7, 5, 5))
     for t in (0.0, 0.37):
         ref = per_row_source(case, x, t, gas)
-        got = case.source(x, t, gas)
+        got = forcing(case, x, t, gas)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -78,5 +97,22 @@ def test_manufactured_source_matches_central_differences(params):
         step = h * np.eye(3)[d][:, None]
         fd += (physics.advective_flux(case.state(x + step, t, gas), gas)[d]
                - physics.advective_flux(case.state(x - step, t, gas), gas)[d]) / (2 * h)
-    src = case.source(x, t, gas)
+    src = forcing(case, x, t, gas)
     assert np.abs(src - fd).max() <= 1e-7 * np.abs(src).max()
+
+
+@pytest.mark.parametrize("params", MANUFACTURED)
+def test_manufactured_source_adds_in_place_bitwise_through_two_rows(params):
+    """``source`` adds into ``out`` the bits of out + one whole forcing array, holding two rows at most."""
+    gas = physics.GasModel()
+    case = cases.ManufacturedWave(**params)
+    rng = np.random.default_rng(6)
+    # The solver's x on a 6^3 mesh at N=3: rows of 110 KiB.
+    x = rng.uniform(-1.0, 2.0, (3, 216, 4, 4, 4))
+    for t in (0.0, 0.37):
+        out = rng.standard_normal((5,) + x.shape[1:])
+        expected = out + whole_forcing(case, x, t, gas)
+        peak = traced(case.source, x, t, gas, out)[2]
+        assert out.tobytes() == expected.tobytes()
+        # ds and one scratch row, plus the row constants' few small objects.
+        assert peak <= 2 * x[0].nbytes + 4096

@@ -33,6 +33,7 @@ entropy-conservative split form finishes with its entropy budget intact.
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ def test_split_divergence_blocks_on_rotated_chain(monkeypatch, chain, flux):
 def test_pair_direction_matmul_is_bitwise_the_gathered_sum(degree):
     """Ja_i + Ja_m of every pair: one matmul of the selection matrix, bitwise two gathers and an add."""
     mesh = mesh_mod.warped_box_mesh(degree, (3, 2, 2), amplitude=0.05)
-    left, right, select, _ = solver._pair_operators(mesh.basis.D)
+    left, right, select, _ = mesh.basis.pairs
     n, npairs = degree + 1, len(left)
     # A block of all elements and a short block in the middle of the element axis.
     for block in (slice(0, 12), slice(5, 8)):
@@ -469,6 +470,85 @@ def test_pair_direction_matmul_is_bitwise_the_gathered_sum(degree):
             gathered = (solver._take_rows(mesh.ja[axis], block, left, axis - 3, a)
                         + solver._take_rows(mesh.ja[axis], block, right, axis - 3, b))
             assert direction.tobytes() == gathered.tobytes()
+
+
+def counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that counts its calls in ``calls[name]``."""
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_warm_split_divergence_cuts_no_views_and_builds_no_operators(monkeypatch):
+    """The pair operators come with the basis; the block views are kept in the workspace."""
+    gas = physics.GasModel()
+    dg = solver.DGSolver(BLOCK_MESHES[7](), gas, "ec", "llf")
+    u = perturbed_wave(dg.x, gas)
+    calls = {}
+    counting(monkeypatch, spectral, "pair_operators", calls)
+    counting(monkeypatch, solver, "_block_layout", calls)
+    work = solver.Workspace()
+    first = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, work)
+    # Five blocks of two lengths (four of 4 elements, one of 2), three axes each.
+    assert calls == {"pair_operators": 0, "_block_layout": 6}
+    second = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, work)
+    assert calls == {"pair_operators": 0, "_block_layout": 6}
+    assert first.tobytes() == second.tobytes()
+
+
+def test_warm_viscous_residual_cuts_no_kernel_views(monkeypatch):
+    """The viscous path grows the workspace in the first residual, which drops the kernel's views once."""
+    gas = physics.GasModel(reynolds=100.0)
+    case = cases.ManufacturedWave()
+    # ns_n3_dirichlet's mesh: three kernel blocks of two lengths, and a
+    # viscous workspace larger than the kernel's.
+    mesh = mesh_mod.warped_box_mesh(DEGREE, (6, 6, 6), amplitude=0.05, periodic=False)
+    dg = solver.DGSolver(mesh, gas, "ec", "llf", boundary_state=case.state, source=case.source)
+    u = case.state(dg.x, 0.0, gas)
+    calls, cuts, residuals = {}, [], []
+    counting(monkeypatch, solver, "_block_layout", calls)
+    for _ in range(3):
+        before = calls["_block_layout"]
+        residuals.append(dg.residual(u, 0.1))
+        cuts.append(calls["_block_layout"] - before)
+    assert cuts == [6, 6, 0]
+    assert residuals[1].tobytes() == residuals[0].tobytes() == residuals[2].tobytes()
+
+
+def test_kept_views_follow_growth_and_block_size(monkeypatch):
+    """After a growth or a budget change, results equal a fresh workspace's and no view pins a replaced allocation."""
+    gas = physics.GasModel()
+    flux = fluxes.get_volume_flux("ec")
+
+    def divergence(mesh, work):
+        return solver.split_divergence(perturbed_wave(mesh.x, gas), mesh.ja, mesh.basis, flux, gas, work)
+
+    small = mesh_mod.warped_box_mesh(DEGREE, (2, 2, 2), amplitude=0.05)
+    large = BLOCK_MESHES[DEGREE]()
+    work = solver.Workspace()
+    divergence(small, work)
+    calls, replaced = {}, []
+    counting(monkeypatch, solver, "_block_layout", calls)
+    # A larger K, then a smaller budget (the allocation stays) and a larger one (it grows).
+    for budget in (solver.PAIR_BLOCK_BYTES, 8 * 1024, 1 << 20):
+        monkeypatch.setattr(solver, "PAIR_BLOCK_BYTES", budget)
+        flat, owner = weakref.ref(work.flat), weakref.ref(work.flat.base)
+        before = calls["_block_layout"]
+        result = divergence(large, work)
+        cut = calls["_block_layout"] - before
+        replaced.append(flat() is None)
+        assert owner() is None if replaced[-1] else work.flat is flat()
+        assert result.tobytes() == divergence(large, solver.Workspace()).tobytes()
+        # Views were cut for the new layout, and a repeat call cuts none.
+        before = calls["_block_layout"]
+        assert divergence(large, work).tobytes() == result.tobytes()
+        assert cut > 0 and calls["_block_layout"] == before
+    assert replaced == [True, False, True]
 
 
 @pytest.fixture(scope="module")
