@@ -20,7 +20,7 @@ import sys
 import types
 
 from splitdg import geometry, mesh as mesh_mod, physics, runner
-from splitdg.config import ConfigError, RunConfig
+from splitdg.config import MESH_KEYS, ConfigError, RunConfig, _check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,8 +60,8 @@ def _cmd_mesh_audit(args):
 
 
 def _cmd_mesh_write(args):
-    if min(args.cells) < 1:
-        raise ConfigError(f"--cells: must be three integers >= 1, got {args.cells}")
+    _, cells_ok, what = MESH_KEYS["cells"]
+    _check("--cells", args.cells, cells_ok(args.cells), what)
     try:
         mesh = mesh_mod.warped_box_mesh(args.degree, tuple(args.cells), args.amplitude)
     except geometry.GeometryError as err:
@@ -80,8 +80,8 @@ COMMANDS = {
     "verify": (_cmd_verify, ("suite",), {}),
     "converge": (_cmd_converge, ("config",), {"--levels": (int, "+", REQUIRED)}),
     "mesh audit": (_cmd_mesh_audit, ("path",), {}),
-    "mesh write": (_cmd_mesh_write, ("out",), {"--degree": (int, 1, 4), "--cells": (int, 3, (4, 4, 4)),
-                                               "--amplitude": (float, 1, 0.05)}),
+    "mesh write": (_cmd_mesh_write, ("out",), {"--degree": (int, 1, 4), "--cells": (int, 3, MESH_KEYS["cells"][0]),
+                                               "--amplitude": (float, 1, MESH_KEYS["amplitude"][0])}),
 }
 
 

@@ -6,10 +6,12 @@ curvilinear DG solver.  Nodal 3D fields are plain numpy arrays whose last
 three axes are the (i, j, k) <-> (xi, eta, zeta) tensor indices; any leading
 axes (state components, elements) are carried through untouched.
 
-A ``NodalBasis`` is immutable after construction and can be shared freely.
+A ``NodalBasis`` is immutable (its arrays are read-only) and can be shared
+freely.
 """
 
 import ctypes
+import functools
 import math
 
 import numpy as np
@@ -93,7 +95,8 @@ def pair_operators(d):
     every pair, the (pairs, n) matrix with ones at (pair, i) and (pair, m),
     which sums a nodal row to the pairs' Ja_i + Ja_m, and the (n, pairs)
     matrix with D_im at (i, pair) and D_mi at (m, pair), which scatters the
-    pair fluxes to both ends (see ``solver.split_divergence``).
+    pair fluxes to both ends (see ``solver.split_divergence``).  The four
+    arrays are read-only.
     """
     n = len(d)
     left, right = np.triu_indices(n, 1)
@@ -101,6 +104,8 @@ def pair_operators(d):
     select, scatter = np.zeros((len(left), n)), np.zeros((n, len(left)))
     select[pairs, left] = select[pairs, right] = 1.0
     scatter[left, pairs], scatter[right, pairs] = d[left, right], d[right, left]
+    for a in (left, right, select, scatter):
+        a.setflags(write=False)
     return left, right, select, scatter
 
 
@@ -117,7 +122,9 @@ class NodalBasis:
         B: boundary matrix diag(-1, 0, ..., 0, +1).
         pairs: ``pair_operators(D)``, the split operator S = 2D - B W^{-1}
             in pair form (S has a zero diagonal and S_im = 2 D_im off it),
-            built once per basis for the volume kernel.
+            built on first use, once per basis: only the volume kernel
+            reads it, so a basis that runs no kernel (the error norms'
+            fine grid) never builds it.
     """
 
     def __init__(self, n):
@@ -140,9 +147,12 @@ class NodalBasis:
         b = np.zeros((n + 1, n + 1))
         b[0, 0], b[n, n] = -1.0, 1.0
         self.B = b
-        self.pairs = pair_operators(self.D)
-        for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B, *self.pairs):
+        for a in (self.nodes, self.weights, self.bary, self.D, self.Q, self.B):
             a.setflags(write=False)
+
+    @functools.cached_property
+    def pairs(self):
+        return pair_operators(self.D)
 
 
 def build_basis(n):

@@ -209,6 +209,7 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
     ("mesh", {"mesh": None}),
     ("cfl", {"cfl": "0.4"}),
     ("final_time", {"final_time": [1]}),
+    ("final_time", {"final_time": None}),
     ("dt", {"dt": True}),
     ("volume_flux", {"volume_flux": ["ec"]}),
     ("surface_dissipation", {"surface_dissipation": "upwind"}),
@@ -217,7 +218,7 @@ def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, v
 ], ids=("degree-2.5", "degree-true", "monitor_interval-1.5", "cells-2.5", "cells-0", "cells-two",
         "mesh-list", "output_dir-5", "output_dir-null", "output_dir-nul", "mesh-path-5",
         "mesh-path-nul", "mesh-null", "cfl-string",
-        "final_time-list", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list",
+        "final_time-list", "final_time-null", "dt-true", "volume_flux-list", "surface_dissipation-unknown", "case-list",
         "boundary-open"))
 def test_non_integer_config_value_exits_2_naming_the_key(tmp_path, capsys, key, values):
     # Values of the wrong type too; through a file, whose directory resolves a relative mesh.path.
@@ -351,7 +352,8 @@ def test_bad_case_param_exits_2_before_set_up_naming_the_key(tmp_path, capsys, m
     ("cfl/dt: one of the two time controls must be set", {"cfl": None}),
     ("mesh.path: file does not exist: {dir}/missing.mesh", {"mesh": {"path": "missing.mesh"}}),
     ("case: must be one of ['density_wave', 'manufactured'], got 'freestream'", {"case": "freestream"}),
-], ids=("cfl-null-without-dt", "mesh-path-missing", "case-freestream"))
+    ("boundary: must be 'periodic' or 'dirichlet', got 5", {"boundary": 5}),
+], ids=("cfl-null-without-dt", "mesh-path-missing", "case-freestream", "boundary-5"))
 def test_config_value_exits_2_before_set_up_naming_the_key(tmp_path, capsys, monkeypatch, message,
                                                            values):
     config = {"degree": 2, "final_time": 0.001, "mesh": {"cells": [1, 1, 1]},
@@ -362,6 +364,32 @@ def test_config_value_exits_2_before_set_up_naming_the_key(tmp_path, capsys, mon
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"degree": 0, "monitor_interval": 0}, "degree: must be an integer >= 1, got 0"),
+    ({"monitor_interval": 0, "degree": 12}, "monitor_interval: must be an integer >= 1, got 0"),
+    ({"degree": 12, "mesh": None},
+     "degree: must be at most 11, whose error norms use a grid of degree 30, got 12"),
+    ({"gas": [], "mesh": {"cells": [0, 1, 1]}}, "gas: must be an object, got []"),
+    ({"mesh": {"cells": [0, 1, 1]}, "cfl": None}, "mesh.cells: must be three integers >= 1, got [0, 1, 1]"),
+    ({"cfl": None, "final_time": math.nan}, "cfl/dt: one of the two time controls must be set"),
+    ({"final_time": -1, "volume_flux": "x"}, "final_time: must be a finite positive number, got -1"),
+    ({"case": "x", "boundary": "open"}, "case: must be one of ['density_wave', 'manufactured'], got 'x'"),
+    ({"boundary": "open", "output_dir": 5}, "boundary: must be 'periodic' or 'dirichlet', got 'open'"),
+    ({"output_dir": 5, "case_params": {"amplitude": "x"}},
+     "output_dir: must be a string without NUL bytes, got 5"),
+    ({"case_params": {"amplitude": "x"}, "gas": {"mach": 1}},
+     "case_params.amplitude: must be a finite number, got 'x'"),
+    ({"gas": {"mach": 1}, "case_name": ""}, "gas: GasModel.__init__() got an unexpected keyword argument 'mach'"),
+], ids=("degree-monitor_interval", "monitor_interval-degree_cap", "degree_cap-mesh", "gas-cells", "cells-cfl",
+        "cfl_dt-final_time", "final_time-volume_flux", "case-boundary", "boundary-output_dir",
+        "output_dir-case_params", "case_params-gas", "gas-case_name"))
+def test_config_with_two_faults_names_the_first_check(fields, message):
+    # The checks run in a fixed order: each config breaks one check and a later one.
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**fields)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("command", ["run", "converge"])

@@ -33,6 +33,7 @@ entropy-conservative split form finishes with its entropy budget intact.
 import re
 import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -485,20 +486,41 @@ def counting(monkeypatch, module, name, calls):
 
 
 def test_warm_split_divergence_cuts_no_views_and_builds_no_operators(monkeypatch):
-    """The pair operators come with the basis; the block views are kept in the workspace."""
+    """The basis builds its pair operators on first use, once; the block views are kept in the workspace."""
     gas = physics.GasModel()
     dg = solver.DGSolver(BLOCK_MESHES[7](), gas, "ec", "llf")
     u = perturbed_wave(dg.x, gas)
+    # The per-degree basis is shared between tests: drop its operators, so that the first call builds them.
+    monkeypatch.delitem(vars(dg.basis), "pairs", raising=False)
     calls = {}
     counting(monkeypatch, spectral, "pair_operators", calls)
     counting(monkeypatch, solver, "_block_layout", calls)
     work = solver.Workspace()
     first = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, work)
     # Five blocks of two lengths (four of 4 elements, one of 2), three axes each.
-    assert calls == {"pair_operators": 0, "_block_layout": 6}
+    assert calls == {"pair_operators": 1, "_block_layout": 6}
     second = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas, work)
-    assert calls == {"pair_operators": 0, "_block_layout": 6}
+    assert calls == {"pair_operators": 1, "_block_layout": 6}
     assert first.tobytes() == second.tobytes()
+
+
+def test_basis_builds_its_read_only_pair_operators_on_first_use(monkeypatch):
+    """A basis that runs no kernel builds no pair operators; one that does gets the same bits."""
+    gas, case = physics.GasModel(), cases.DensityWave()
+    dg = solver.DGSolver(mesh_mod.warped_box_mesh(7, (1, 1, 1), amplitude=0.05), gas, "ec", "llf")
+    cases.error_norms(dg, case.state(dg.x, 0.0, gas), case, gas, 0.0)
+    assert "pairs" not in vars(spectral.build_basis(cases.error_grid_degree(7)))  # degree 22
+    monkeypatch.delitem(vars(dg.basis), "pairs", raising=False)
+    u = perturbed_wave(dg.x, gas)
+    lazy = solver.split_divergence(u, dg.ja, dg.basis, dg.volume_flux, gas)
+    assert "pairs" in vars(dg.basis)
+    # Operators built before any kernel runs, as the constructor once built them, give the same bits.
+    eager = types.SimpleNamespace(**dict(vars(dg.basis), pairs=spectral.pair_operators(dg.basis.D)))
+    assert lazy.tobytes() == solver.split_divergence(u, dg.ja, eager, dg.volume_flux, gas).tobytes()
+    for a in dg.basis.pairs:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_warm_viscous_residual_cuts_no_kernel_views(monkeypatch):
