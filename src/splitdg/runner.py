@@ -57,16 +57,19 @@ def _time_loop(config, mesh=None):
     Each step's dt is ``config.dt`` when set, else the CFL estimate,
     clipped so that the last step ends on ``final_time``; the loop stops
     once t is within 1e-12 * final_time of it.  A positivity failure in
-    the estimate names the step and its time.  A step returns the first
-    RK stage, the residual of the state it stepped from, which gives that
-    state's monitor row (every ``monitor_interval``-th state, the initial
-    one included) and is dropped before the next step; only the final row
-    pays a residual of its own.  So a convergence study checks each
-    level's initial and final states as a run does, at the cost of the
-    run's monitors and one residual per level.  Returns a RunRecord; its
-    ``rows`` are the monitor rows of ``_monitor_row``, numbers until
-    ``run_case`` writes them.  The solver, its workspace and the final
-    residual are released when this returns.
+    the estimate names the step and its time.  The monitor row of every
+    ``monitor_interval``-th state, the initial one included, is taken
+    inside the step that leaves that state: the step's callback gets its
+    first RK stage, the state's residual, before the step reuses that
+    array as its RK register, and a step without a row passes no
+    callback.  The callback reads u, t and dt while the step runs, before
+    the loop rebinds them.  Only the final row pays a residual of its
+    own.  So a convergence study checks each level's initial and final
+    states as a run does, at the cost of the run's monitors and one
+    residual per level.  Returns a RunRecord; its ``rows`` are the
+    monitor rows of ``_monitor_row``, numbers until ``run_case`` writes
+    them.  The solver, its workspace and the final residual are released
+    when this returns.
     """
     dg, case, gas = build_solver(config, mesh)
     # The initial state is not kept: it is sampled again for the summary's
@@ -79,11 +82,9 @@ def _time_loop(config, mesh=None):
             f"the time-step estimate of step {step + 1} at t = {t:.6g}",
             dg.timestep_estimate, u, config.cfl)
         new_dt = min(new_dt, config.final_time - t)
-        new, rhs = dg.step(u, t, new_dt)
-        if step % config.monitor_interval == 0:
-            rows.append(_monitor_row(dg, u, t, dt, rhs))
-        del rhs  # not held across the next step
-        u, t, dt, step = new, float(t + new_dt), new_dt, step + 1
+        first = None if step % config.monitor_interval else (
+            lambda rhs: rows.append(_monitor_row(dg, u, t, dt, rhs)))
+        u, t, dt, step = dg.step(u, t, new_dt, first), float(t + new_dt), new_dt, step + 1
     rhs = physics.in_phase(f"the final state after step {step} at t = {t:.6g}",
                            dg.residual, u, t)
     rows.append(_monitor_row(dg, u, t, dt, rhs))

@@ -57,13 +57,15 @@ holds W, the jump and that region, 3.2 times the state's size at N=3 and
 2.0 at N=7.
 
 Time integration is the method of lines: ``rk_step`` takes the five-stage
-low-storage RK4 of Carpenter and Kennedy (NASA TM-109112, 1994) from
-(u, t) to (u_new, r1), with r1 = du/dt at (u, t), its first stage, which
-the caller's monitors read; ``DGSolver.step`` runs it on the residual and
-writes into nothing it is given.  A step adds only the new state, its
-register and r1: each later stage's residual is overwritten with its RK
-products and dropped before the next stage, so a warm step's fresh memory
-peaks at 5.2-5.5 times the state's on the benchmark's configurations.
+low-storage RK4 of Carpenter and Kennedy (NASA TM-109112, 1994) from u at
+t to u_new at t + dt; ``DGSolver.step`` runs it on the residual and writes
+into nothing it is given.  Its first stage, r1 = du/dt at (u, t), goes to
+an optional callback, where the caller takes its monitor row, and then
+becomes the step's one register.  So a step adds only the new state and
+that register, two state-sized arrays: each later stage's residual is
+overwritten with its RK products and dropped before the next stage, and
+a warm step's fresh memory peaks at 4.1-4.5 times the state's on the
+benchmark's configurations (4.3-4.7 with a monitor row).
 """
 
 import functools
@@ -120,38 +122,39 @@ RK_C = (
 )
 
 
-def rk_step(u, t, dt, rhs):
-    """One five-stage low-storage RK4 step of du/dt = rhs(u, t).
+def rk_step(u, t, dt, rhs, first=None):
+    """One five-stage low-storage RK4 step of du/dt = rhs(u, t); returns u at t + dt.
 
-    Returns (u_new, r1): the state at t + dt and the array that ``rhs``
-    returned for the first stage, du/dt at (u, t), which the step leaves
-    intact.  Advances a private copy of ``u`` in place, with the operations
-    of g = a g + dt r, u = u + b g in the same order, so the result is the
-    same bit for bit; ``u`` itself is left unchanged.  The first stage
-    allocates the register g and b g.  The array returned for each of
-    stages 2-5 is overwritten, first with dt r, then with b g, and dropped
-    before the next stage, so a stage holds the copy of u, g, r1 and its
-    own array.
+    ``first``, when given, is called with the array that ``rhs`` returned
+    for the first stage, du/dt at (u, t), intact and before the step
+    consumes it: that array becomes the register g.  Advances a private
+    copy of ``u`` in place, with the operations of g = a g + dt r,
+    u = u + b g in the same order, so the result is the same bit for bit;
+    ``u`` itself is left unchanged, the arrays that ``rhs`` returns are
+    not.  The array returned for each of stages 2-5 is overwritten, first
+    with dt r, then with b g, and dropped before the next stage, so a
+    stage holds the copy of u, g and its own array.
     """
     if not dt > 0.0:  # NaN fails too
         raise ValueError(f"dt must be positive, got {dt}")
     u = np.array(u, dtype=float)
-    r1 = g = None
+    g = None
     for a, b, c in zip(RK_A, RK_B, RK_C):
-        r = rhs(u, t + c * dt)
+        r = np.asarray(rhs(u, t + c * dt))  # a 0-d right-hand side may return a numpy scalar
         if g is None:
-            r1 = r
-            g = dt * r
+            if first is not None:
+                first(r)
+            g = r
+            g *= dt
             r = b * g
         else:
-            r = np.asarray(r)  # a 0-d right-hand side may return a numpy scalar
             r *= dt
             g *= a
             g += r
             np.multiply(g, b, out=r)
         u += r
         del r
-    return u, r1
+    return u
 
 
 class Workspace:
@@ -712,11 +715,12 @@ class DGSolver:
             worst = min(worst, local.min())
         return cfl * worst / (self.basis.n + 1) ** 2
 
-    def step(self, u, t, dt):
-        """One positivity-checked RK step from (u, t): returns (u_new, du/dt at (u, t)).
+    def step(self, u, t, dt, first=None):
+        """One positivity-checked RK step from (u, t): returns u_new at t + dt.
 
-        Runs ``rk_step`` on the residual; the second array is its first
-        stage, for the caller's monitors.  A positivity failure names the
+        Runs ``rk_step`` on the residual; ``first``, when given, receives
+        its first stage, du/dt at (u, t), for the caller's monitors before
+        the step reuses it as its register.  A positivity failure names the
         stage and its time.  Nothing given is written.
         """
         stages = itertools.count(1)
@@ -725,4 +729,4 @@ class DGSolver:
             return physics.in_phase(f"RK stage {next(stages)} of {len(RK_A)} at t = {s:.6g}",
                                     self.residual, v, s)
 
-        return rk_step(u, t, dt, rhs)
+        return rk_step(u, t, dt, rhs, first)

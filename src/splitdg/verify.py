@@ -403,10 +403,10 @@ def solver_suite():
 
     # RK4: exp decay accuracy and order-4 slope
     rhs_scalar = lambda y, t: -y
-    y1 = solver.rk_step(np.array(1.0), 0.0, 0.1, rhs_scalar)[0]
+    y1 = solver.rk_step(np.array(1.0), 0.0, 0.1, rhs_scalar)
     checks.append(Check.below("RK step vs exp(-dt)", abs(y1 - np.exp(-0.1)), 1e-7))
-    e_coarse = abs(solver.rk_step(np.array(1.0), 0.0, 0.2, rhs_scalar)[0] - np.exp(-0.2))
-    e_fine = abs(solver.rk_step(np.array(1.0), 0.0, 0.1, rhs_scalar)[0] - np.exp(-0.1))
+    e_coarse = abs(solver.rk_step(np.array(1.0), 0.0, 0.2, rhs_scalar) - np.exp(-0.2))
+    e_fine = abs(solver.rk_step(np.array(1.0), 0.0, 0.1, rhs_scalar) - np.exp(-0.1))
     order = np.log2(e_coarse / e_fine)
     checks.append(Check.above("RK local order (>= 4.5 for 5-stage RK4)", order, 4.5))
     return checks
